@@ -331,10 +331,6 @@ impl LiveSearchCache {
         }
     }
 
-    /// Refresh the cached engines against `backend` and hand back a
-    /// shared clone to search with. The lock is held for the refresh
-    /// only — on the hot path (tags match) that is a couple of integer
-    /// compares and `Arc` bumps.
     /// The cache mutex, recovering from poisoning: a poisoned cache only
     /// means a panic dropped a partially-stale engine set; the version
     /// tags guard staleness, so the inner value is safe to keep using.
@@ -342,6 +338,11 @@ impl LiveSearchCache {
         self.cache.lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    /// Refresh the cached engines against `backend` and hand back a
+    /// shared clone to search with. The lock is held to read and to
+    /// write back the stash only, never across an index build — on the
+    /// hot path (tags match) that is a couple of integer compares and
+    /// `Arc` bumps.
     fn refreshed(&self, backend: &GraphBackend) -> SearchBackend {
         // snapshot the stash (cheap `Arc` clones), then build OUTSIDE
         // the lock: a slow re-index must not head-of-line-block every

@@ -115,9 +115,17 @@ impl CorpusStats {
                     }
                 }
                 if df > 0 {
-                    let t = fc.terms.entry(term.to_owned()).or_default();
-                    t.cf += cf;
-                    t.df += df;
+                    // after the first shard nearly every term is already
+                    // merged: probe by `&str`, allocate only to insert
+                    match fc.terms.get_mut(term) {
+                        Some(t) => {
+                            t.cf += cf;
+                            t.df += df;
+                        }
+                        None => {
+                            fc.terms.insert(term.to_owned(), TermStats { cf, df });
+                        }
+                    }
                 }
             }
         }

@@ -123,24 +123,28 @@ impl SearchEngine {
             return Vec::new();
         }
         let candidates = self.index.candidates(&terms);
-        let mut hits: Vec<Hit> = candidates
-            .into_iter()
-            .map(|e| {
-                let score = match scorer {
-                    Scorer::MixtureLm => {
-                        self.config
-                            .lm
-                            .score_in(&self.index, collection, e.raw(), &terms)
-                    }
-                    Scorer::Bm25 => {
-                        self.config
-                            .bm25
-                            .score_in(&self.index, collection, e.raw(), &terms)
-                    }
-                };
-                Hit { entity: e, score }
-            })
-            .collect();
+        let mut hits: Vec<Hit> = match scorer {
+            Scorer::MixtureLm => {
+                let query = self.config.lm.resolve(&self.index, collection, &terms);
+                candidates
+                    .into_iter()
+                    .map(|entity| Hit {
+                        entity,
+                        score: query.score(entity.raw()),
+                    })
+                    .collect()
+            }
+            Scorer::Bm25 => candidates
+                .into_iter()
+                .map(|entity| Hit {
+                    entity,
+                    score: self
+                        .config
+                        .bm25
+                        .score_in(&self.index, collection, entity.raw(), &terms),
+                })
+                .collect(),
+        };
         top_k(&mut hits, k);
         hits
     }
@@ -168,7 +172,12 @@ impl SearchEngine {
             .filter(|t| t.field.is_none())
             .map(|t| t.term.clone())
             .collect();
-        let mut per_field: Vec<(MixtureLm, Vec<String>)> = Vec::new();
+        // one resolved query per group: the free terms, then each
+        // restricted field's terms, summed in that order per candidate
+        let mut groups = Vec::new();
+        if !free.is_empty() {
+            groups.push(self.config.lm.resolve(&self.index, &self.index, &free));
+        }
         for field in crate::fields::Field::ALL {
             let terms: Vec<String> = parsed
                 .terms
@@ -177,26 +186,18 @@ impl SearchEngine {
                 .map(|t| t.term.clone())
                 .collect();
             if !terms.is_empty() {
-                per_field.push((
-                    MixtureLm {
-                        weights: FieldWeights::single(field),
-                        smoothing: self.config.lm.smoothing,
-                    },
-                    terms,
-                ));
+                let lm = MixtureLm {
+                    weights: FieldWeights::single(field),
+                    smoothing: self.config.lm.smoothing,
+                };
+                groups.push(lm.resolve(&self.index, &self.index, &terms));
             }
         }
         let mut hits: Vec<Hit> = candidates
             .into_iter()
-            .map(|e| {
-                let mut score = 0.0;
-                if !free.is_empty() {
-                    score += self.config.lm.score(&self.index, e.raw(), &free);
-                }
-                for (lm, terms) in &per_field {
-                    score += lm.score(&self.index, e.raw(), terms);
-                }
-                Hit { entity: e, score }
+            .map(|entity| Hit {
+                entity,
+                score: groups.iter().fold(0.0, |s, g| s + g.score(entity.raw())),
             })
             .collect();
         top_k(&mut hits, k);

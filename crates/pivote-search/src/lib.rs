@@ -31,5 +31,5 @@ pub use corpus::{CollectionView, CorpusStats, FieldCorpus, TermStats};
 pub use engine::{Hit, Scorer, SearchConfig, SearchEngine};
 pub use fields::{Field, FiveFieldRepr};
 pub use index::{FieldIndex, FieldedIndex, Posting};
-pub use lm::{FieldWeights, MixtureLm, Smoothing};
+pub use lm::{FieldWeights, MixtureLm, ResolvedQuery, Smoothing};
 pub use querylang::{parse_query, ParsedQuery, QueryTerm};

@@ -15,7 +15,7 @@
 
 use crate::corpus::CollectionView;
 use crate::fields::Field;
-use crate::index::FieldedIndex;
+use crate::index::{FieldedIndex, Posting};
 use serde::{Deserialize, Serialize};
 
 /// Smoothing of the per-field document language model.
@@ -127,6 +127,9 @@ impl MixtureLm {
     /// globally-merged [`CorpusStats`](crate::corpus::CorpusStats) here
     /// so every shard scores against the same collection model; with
     /// `collection = index` this is exactly [`MixtureLm::score`].
+    ///
+    /// Scoring many documents for one query? [`MixtureLm::resolve`] once
+    /// and [`ResolvedQuery::score`] each — this is that, per call.
     pub fn score_in<C: CollectionView + ?Sized>(
         &self,
         index: &FieldedIndex,
@@ -134,22 +137,70 @@ impl MixtureLm {
         doc: u32,
         terms: &[String],
     ) -> f64 {
-        let w = self.weights.normalized();
+        self.resolve(index, collection, terms).score(doc)
+    }
+
+    /// Look up everything about `terms` that does not depend on the
+    /// document — per (term, field) the posting list and the collection
+    /// probability, and the normalized weights — so that scoring a
+    /// candidate hashes no string.
+    pub fn resolve<'a, C: CollectionView + ?Sized>(
+        &self,
+        index: &'a FieldedIndex,
+        collection: &C,
+        terms: &[String],
+    ) -> ResolvedQuery<'a> {
+        let weights = self.weights.normalized();
+        let terms = terms
+            .iter()
+            .map(|term| {
+                Field::ALL.map(|field| {
+                    if weights[field.index()] == 0.0 {
+                        return (None, 0.0);
+                    }
+                    (
+                        index.field(field).posting(term),
+                        collection.collection_prob(field, term),
+                    )
+                })
+            })
+            .collect();
+        ResolvedQuery {
+            smoothing: self.smoothing,
+            weights,
+            index,
+            terms,
+        }
+    }
+}
+
+/// A query resolved against one index and collection view by
+/// [`MixtureLm::resolve`].
+pub struct ResolvedQuery<'a> {
+    smoothing: Smoothing,
+    /// Normalized field weights; a zero-weight field is never read.
+    weights: [f64; 5],
+    index: &'a FieldedIndex,
+    /// Per term and field: the term's postings in that field and its
+    /// collection probability there.
+    terms: Vec<[(Option<&'a Posting>, f64); 5]>,
+}
+
+impl ResolvedQuery<'_> {
+    /// Log-likelihood score of one document: the sum over terms of the
+    /// log of the weighted field mixture.
+    pub fn score(&self, doc: u32) -> f64 {
+        let doc_len = Field::ALL.map(|field| self.index.field(field).doc_len(doc));
         let mut score = 0.0;
-        for term in terms {
+        for term in &self.terms {
             let mut mix = 0.0;
-            for field in Field::ALL {
-                let weight = w[field.index()];
+            for (i, &(posting, collection_prob)) in term.iter().enumerate() {
+                let weight = self.weights[i];
                 if weight == 0.0 {
                     continue;
                 }
-                let fi = index.field(field);
-                let tf = fi.posting(term).map(|p| p.tf(doc)).unwrap_or(0);
-                let p = self.smoothing.prob(
-                    tf,
-                    fi.doc_len(doc),
-                    collection.collection_prob(field, term),
-                );
+                let tf = posting.map(|p| p.tf(doc)).unwrap_or(0);
+                let p = self.smoothing.prob(tf, doc_len[i], collection_prob);
                 mix += weight * p;
             }
             // mix > 0 because collection probs are floored.
@@ -162,6 +213,81 @@ impl MixtureLm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::CorpusStats;
+    use pivote_kg::{generate, DatagenConfig};
+    use pivote_text::Analyzer;
+
+    /// The per-candidate loop `resolve` + `score` replaced: every lookup
+    /// redone for every document.
+    fn score_unhoisted<C: CollectionView + ?Sized>(
+        lm: &MixtureLm,
+        index: &FieldedIndex,
+        collection: &C,
+        doc: u32,
+        terms: &[String],
+    ) -> f64 {
+        let w = lm.weights.normalized();
+        let mut score = 0.0;
+        for term in terms {
+            let mut mix = 0.0;
+            for field in Field::ALL {
+                let weight = w[field.index()];
+                if weight == 0.0 {
+                    continue;
+                }
+                let fi = index.field(field);
+                let tf = fi.posting(term).map(|p| p.tf(doc)).unwrap_or(0);
+                let p =
+                    lm.smoothing
+                        .prob(tf, fi.doc_len(doc), collection.collection_prob(field, term));
+                mix += weight * p;
+            }
+            score += mix.max(f64::MIN_POSITIVE).ln();
+        }
+        score
+    }
+
+    #[test]
+    fn resolved_scores_equal_the_per_candidate_loop_bit_for_bit() {
+        let kg = generate(&DatagenConfig::tiny());
+        let analyzer = Analyzer::default();
+        let index = FieldedIndex::build(&kg, &analyzer, 128);
+        // a collection view that is not the index: half the documents
+        let mut half = CorpusStats::new();
+        half.absorb(&index, |d| d % 2 == 0);
+        let models = [
+            MixtureLm::default(),
+            MixtureLm {
+                weights: FieldWeights::single(Field::Categories),
+                smoothing: Smoothing::JelinekMercer { lambda: 0.3 },
+            },
+            MixtureLm {
+                weights: FieldWeights([0.0; 5]),
+                smoothing: Smoothing::default(),
+            },
+        ];
+        for query in [
+            "american films",
+            "the silent harbor 1994",
+            "zzzz-unseen film",
+        ] {
+            let terms = analyzer.analyze(query);
+            for lm in &models {
+                let own = lm.resolve(&index, &index, &terms);
+                let merged = lm.resolve(&index, &half, &terms);
+                for doc in 0..index.doc_count() as u32 {
+                    assert_eq!(
+                        own.score(doc).to_bits(),
+                        score_unhoisted(lm, &index, &index, doc, &terms).to_bits()
+                    );
+                    assert_eq!(
+                        merged.score(doc).to_bits(),
+                        score_unhoisted(lm, &index, &half, doc, &terms).to_bits()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn dirichlet_smoothing_blends_toward_collection() {

@@ -320,6 +320,13 @@ impl Server {
     /// into prepared-snapshot publication and a background
     /// [`SearchWarmer`] pre-builds the keyword index for every new
     /// generation off the request path.
+    ///
+    /// The listener is bound *before* generation 0's search engines are
+    /// built and the workers start, so a client that connects during
+    /// boot is accepted by the kernel and waits in the listen backlog
+    /// until the index exists. What the benchmark reports as
+    /// `rank_p50_ms` on `bulk-load` is that wait — the remainder of the
+    /// index build at the moment the probe connected — not scoring.
     pub fn bind(addr: &str, store: Arc<LiveStore>, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;

@@ -22,4 +22,4 @@ pub mod tokenize;
 pub use analyze::Analyzer;
 pub use stem::stem;
 pub use stopwords::{is_stopword, STOPWORDS};
-pub use tokenize::{tokenize, tokenize_vec, Tokens};
+pub use tokenize::{raw_tokens, tokenize, tokenize_vec, RawTokens, Tokens};

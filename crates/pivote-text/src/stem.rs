@@ -4,13 +4,15 @@
 //! this intentionally does much less than full Porter: plural stripping
 //! and the `-ing`/`-ed`/`-ly` endings on long-enough words.
 
-/// Stem one lowercase token.
-pub fn stem(token: &str) -> String {
-    let t = token;
+/// The stem of one lowercase token as a prefix of it: the prefix length
+/// and whether the `ies → y` rewrite fired (the stem is then the prefix
+/// plus `y`). Every rule strips an ASCII suffix, so the length is always
+/// a char boundary.
+fn stem_prefix(t: &str) -> (usize, bool) {
     // Plural s-stemmer rules (Harman 1991).
     if let Some(base) = t.strip_suffix("ies") {
         if base.len() >= 2 {
-            return format!("{base}y");
+            return (base.len(), true);
         }
     }
     if let Some(base) = t.strip_suffix("es") {
@@ -20,30 +22,38 @@ pub fn stem(token: &str) -> String {
                 || base.ends_with("ch")
                 || base.ends_with("sh"))
         {
-            return base.to_owned();
+            return (base.len(), false);
         }
     }
     if let Some(base) = t.strip_suffix('s') {
         if base.len() >= 3 && !base.ends_with('s') && !base.ends_with('u') && !base.ends_with('i') {
-            return base.to_owned();
+            return (base.len(), false);
         }
     }
-    if let Some(base) = t.strip_suffix("ing") {
-        if base.len() >= 4 {
-            return base.to_owned();
+    for suffix in ["ing", "ed", "ly"] {
+        if let Some(base) = t.strip_suffix(suffix) {
+            if base.len() >= 4 {
+                return (base.len(), false);
+            }
         }
     }
-    if let Some(base) = t.strip_suffix("ed") {
-        if base.len() >= 4 {
-            return base.to_owned();
-        }
+    (t.len(), false)
+}
+
+/// Stem one lowercase token.
+pub fn stem(token: &str) -> String {
+    let mut stemmed = token.to_owned();
+    stem_in_place(&mut stemmed);
+    stemmed
+}
+
+/// Stem one lowercase token where it sits, without allocating.
+pub(crate) fn stem_in_place(token: &mut String) {
+    let (len, ies) = stem_prefix(token);
+    token.truncate(len);
+    if ies {
+        token.push('y');
     }
-    if let Some(base) = t.strip_suffix("ly") {
-        if base.len() >= 4 {
-            return base.to_owned();
-        }
-    }
-    t.to_owned()
 }
 
 #[cfg(test)]
