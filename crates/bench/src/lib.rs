@@ -1,16 +1,11 @@
-//! Shared fixtures for the criterion benches: pre-generated knowledge
-//! graphs at the scales the benchmarks sweep.
+//! Shared fixtures for the criterion benches that regenerate the paper's
+//! figures: one pre-generated knowledge graph and its seed entities.
 
 use pivote_kg::{generate, DatagenConfig, EntityId, KnowledgeGraph};
 
 /// Generate the standard bench KG (~2k films, ~9k entities).
 pub fn bench_kg() -> KnowledgeGraph {
     generate(&DatagenConfig::medium())
-}
-
-/// Generate a KG with `films` films (seed fixed at 7).
-pub fn kg_with_films(films: usize) -> KnowledgeGraph {
-    generate(&DatagenConfig::scaled(films, 7))
 }
 
 /// The most connected film — the "Forrest Gump" of a generated graph.

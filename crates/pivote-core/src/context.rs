@@ -873,8 +873,8 @@ impl<'kg> QueryContext<'kg> {
     /// The candidate pass resolves the fixed feature set **once** —
     /// dense cache ids plus extent slices — so the per-candidate loop is
     /// a binary search per feature instead of a CSR re-walk (the
-    /// amortization the sharded backend always had; BENCH_2.json showed
-    /// it worth ~2× on `rank_entities`). Bit-identical to scoring via
+    /// amortization the sharded backend always had; worth ~2× on
+    /// `rank_entities` at 16k films). Bit-identical to scoring via
     /// [`QueryContext::score_entity`]: same extents, same cached
     /// probabilities, same fold order.
     pub fn score_and_select(

@@ -82,12 +82,7 @@ pub use feature::{features_of, Direction, SemanticFeature};
 pub use handle::GraphHandle;
 pub use heatmap::{HeatMap, HEAT_LEVELS};
 pub use ingest::{IngestError, IngestReport, StreamingIngest, DEFAULT_BATCH_OPS};
-pub use live::{
-    maintenance_from_env, snapshot_from_env, LiveReader, LiveStore, MaintenanceHandle, StoreError,
-    MAX_OFFLOCK_ATTEMPTS,
-};
-#[allow(deprecated)]
-pub use live::{LiveGraph, LiveShardedGraph, LiveShardedReader};
+pub use live::{LiveReader, LiveStore, MaintenanceHandle, StoreError, MAX_OFFLOCK_ATTEMPTS};
 pub use prepared::PreparedSnapshot;
 pub use ranking::{RankedEntity, RankedFeature, Ranker};
 pub use replica::{recover, RecoveryReport, ReplicaError, ReplicaHandle, ReplicaStore};

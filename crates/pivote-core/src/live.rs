@@ -28,10 +28,6 @@
 //! copying the graph per query: extent slices borrowed by a context can
 //! never outlive the read guard, so no query ever observes a
 //! half-spliced row or a half-swapped partition.
-//!
-//! The former per-backend wrappers survive as thin deprecated aliases
-//! (`LiveGraph`, `LiveShardedGraph`) so downstream code migrates
-//! file-by-file.
 
 use crate::context::{QueryContext, SharedCache};
 use crate::handle::GraphHandle;
@@ -45,21 +41,6 @@ use pivote_kg::{
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::time::Duration;
-
-/// Whether the `PIVOTE_MAINTENANCE=1` environment leg is active — the CI
-/// hook that routes the eval harness' graph construction through a
-/// [`LiveStore`] with a background [`MaintenanceHandle`] compacting the
-/// growing partition off the query path. (Re-exported from
-/// [`pivote_kg::maintenance_from_env`], the one parser behind every
-/// `PIVOTE_*` CI-leg flag.)
-pub use pivote_kg::maintenance_from_env;
-
-/// Whether the `PIVOTE_SNAPSHOT=1` environment leg is active — the CI
-/// hook that routes the eval harness' queries through the
-/// prepared-snapshot read path ([`LiveStore::enable_snapshots`] +
-/// [`LiveStore::snapshot`]) instead of fresh lock-scoped contexts.
-/// (Re-exported from [`pivote_kg::snapshot_from_env`].)
-pub use pivote_kg::snapshot_from_env;
 
 /// Why a live-store write was refused.
 ///
@@ -376,8 +357,8 @@ impl LiveStore {
 
     /// Stop-the-world re-partition: the union rebuild runs **under the
     /// write lock**, so every query issued during the pass blocks for
-    /// its full duration (roughly `ShardedGraph::from_graph` cost — the
-    /// ~330ms measured in `BENCH_4.json` at 16k films). Kept as the
+    /// its full duration (roughly `ShardedGraph::from_graph` cost —
+    /// ~330ms measured at 16k films on a one-core host). Kept as the
     /// baseline the blocked-time benchmarks compare against; interactive
     /// deployments should use [`LiveStore::compact_concurrent`], which
     /// holds the write lock only for a generation check and a pointer
@@ -628,12 +609,6 @@ impl LiveReader<'_> {
             )),
         }
     }
-
-    /// Alias for [`LiveReader::handle`] — the query entry point the
-    /// per-backend readers used to spell `ctx()`.
-    pub fn ctx(&self) -> GraphHandle<'_> {
-        self.handle()
-    }
 }
 
 /// A background maintenance thread driving [`LiveStore::maybe_compact`]
@@ -701,23 +676,6 @@ impl Drop for MaintenanceHandle {
     }
 }
 
-/// Deprecated name of [`LiveStore`] from before the single/sharded live
-/// stacks were unified. `LiveGraph::new` took a [`KnowledgeGraph`];
-/// [`LiveStore::new`] accepts it unchanged.
-#[deprecated(since = "0.5.0", note = "use LiveStore — one store, both layouts")]
-pub type LiveGraph = LiveStore;
-
-/// Deprecated name of [`LiveStore`] from before the single/sharded live
-/// stacks were unified. `LiveShardedGraph::new` took a [`ShardedGraph`];
-/// [`LiveStore::new`] accepts it unchanged.
-#[deprecated(since = "0.5.0", note = "use LiveStore — one store, both layouts")]
-pub type LiveShardedGraph = LiveStore;
-
-/// Deprecated name of [`LiveReader`] from before the readers were
-/// unified; `ctx()` and `handle()` both hand out a [`GraphHandle`] now.
-#[deprecated(since = "0.5.0", note = "use LiveReader — one reader, both layouts")]
-pub type LiveShardedReader<'a> = LiveReader<'a>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,7 +717,7 @@ mod tests {
         };
         let cfg = RankingConfig::default();
         let reader = live.read();
-        let live_ctx = reader.ctx();
+        let live_ctx = reader.handle();
         let fresh_ctx = QueryContext::with_threads(&union, 1);
         let lf = live_ctx.rank_features(&cfg, &s);
         let ff = fresh_ctx.rank_features(&cfg, &s);
@@ -784,7 +742,7 @@ mod tests {
         let live = LiveStore::with_threads(ShardedGraph::from_graph(&kg, 3), 1);
         {
             let reader = live.read();
-            let ctx = reader.ctx();
+            let ctx = reader.handle();
             assert_eq!(ctx.rank_features(&cfg, &s), base_features);
         }
         let mut delta = DeltaBatch::new();
@@ -801,7 +759,7 @@ mod tests {
         let fresh = QueryContext::with_threads(&union, 1);
         let want = fresh.rank_features(&cfg, &s);
         let reader = live.read();
-        let got = reader.ctx().rank_features(&cfg, &s);
+        let got = reader.handle().rank_features(&cfg, &s);
         assert_eq!(got, want, "sharded live append must match rebuilt union");
     }
 
@@ -829,7 +787,7 @@ mod tests {
         // warm the cache and take the pre-compaction answer
         let (before_f, before_e) = {
             let reader = live.read();
-            let ctx = reader.ctx();
+            let ctx = reader.handle();
             let f = ctx.rank_features(&cfg, &s);
             let e = ctx.rank_entities(&cfg, &s, &f);
             (f, e)
@@ -856,7 +814,7 @@ mod tests {
 
         // post-compaction answers are bit-identical to pre-compaction
         let reader = live.read();
-        let ctx = reader.ctx();
+        let ctx = reader.handle();
         let after_f = ctx.rank_features(&cfg, &s);
         assert_eq!(after_f, before_f);
         let after_e = ctx.rank_entities(&cfg, &s, &after_f);
@@ -1054,8 +1012,8 @@ mod tests {
         live.append(&d).expect("store healthy");
         {
             let reader = live.read();
-            let f = reader.ctx().rank_features(&cfg, &s);
-            reader.ctx().rank_entities(&cfg, &s, &f);
+            let f = reader.handle().rank_features(&cfg, &s);
+            reader.handle().rank_entities(&cfg, &s, &f);
         }
         let mut r = DeltaBatch::new();
         r.retract_triple(&names[0], "ephemeral_link", &names[1]);
@@ -1070,9 +1028,9 @@ mod tests {
         let want_e = fresh.rank_entities(&cfg, &s, &want_f);
         {
             let reader = live.read();
-            let got_f = reader.ctx().rank_features(&cfg, &s);
+            let got_f = reader.handle().rank_features(&cfg, &s);
             assert_eq!(got_f, want_f, "retract must invalidate stale densities");
-            let got_e = reader.ctx().rank_entities(&cfg, &s, &got_f);
+            let got_e = reader.handle().rank_entities(&cfg, &s, &got_f);
             for (a, b) in got_e.iter().zip(&want_e) {
                 assert_eq!(a.entity, b.entity);
                 assert!((a.score - b.score).abs() == 0.0);
@@ -1094,7 +1052,7 @@ mod tests {
         {
             let reader = live.read();
             assert_eq!(reader.backend().tombstone_count(), 0);
-            let got_f = reader.ctx().rank_features(&cfg, &s);
+            let got_f = reader.handle().rank_features(&cfg, &s);
             assert_eq!(got_f, want_f, "reclaim must not change answers");
         }
         // a tombstone-free single store is the identity again

@@ -8,7 +8,7 @@ use pivote_core::{
     Expander, GraphHandle, QueryContext, RankedEntity, Ranker, RankingConfig, SfQuery,
     ShardedContext,
 };
-use pivote_kg::{generate, shard_counts_from_env, DatagenConfig, EntityId, KnowledgeGraph};
+use pivote_kg::{generate, DatagenConfig, EntityId, KnowledgeGraph};
 use std::sync::Arc;
 
 fn seeds_of(kg: &KnowledgeGraph, n: usize) -> Vec<EntityId> {
@@ -153,7 +153,7 @@ fn concurrent_sessions_on_one_sharded_context_match_sequential_runs() {
         })
         .collect();
 
-    for shards in shard_counts_from_env(&[2, 3]) {
+    for shards in [2, 3, 4] {
         let sg = pivote_kg::ShardedGraph::from_graph(&kg, shards);
         let ctx = Arc::new(ShardedContext::new(&sg));
         let got: Vec<Vec<RankedEntity>> = std::thread::scope(|scope| {

@@ -45,7 +45,7 @@ fn append_drops_exactly_the_touched_densities() {
         let mut cats = kg.categories_of(f);
         let cat_a = cats.next().expect("film has categories");
         let cat_b = cats.next().expect("film has two categories");
-        let ctx = reader.ctx();
+        let ctx = reader.handle();
         // fill four densities: touched-feature × {touched, untouched}
         // category, untouched-feature × the same two categories
         for sf in [sf_star, sf_dir] {
@@ -110,7 +110,7 @@ fn append_drops_exactly_the_touched_densities() {
     assert!((fresh.p_for_category(untouched_sf, cat_untouched) - survived).abs() == 0.0);
     // and the dropped one recomputes to the new truth through the cache
     let reader = live.read();
-    let got = reader.ctx().p_for_category(touched_sf, cat_touched);
+    let got = reader.handle().p_for_category(touched_sf, cat_touched);
     assert!((fresh.p_for_category(touched_sf, cat_touched) - got).abs() == 0.0);
 }
 
@@ -191,7 +191,7 @@ fn appends_racing_queries_converge_to_the_union() {
             scope.spawn(move || {
                 for _ in 0..12 {
                     let reader = live.read();
-                    let ctx = reader.ctx();
+                    let ctx = reader.handle();
                     let features = ctx.rank_features(&cfg, &seeds);
                     let entities = ctx.rank_entities(&cfg, &seeds, &features);
                     // internal consistency of whatever snapshot we got
@@ -221,7 +221,7 @@ fn appends_racing_queries_converge_to_the_union() {
     let want_f = fresh.rank_features(&cfg, &seeds);
     let want_e = fresh.rank_entities(&cfg, &seeds, &want_f);
     let reader = live.read();
-    let ctx = reader.ctx();
+    let ctx = reader.handle();
     let got_f = ctx.rank_features(&cfg, &seeds);
     assert_eq!(got_f, want_f, "post-race features must equal the union");
     let got_e = ctx.rank_entities(&cfg, &seeds, &got_f);

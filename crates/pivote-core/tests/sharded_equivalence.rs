@@ -8,13 +8,12 @@
 //! remap, the owned-prefix extent decomposition and the top-k heap merge:
 //! any drift in one of them breaks exact score equality here.
 //!
-//! The shard-count matrix honours `PIVOTE_SHARDS` (e.g. the CI sharded
-//! matrix runs `PIVOTE_SHARDS=1` and `PIVOTE_SHARDS=4`); it defaults to
-//! 1–4, which includes shard counts near and above the 12-entity id
-//! space so empty and near-empty shards are exercised on every case.
+//! The shard-count matrix is 1–4, which includes shard counts near and
+//! above the 12-entity id space so empty and near-empty shards are
+//! exercised on every case.
 
 use pivote_core::{GraphHandle, RankingConfig, SfQuery};
-use pivote_kg::{shard_counts_from_env, KgBuilder, KnowledgeGraph, ShardedGraph};
+use pivote_kg::{KgBuilder, KnowledgeGraph, ShardedGraph};
 use proptest::prelude::*;
 
 /// A random small KG: entities e0..e11, predicates p0..p3, a random edge
@@ -54,9 +53,7 @@ fn configs() -> Vec<RankingConfig> {
     ]
 }
 
-fn shard_matrix() -> Vec<usize> {
-    shard_counts_from_env(&[1, 2, 3, 4])
-}
+const SHARD_MATRIX: [usize; 4] = [1, 2, 3, 4];
 
 /// Hard equality on scores: the sharded layer promises bit-identical
 /// results, so no epsilon is allowed anywhere in this file.
@@ -94,7 +91,7 @@ proptest! {
             let want_top_k =
                 single.rank_entities_top_k(&config, &seeds, &want_features, k, |_| true);
 
-            for shards in shard_matrix() {
+            for shards in SHARD_MATRIX {
                 let sg = ShardedGraph::from_graph(&kg, shards);
                 for threads in [1, 2] {
                     let sharded = GraphHandle::sharded_with_threads(&sg, threads);
@@ -147,7 +144,7 @@ proptest! {
         let config = RankingConfig::default();
         let single = Expander::with_handle(GraphHandle::single_with_threads(&kg, 1), config);
         let want = single.expand(&query, 15, 10);
-        for shards in shard_matrix() {
+        for shards in SHARD_MATRIX {
             let sg = ShardedGraph::from_graph(&kg, shards);
             let sharded =
                 Expander::with_handle(GraphHandle::sharded_with_threads(&sg, 2), config);
@@ -171,7 +168,7 @@ proptest! {
     fn prop_sharded_probabilities_equal_single(kg in random_kg()) {
         let config = RankingConfig::default();
         let single = GraphHandle::single_with_threads(&kg, 1);
-        for shards in shard_matrix() {
+        for shards in SHARD_MATRIX {
             let sg = ShardedGraph::from_graph(&kg, shards);
             let sharded = GraphHandle::sharded_with_threads(&sg, 1);
             for e in kg.entity_ids() {

@@ -17,7 +17,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(2_000);
     eprintln!("generating synthetic KG ({films} films)…");
-    let kg = pivote_eval::eval_graph(&DatagenConfig::scaled(films, 7));
+    let kg = pivote_kg::generate(&DatagenConfig::scaled(films, 7));
     let cases = default_search_cases(&kg, 60);
 
     // sweep the names-field mass; the remainder is split over the other

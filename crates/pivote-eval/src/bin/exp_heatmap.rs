@@ -16,7 +16,7 @@ fn main() {
         .nth(1)
         .and_then(|v| v.parse().ok())
         .unwrap_or(2_000);
-    let kg = pivote_eval::eval_graph(&DatagenConfig::scaled(films, 7));
+    let kg = pivote_kg::generate(&DatagenConfig::scaled(films, 7));
     let film = kg.type_id("Film").expect("Film type");
     let seeds = &kg.type_extent(film)[..2];
     let report = run_heatmap_report(&kg, seeds, 20, 15);

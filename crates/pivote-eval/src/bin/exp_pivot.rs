@@ -15,7 +15,7 @@ fn main() {
         .nth(1)
         .and_then(|v| v.parse().ok())
         .unwrap_or(2_000);
-    let kg = pivote_eval::eval_graph(&DatagenConfig::scaled(films, 7));
+    let kg = pivote_kg::generate(&DatagenConfig::scaled(films, 7));
 
     println!("== Q5: pivot destinations vs type-coupling statistics ==");
     println!(

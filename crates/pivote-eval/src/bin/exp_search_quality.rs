@@ -16,7 +16,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(2_000);
     eprintln!("generating synthetic KG ({films} films)…");
-    let kg = pivote_eval::eval_graph(&DatagenConfig::scaled(films, 7));
+    let kg = pivote_kg::generate(&DatagenConfig::scaled(films, 7));
 
     let full = SearchEngine::build(&kg, SearchConfig::default());
     let names_only = {

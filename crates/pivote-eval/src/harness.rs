@@ -12,287 +12,6 @@ use pivote_search::{Scorer, SearchEngine};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
-/// Build the experiment graph for `cfg` — the one graph-construction
-/// seam every experiment runner and binary goes through. Under
-/// `PIVOTE_INCREMENTAL=1` (the CI incremental leg) the graph is built
-/// through the **append path**: generate, split off the trailing half of
-/// the entity triples as a [`pivote_kg::DeltaBatch`], and splice them
-/// back with `KnowledgeGraph::apply`. Append-then-query is bit-identical
-/// to rebuild-then-query (see `tests/incremental_equivalence.rs`), so
-/// every metric the harness reports must come out unchanged — which is
-/// exactly what the leg verifies.
-///
-/// Under `PIVOTE_COMPACT=1` (the CI compaction leg, taking precedence)
-/// the graph takes the full **append-then-compact** route instead:
-/// generate, split off the trailing 40% of the *entities* as three
-/// entity-minting batches ([`pivote_kg::split_growth`]), apply them
-/// through a 2-shard [`pivote_kg::ShardedGraph`] (each batch appends a
-/// trailing shard), re-partition with `ShardedGraph::compact`, and
-/// union-rebuild with `ShardedGraph::to_graph`. Compaction is
-/// answer-preserving (see `tests/compaction_equivalence.rs`), so this
-/// leg too must reproduce every metric and golden ranking unchanged.
-///
-/// Under `PIVOTE_MAINTENANCE=1` (taking precedence over both) the same
-/// growth batches are driven through a live
-/// [`pivote_core::LiveStore`] with a background
-/// [`pivote_core::MaintenanceHandle`] ticking an aggressive
-/// [`pivote_kg::CompactionPolicy`]: the maintenance thread — not the
-/// append path — absorbs every trailing shard via the off-lock
-/// concurrent compaction, and the union the store then holds must
-/// still reproduce every metric and golden ranking unchanged.
-///
-/// Under `PIVOTE_RETRACT=1` (highest precedence) the graph takes a full
-/// **mixed insert/delete** route: the same growth batches are
-/// interleaved with generated churn — noise statements (edges, literals,
-/// type and category assertions on existing entities under churn-only
-/// dictionary names) inserted and then retracted batch by batch — and
-/// the store finishes with a [`KnowledgeGraph::reclaim`] that must hold
-/// zero tombstones. Retraction is exact (`tests/retraction_equivalence.rs`),
-/// so the surviving graph — and therefore every metric and golden
-/// ranking — must come out unchanged.
-///
-/// Under `PIVOTE_REPLICA=1` (highest precedence) the graph is the one a
-/// **read replica** serves: the growth batches are applied through a
-/// 2-shard leader [`pivote_core::LiveStore`] that records every write
-/// (and the closing compaction) in a durable delta log
-/// ([`pivote_kg::wal`]), a follower [`pivote_core::ReplicaStore`] tails
-/// the log from the single-layout base, and the follower's graph — which
-/// must be fingerprint-equal to the leader's — is what every experiment
-/// then runs on. Replication is exact (`tests/replica_equivalence.rs`),
-/// so this leg too must reproduce every metric and golden ranking
-/// unchanged.
-///
-/// Under `PIVOTE_SNAPSHOT=1` (highest precedence of all) the graph is
-/// the one the **prepared-snapshot read path** serves: the growth
-/// batches are applied through a 2-shard live store with
-/// [`pivote_core::LiveStore::enable_snapshots`] on, publication is
-/// asserted to track every write, and the graph handed to the
-/// experiments is the published snapshot's pinned backend — with its
-/// prepared-context answers asserted bit-identical to a fresh context
-/// over the union rebuild first. Snapshot serving is exact
-/// (`tests/snapshot_equivalence.rs`), so this leg too must reproduce
-/// every metric and golden ranking unchanged.
-pub fn eval_graph(cfg: &pivote_kg::DatagenConfig) -> KnowledgeGraph {
-    let kg = pivote_kg::generate(cfg);
-    if pivote_core::snapshot_from_env() {
-        let (base, batches) = pivote_kg::split_growth(&kg, 0.6, 3);
-        let store =
-            pivote_core::LiveStore::with_threads(pivote_kg::ShardedGraph::from_graph(&base, 2), 1);
-        store.enable_snapshots();
-        for batch in &batches {
-            store.append(batch).expect("store healthy");
-            let snap = store.snapshot().expect("publication enabled");
-            assert_eq!(
-                snap.generation(),
-                store.generation(),
-                "publication must track every append"
-            );
-        }
-        store
-            .compact_in_place(2)
-            .expect("snapshot-leg compaction succeeds");
-        let snap = store.snapshot().expect("publication enabled");
-        assert_eq!(
-            snap.generation(),
-            store.generation(),
-            "publication must track the compaction"
-        );
-        let out = snap.backend().to_single();
-        // the prepared context answers bit-identically to a fresh
-        // single-layout context over the union rebuild — the snapshot
-        // read path must not change a single score
-        let probe = vec![EntityId::new(0), EntityId::new(1)];
-        let rcfg = RankingConfig::default();
-        let fresh = pivote_core::QueryContext::with_threads(&out, 1);
-        let want_f = fresh.rank_features(&rcfg, &probe);
-        let got_f = snap.handle().rank_features(&rcfg, &probe);
-        assert_eq!(got_f, want_f, "snapshot features diverged from fresh");
-        let want_e = fresh.rank_entities(&rcfg, &probe, &want_f);
-        let got_e = snap.handle().rank_entities(&rcfg, &probe, &got_f);
-        assert_eq!(got_e, want_e, "snapshot entities diverged from fresh");
-        assert_eq!(
-            out.triple_count(),
-            kg.triple_count(),
-            "snapshot eval graph must reconstruct the generated graph"
-        );
-        assert_eq!(out.entity_count(), kg.entity_count());
-        out
-    } else if pivote_kg::replica_from_env() {
-        let (base, batches) = pivote_kg::split_growth(&kg, 0.6, 3);
-        let wal_path = std::env::temp_dir().join(format!(
-            "pivote_eval_replica_{}_{:?}.wal",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&wal_path);
-        let leader =
-            pivote_core::LiveStore::with_threads(pivote_kg::ShardedGraph::from_graph(&base, 2), 1);
-        leader.log_to(&wal_path).expect("leader delta log opens");
-        let mut follower =
-            pivote_core::ReplicaStore::open(base, 1, &wal_path).expect("follower opens the log");
-        for batch in &batches {
-            leader.append(batch).expect("leader healthy");
-        }
-        leader
-            .compact_in_place(2)
-            .expect("leader compaction succeeds");
-        let applied = follower.sync().expect("follower replays the log");
-        assert_eq!(
-            applied,
-            batches.len() + 1,
-            "every growth batch plus the compaction must ship"
-        );
-        let (leader_fp, follower_fp) = {
-            let lr = leader.read();
-            let fr = follower.store().read();
-            (lr.backend().fingerprint(), fr.backend().fingerprint())
-        };
-        assert_eq!(
-            follower_fp, leader_fp,
-            "the follower must be fingerprint-equal to the leader"
-        );
-        let out = {
-            let reader = follower.store().read();
-            reader.backend().to_single()
-        };
-        let _ = std::fs::remove_file(&wal_path);
-        assert_eq!(
-            out.triple_count(),
-            kg.triple_count(),
-            "replica eval graph must reconstruct the generated graph"
-        );
-        assert_eq!(out.entity_count(), kg.entity_count());
-        out
-    } else if pivote_kg::retract_from_env() {
-        let (base, batches) = pivote_kg::split_growth(&kg, 0.6, 3);
-        let mut out = base;
-        let churn_targets = out.entity_count().min(32);
-        for batch in &batches {
-            out.apply(batch);
-            // churn: noise statements on long-existing entities, under
-            // dictionary names no real statement uses (so the retract
-            // can never swallow a genuine statement deduplicated away
-            // by the insert)
-            let mut noise = pivote_kg::DeltaBatch::new();
-            let mut undo = pivote_kg::DeltaBatch::new();
-            for i in 0..churn_targets {
-                let s = kg.entity_name(EntityId::new(i as u32)).to_owned();
-                let o = kg
-                    .entity_name(EntityId::new(((i + 7) % churn_targets) as u32))
-                    .to_owned();
-                noise.triple(&s, "churn_retract_leg", &o);
-                undo.retract_triple(&s, "churn_retract_leg", &o);
-                if i % 2 == 0 {
-                    let v = pivote_kg::Literal::integer(i as i64);
-                    noise.literal(&s, "churn_retract_leg", v.clone());
-                    undo.retract_literal(&s, "churn_retract_leg", v);
-                }
-                if i % 3 == 0 {
-                    noise.typed(&s, "Churn_Retract_Type");
-                    undo.retract_typed(&s, "Churn_Retract_Type");
-                }
-                if i % 4 == 0 {
-                    noise.categorized(&s, "Churn retract category");
-                    undo.retract_categorized(&s, "Churn retract category");
-                }
-            }
-            out.apply(&noise);
-            out.apply(&undo);
-        }
-        assert!(
-            out.tombstone_count() > 0,
-            "the churn batches must have left tombstones"
-        );
-        let out = out.reclaim();
-        assert_eq!(
-            out.tombstone_count(),
-            0,
-            "reclaim must drop every tombstone"
-        );
-        assert_eq!(
-            out.triple_count(),
-            kg.triple_count(),
-            "retract eval graph must reconstruct the generated graph"
-        );
-        assert_eq!(out.entity_count(), kg.entity_count());
-        out
-    } else if pivote_core::maintenance_from_env() {
-        use std::sync::Arc;
-        use std::time::{Duration, Instant};
-        let (base, batches) = pivote_kg::split_growth(&kg, 0.6, 3);
-        let store = Arc::new(pivote_core::LiveStore::with_threads(
-            pivote_kg::ShardedGraph::from_graph(&base, 2),
-            1,
-        ));
-        let mut maintenance = pivote_core::MaintenanceHandle::spawn(
-            Arc::clone(&store),
-            pivote_kg::CompactionPolicy {
-                max_trailing: 0,
-                max_tail_fraction: 1.0,
-                max_tombstone_fraction: 1.0,
-            },
-            2,
-            Duration::from_millis(1),
-        );
-        for batch in &batches {
-            store.append(batch).expect("store healthy");
-        }
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while store.trailing_shard_count() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        maintenance.stop();
-        assert_eq!(
-            store.trailing_shard_count(),
-            0,
-            "the maintenance thread must absorb every trailing shard"
-        );
-        assert!(maintenance.passes() >= 1, "at least one background pass");
-        let out = Arc::try_unwrap(store)
-            .ok()
-            .expect("maintenance thread joined — no other store owners")
-            .into_inner()
-            .into_single();
-        assert_eq!(
-            out.triple_count(),
-            kg.triple_count(),
-            "maintained eval graph must reconstruct the generated graph"
-        );
-        assert_eq!(out.entity_count(), kg.entity_count());
-        out
-    } else if pivote_kg::compact_from_env() {
-        let (base, batches) = pivote_kg::split_growth(&kg, 0.6, 3);
-        let mut sg = pivote_kg::ShardedGraph::from_graph(&base, 2);
-        for batch in &batches {
-            sg.apply(batch);
-        }
-        assert!(
-            sg.trailing_shard_count() > 0,
-            "the growth batches must have appended trailing shards"
-        );
-        let out = sg.compact(2).to_graph();
-        assert_eq!(
-            out.triple_count(),
-            kg.triple_count(),
-            "compacted eval graph must reconstruct the generated graph"
-        );
-        assert_eq!(out.entity_count(), kg.entity_count());
-        out
-    } else if pivote_kg::incremental_from_env() {
-        let (mut base, delta) = pivote_kg::split_incremental(&kg, 0.5);
-        let receipt = base.apply(&delta);
-        assert_eq!(
-            base.triple_count(),
-            kg.triple_count(),
-            "incremental eval graph must reconstruct the generated graph"
-        );
-        assert!(receipt.added_relations > 0 || delta.is_empty());
-        base
-    } else {
-        kg
-    }
-}
-
 /// Configuration of the ESE quality experiment (Q1, A1, A2).
 #[derive(Debug, Clone)]
 pub struct EseEvalConfig {
@@ -353,20 +72,7 @@ pub fn run_ese_eval(
     methods: &[&dyn EntityExpansion],
     cfg: &EseEvalConfig,
 ) -> Vec<EseResult> {
-    run_ese_eval_on(&GraphHandle::single(kg), kg, methods, cfg)
-}
-
-/// [`run_ese_eval`] on an explicit backend handle — the sharded-matrix
-/// entry point. Ground-truth classes are always derived from the source
-/// graph `kg`; only query execution goes through `handle`, so single and
-/// sharded backends are scored on identical queries (and, because the
-/// rankings are bit-identical, produce identical metrics).
-pub fn run_ese_eval_on(
-    handle: &GraphHandle<'_>,
-    kg: &KnowledgeGraph,
-    methods: &[&dyn EntityExpansion],
-    cfg: &EseEvalConfig,
-) -> Vec<EseResult> {
+    let handle = &GraphHandle::single(kg);
     let classes = ese_classes(kg, cfg.class_size.0, cfg.class_size.1, cfg.max_classes);
     let mut out = Vec::new();
     for method in methods {
@@ -548,27 +254,17 @@ pub struct HeatmapReport {
 
 /// Compute the heat-map report for a seed query on a fresh single-graph
 /// context.
+///
+/// Expansion, heat-map computation and the per-cell explanations all run
+/// on one handle, so the explanation pass below is pure cache hits over
+/// the densities the heat map already computed.
 pub fn run_heatmap_report(
     kg: &KnowledgeGraph,
     seeds: &[EntityId],
     k_entities: usize,
     k_features: usize,
 ) -> HeatmapReport {
-    run_heatmap_report_on(&GraphHandle::single(kg), seeds, k_entities, k_features)
-}
-
-/// [`run_heatmap_report`] on an explicit backend handle.
-///
-/// Expansion, heat-map computation and the per-cell explanations all run
-/// on one handle, so the explanation pass below is pure cache hits over
-/// the densities the heat map already computed.
-pub fn run_heatmap_report_on(
-    handle: &GraphHandle<'_>,
-    seeds: &[EntityId],
-    k_entities: usize,
-    k_features: usize,
-) -> HeatmapReport {
-    let expander = Expander::with_handle(handle.clone(), RankingConfig::default());
+    let expander = Expander::with_handle(GraphHandle::single(kg), RankingConfig::default());
     let res = expander.expand(&SfQuery::from_seeds(seeds.to_vec()), k_entities, k_features);
     let entities: Vec<EntityId> = res.entities.iter().map(|re| re.entity).collect();
     let hm = HeatMap::compute(expander.ranker(), &entities, &res.features);
@@ -670,9 +366,7 @@ mod tests {
     use pivote_search::SearchConfig;
 
     fn kg() -> KnowledgeGraph {
-        // routed through the construction seam so the PIVOTE_INCREMENTAL
-        // CI leg runs the whole harness suite on the append path
-        eval_graph(&DatagenConfig::small())
+        pivote_kg::generate(&DatagenConfig::small())
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod metrics;
 
 pub use groundtruth::{ese_classes, search_cases, seed_trials, EseClass, QueryKind, SearchCase};
 pub use harness::{
-    default_search_cases, eval_graph, render_ese_table, render_search_table, run_ese_eval,
-    run_heatmap_report, run_pivot_eval, run_search_eval, EseEvalConfig, EseResult, HeatmapReport,
-    PivotReport, SearchResult, SearchVariant,
+    default_search_cases, render_ese_table, render_search_table, run_ese_eval, run_heatmap_report,
+    run_pivot_eval, run_search_eval, EseEvalConfig, EseResult, HeatmapReport, PivotReport,
+    SearchResult, SearchVariant,
 };

@@ -30,14 +30,10 @@ pub mod session;
 pub mod timeline;
 
 pub use events::UserAction;
-#[allow(deprecated)]
-pub use live::LiveShardedSession;
 pub use live::{LiveEvent, LiveLog, LiveSearchCache, LiveSession, SearchWarmer};
 pub use path::{ExplorationPath, NodeKind, PathEdge, PathNode};
 pub use profile::{build_profile, EntityProfile};
 pub use query::ExplorationQuery;
-#[allow(deprecated)]
-pub use replay::replay_live_sharded;
 pub use replay::{
     replay, replay_live, replay_with_context, replay_with_handle, session_stats, ActionLog,
     SessionStats,

@@ -247,9 +247,10 @@ impl SearchCache {
     /// a slightly-stale snapshot must not clobber the engine set the
     /// warmer just built for the latest generation, or the two would
     /// ping-pong the stash and rebuild the same engines on every
-    /// request that races a write (the `BENCH_10` search-tail
-    /// pathology). Within a compaction epoch shards only append and
-    /// local generations only grow, so "newer" is well-ordered.
+    /// request that races a write (a 24 ms search p99 under mixed
+    /// read+append load when it did). Within a compaction epoch shards
+    /// only append and local generations only grow, so "newer" is
+    /// well-ordered.
     fn at_least_as_fresh(&self, other: Option<&SearchCache>) -> bool {
         let Some(other) = other else { return true };
         match (self, other) {
@@ -404,7 +405,8 @@ impl LiveSearchCache {
 /// published [`PreparedSnapshot`]s, so the re-index after a write runs
 /// **off the request path**: the first search against a new generation
 /// finds its engines already attached instead of rebuilding inline —
-/// the fix for the search-p99 head-of-line stall `BENCH_7` measured.
+/// the fix for an 84 ms search-p99 head-of-line stall under mixed
+/// read+append load.
 ///
 /// Stop it explicitly with [`SearchWarmer::stop`] (also invoked on
 /// drop), which wakes the thread and joins it.
@@ -632,12 +634,6 @@ enum SearchTags {
         shard_generations: Vec<u64>,
     },
 }
-
-/// Deprecated name of [`LiveSession`] from before the single/sharded
-/// live stacks were unified — the one session type now serves both
-/// layouts of a [`LiveStore`].
-#[deprecated(since = "0.5.0", note = "use LiveSession — one session, both layouts")]
-pub type LiveShardedSession<'g> = LiveSession<'g>;
 
 #[cfg(test)]
 mod tests {

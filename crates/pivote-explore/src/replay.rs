@@ -123,22 +123,6 @@ pub fn replay_live<'g>(
     session
 }
 
-/// Deprecated name of [`replay_live`] from before the single/sharded
-/// live stacks were unified — the one replay path now handles both
-/// layouts (and compaction events) itself.
-#[deprecated(
-    since = "0.5.0",
-    note = "use replay_live — one replay path, both layouts"
-)]
-#[allow(deprecated)]
-pub fn replay_live_sharded<'g>(
-    live: &'g pivote_core::LiveStore,
-    config: crate::session::SessionConfig,
-    log: &crate::live::LiveLog,
-) -> crate::live::LiveShardedSession<'g> {
-    replay_live(live, config, log)
-}
-
 /// Aggregate statistics of an exploration session, computed from its
 /// log and timeline — what the demo's path "view" summarizes.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]

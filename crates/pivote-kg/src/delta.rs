@@ -574,52 +574,6 @@ pub struct CompactionReceipt {
     pub attempts: u64,
 }
 
-/// Whether the `=1`-valued environment flag `name` is set — the one
-/// parser behind every `PIVOTE_*` CI-leg hook.
-pub(crate) fn env_flag(name: &str) -> bool {
-    std::env::var(name).map(|v| v == "1").unwrap_or(false)
-}
-
-/// Whether the `PIVOTE_INCREMENTAL=1` environment leg is active — the CI
-/// hook that routes graph construction through the append path.
-pub fn incremental_from_env() -> bool {
-    env_flag("PIVOTE_INCREMENTAL")
-}
-
-/// Whether the `PIVOTE_SCALE=1` environment leg is active — the CI hook
-/// that enables the streaming-ingest scale smoke (a ~100k-triple dump
-/// streamed through `StreamingIngest` with background maintenance).
-pub fn scale_from_env() -> bool {
-    env_flag("PIVOTE_SCALE")
-}
-
-/// Whether the `PIVOTE_RETRACT=1` environment leg is active — the CI
-/// hook that routes graph construction through a mixed insert/delete
-/// workload (growth batches interleaved with noise inserts that are
-/// then retracted, finishing with a tombstone-reclaiming compaction).
-pub fn retract_from_env() -> bool {
-    env_flag("PIVOTE_RETRACT")
-}
-
-/// Whether the `PIVOTE_REPLICA=1` environment leg is active — the CI
-/// hook that routes graph construction through a leader `LiveStore`
-/// writing a durable delta log and a follower that tails it, asserting
-/// the follower fingerprint-equal to the leader before handing the
-/// replicated graph to the experiments.
-pub fn replica_from_env() -> bool {
-    env_flag("PIVOTE_REPLICA")
-}
-
-/// Whether the `PIVOTE_SNAPSHOT=1` environment leg is active — the CI
-/// hook that routes the eval harness' queries through the live store's
-/// generation-pinned prepared-snapshot read path (publication enabled,
-/// every query answered off a published snapshot instead of a fresh
-/// lock-scoped context), asserting snapshot-path answers against the
-/// lock path along the way.
-pub fn snapshot_from_env() -> bool {
-    env_flag("PIVOTE_SNAPSHOT")
-}
-
 /// Replicate `kg`'s predicate/type/category dictionaries into `b` in
 /// global id order, so the builder's dense dictionary ids equal the
 /// source graph's — the first half of every id-preserving rebuild

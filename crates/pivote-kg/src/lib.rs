@@ -51,7 +51,6 @@ pub mod wal;
 pub use backend::GraphBackend;
 pub use datagen::{generate, DatagenConfig, Zipf};
 pub use delta::{
-    incremental_from_env, replica_from_env, retract_from_env, scale_from_env, snapshot_from_env,
     split_growth, split_incremental, AppliedDelta, CompactionReceipt, DeltaBatch, DeltaOp,
 };
 pub use id::{CategoryId, EntityId, LiteralId, PredicateId, TypeId};
@@ -60,11 +59,7 @@ pub use ntriples::{
     parse, parse_into_builder, parse_into_delta, parse_removed_into_delta, parse_removed_stream,
     parse_stream, serialize, ParseError, StreamError, StreamStats,
 };
-pub use shard::maintenance_from_env;
-pub use shard::{
-    compact_from_env, shard_counts_from_env, CompactionPolicy, GraphShard, ShardRouter,
-    ShardedGraph,
-};
+pub use shard::{CompactionPolicy, GraphShard, ShardRouter, ShardedGraph};
 pub use snapshot::{fingerprint, load_from_path, save_to_path, SnapshotError};
 pub use stats::{Coupling, TypeCouplingStats};
 pub use store::{GraphSummary, KgBuilder, KnowledgeGraph};

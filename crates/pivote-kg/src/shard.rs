@@ -40,46 +40,6 @@ use crate::id::{CategoryId, EntityId, PredicateId, TypeId};
 use crate::store::{DeltaAcc, KgBuilder, KnowledgeGraph};
 use crate::triple::Literal;
 
-/// Whether the `PIVOTE_COMPACT=1` environment leg is active — the CI
-/// hook that routes graph construction through the sharded
-/// append-then-compact path (base partition + delta batches growing
-/// trailing shards + [`ShardedGraph::compact`] + union rebuild).
-pub fn compact_from_env() -> bool {
-    crate::delta::env_flag("PIVOTE_COMPACT")
-}
-
-/// Whether the `PIVOTE_MAINTENANCE=1` environment leg is active — the
-/// CI hook that routes the eval harness' graph construction through a
-/// live store with a background maintenance thread compacting the
-/// growing partition off the query path (the thread itself lives in
-/// `pivote-core`; the flag lives here with its `PIVOTE_*` siblings so
-/// there is one parser behind every CI-leg hook).
-pub fn maintenance_from_env() -> bool {
-    crate::delta::env_flag("PIVOTE_MAINTENANCE")
-}
-
-/// Shard counts for a test/benchmark matrix, from the `PIVOTE_SHARDS`
-/// environment variable (comma-separated, e.g. `PIVOTE_SHARDS=1,4`), or
-/// `default` when unset/unparsable. This is the hook the CI sharded
-/// matrix uses to run one suite per shard configuration.
-pub fn shard_counts_from_env(default: &[usize]) -> Vec<usize> {
-    match std::env::var("PIVOTE_SHARDS") {
-        Ok(v) => {
-            let parsed: Vec<usize> = v
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&n| n >= 1)
-                .collect();
-            if parsed.is_empty() {
-                default.to_vec()
-            } else {
-                parsed
-            }
-        }
-        Err(_) => default.to_vec(),
-    }
-}
-
 /// Maps global entity ids to shards by contiguous id range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRouter {

@@ -3,8 +3,9 @@
 //!
 //! Every worker accepts connections from the same (non-blocking)
 //! listener and serves one connection at a time, line by line: read a
-//! request line, execute it against a guard-scoped snapshot of the
-//! store, write one response line, flush. All workers share
+//! request line, execute it against the store's published
+//! generation-pinned snapshot (reads and `stats` never take the store
+//! lock), write one response line, flush. All workers share
 //!
 //! - one [`LiveStore`] (graph + the generation-stamped `p(π|c)`
 //!   [`SharedCache`](pivote_core::SharedCache)), so a density memoized
@@ -34,8 +35,8 @@
 
 use crate::protocol::{scored_names, Reply, Request};
 use pivote_core::{
-    load_warm_state, save_warm_state, Expander, GraphHandle, HeatMap, LiveReader, LiveStore,
-    MaintenanceHandle, PreparedSnapshot, RankingConfig, SfQuery, WarmStateError,
+    load_warm_state, save_warm_state, Expander, HeatMap, LiveStore, MaintenanceHandle,
+    PreparedSnapshot, RankingConfig, SfQuery, WarmStateError,
 };
 use pivote_explore::{LiveSearchCache, SearchWarmer};
 use pivote_kg::{parse_into_delta, parse_removed_into_delta, CompactionPolicy, GraphBackend};
@@ -88,14 +89,6 @@ pub struct ServeConfig {
     /// `workers` connections each pinned by a silent peer, the pool
     /// would otherwise starve forever.
     pub idle_timeout: Duration,
-    /// Serve reads from generation-pinned [`PreparedSnapshot`]s: the
-    /// store publishes a prepared context per write, read requests
-    /// acquire it with one atomic load (never the store lock), a
-    /// background [`SearchWarmer`] pre-builds the keyword index per
-    /// generation, and deterministic read responses are memoized per
-    /// generation. On by default — turn off to serve every read through
-    /// the store lock (the pre-PR-10 path, kept for A/B benchmarks).
-    pub snapshots: bool,
 }
 
 impl Default for ServeConfig {
@@ -108,7 +101,6 @@ impl Default for ServeConfig {
             maintenance: None,
             read_only: false,
             idle_timeout: Duration::from_secs(30),
-            snapshots: true,
         }
     }
 }
@@ -232,73 +224,28 @@ struct Shared {
     shutdown: AtomicBool,
     read_only: bool,
     idle_timeout: Duration,
-    /// Whether reads go through the prepared-snapshot path.
-    snapshots: bool,
     memo: Mutex<ResponseMemo>,
     /// Deterministic read responses served straight from the memo.
     memo_hits: AtomicU64,
     /// Deterministic read responses that had to be computed.
     memo_misses: AtomicU64,
-    /// Read ops served from a prepared snapshot (no store lock).
-    snapshot_reads: AtomicU64,
-    /// Read ops that fell back to (or were configured onto) the store's
-    /// read lock.
-    lock_reads: AtomicU64,
-    /// Handle to the [`SearchWarmer`] thread, when one runs. The write
-    /// path unparks it right after publishing a new generation so the
-    /// engine rebuild starts immediately instead of at the warmer's
-    /// next tick — requests arriving behind a write then park on the
-    /// snapshot's build slot and share the result, rather than racing
-    /// the warmer with a duplicate build.
-    warm_waker: Option<std::thread::Thread>,
+    /// Handle to the [`SearchWarmer`] thread. The write path unparks it
+    /// right after publishing a new generation so the engine rebuild
+    /// starts immediately instead of at the warmer's next tick —
+    /// requests arriving behind a write then park on the snapshot's
+    /// build slot and share the result, rather than racing the warmer
+    /// with a duplicate build.
+    warm_waker: std::thread::Thread,
 }
 
 impl Shared {
-    /// Nudge the background warmer after a successful write.
-    fn kick_warmer(&self) {
-        if let Some(w) = &self.warm_waker {
-            w.unpark();
-        }
+    /// The published snapshot every read (and `stats`) answers from: one
+    /// read-and-clone of the publication slot, never the store lock.
+    fn snapshot(&self) -> Arc<PreparedSnapshot> {
+        self.store
+            .snapshot()
+            .expect("Server::bind enabled snapshot publication")
     }
-}
-
-/// One request's read context: a generation-pinned prepared snapshot
-/// (no store lock, prebuilt query context) or a guard on the store's
-/// read lock — the op handlers are identical over either.
-enum ReadCtx<'a> {
-    Snapshot(Arc<PreparedSnapshot>),
-    Lock(LiveReader<'a>),
-}
-
-impl ReadCtx<'_> {
-    fn handle(&self) -> GraphHandle<'_> {
-        match self {
-            ReadCtx::Snapshot(snap) => snap.handle(),
-            ReadCtx::Lock(reader) => reader.handle(),
-        }
-    }
-
-    fn generation(&self) -> u64 {
-        match self {
-            ReadCtx::Snapshot(snap) => snap.generation(),
-            ReadCtx::Lock(reader) => reader.generation(),
-        }
-    }
-}
-
-/// Acquire the read context for one request, counting which path served
-/// it. Snapshot mode degrades soundly: if no snapshot is published yet
-/// (publication disabled, or a race with `enable_snapshots`), the read
-/// lock serves instead.
-fn read_ctx(shared: &Shared) -> ReadCtx<'_> {
-    if shared.snapshots {
-        if let Some(snap) = shared.store.snapshot() {
-            shared.snapshot_reads.fetch_add(1, Ordering::Relaxed);
-            return ReadCtx::Snapshot(snap);
-        }
-    }
-    shared.lock_reads.fetch_add(1, Ordering::Relaxed);
-    ReadCtx::Lock(shared.store.read())
 }
 
 /// A running server. Keep it alive for as long as you serve; consume it
@@ -309,17 +256,17 @@ pub struct Server {
     addr: SocketAddr,
     workers: Vec<JoinHandle<()>>,
     maintenance: Option<MaintenanceHandle>,
-    warmer: Option<SearchWarmer>,
+    warmer: SearchWarmer,
     warm_path: Option<PathBuf>,
 }
 
 impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// start the worker pool over `store`. With
-    /// [`ServeConfig::snapshots`] on (the default), the store is opted
-    /// into prepared-snapshot publication and a background
-    /// [`SearchWarmer`] pre-builds the keyword index for every new
-    /// generation off the request path.
+    /// start the worker pool over `store`. The store is opted into
+    /// prepared-snapshot publication — every read is served from a
+    /// generation-pinned [`PreparedSnapshot`], never the store lock —
+    /// and a background [`SearchWarmer`] pre-builds the keyword index
+    /// for every new generation off the request path.
     ///
     /// The listener is bound *before* generation 0's search engines are
     /// built and the workers start, so a client that connects during
@@ -332,23 +279,20 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let search = Arc::new(LiveSearchCache::new(config.search));
-        if config.snapshots {
-            store.enable_snapshots();
-            // build the initial generation's search engines before any
-            // worker answers: the first search request must not pay the
-            // full index build inline (BENCH_7's 33 ms head-of-line
-            // stall); later generations are rebuilt by the SearchWarmer
-            if let Some(snap) = store.snapshot() {
-                let _ = search.prepare(&snap);
-            }
-        }
-        let warmer = config.snapshots.then(|| {
-            SearchWarmer::spawn(
-                Arc::clone(&store),
-                Arc::clone(&search),
-                Duration::from_millis(2),
-            )
-        });
+        store.enable_snapshots();
+        // build the initial generation's search engines before any
+        // worker answers: the first search request must not pay the
+        // full index build inline (a 33 ms head-of-line stall when it
+        // did); later generations are rebuilt by the SearchWarmer
+        let initial = store
+            .snapshot()
+            .expect("enable_snapshots publishes the current state");
+        let _ = search.prepare(&initial);
+        let warmer = SearchWarmer::spawn(
+            Arc::clone(&store),
+            Arc::clone(&search),
+            Duration::from_millis(2),
+        );
         let shared = Arc::new(Shared {
             store: Arc::clone(&store),
             search: Arc::clone(&search),
@@ -356,13 +300,10 @@ impl Server {
             shutdown: AtomicBool::new(false),
             read_only: config.read_only,
             idle_timeout: config.idle_timeout,
-            snapshots: config.snapshots,
             memo: Mutex::new(ResponseMemo::new()),
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
-            snapshot_reads: AtomicU64::new(0),
-            lock_reads: AtomicU64::new(0),
-            warm_waker: warmer.as_ref().map(SearchWarmer::waker),
+            warm_waker: warmer.waker(),
         });
         let mut workers = Vec::with_capacity(config.workers.max(1));
         for i in 0..config.workers.max(1) {
@@ -418,9 +359,7 @@ impl Server {
         if let Some(mut maintenance) = self.maintenance.take() {
             maintenance.stop();
         }
-        if let Some(mut warmer) = self.warmer.take() {
-            warmer.stop();
-        }
+        self.warmer.stop();
     }
 
     /// Graceful stop: stop accepting, join every worker, stop
@@ -584,17 +523,13 @@ fn dispatch(shared: &Shared, line: &str) -> String {
     }
 }
 
-/// Serve one deterministic read op through the read context and the
-/// response memo. The generation is pinned **before** the memo probe,
-/// so a memoized response is only ever replayed at the exact generation
-/// it was rendered at — bit-identical to recomputing it there. With
-/// snapshots off the memo is bypassed entirely: lock mode is the
-/// pre-PR-10 serving path, kept honest for A/B benchmarks.
+/// Serve one deterministic read op through the published snapshot and
+/// the response memo. The generation is pinned **before** the memo
+/// probe, so a memoized response is only ever replayed at the exact
+/// generation it was rendered at — bit-identical to recomputing it
+/// there.
 fn serve_read(shared: &Shared, request: &Request) -> String {
-    let ctx = read_ctx(shared);
-    if !shared.snapshots {
-        return compute_read(shared, &ctx, request);
-    }
+    let ctx = shared.snapshot();
     let generation = ctx.generation();
     // the parsed request's Debug form is the canonical key: raw lines
     // with different key order or whitespace collapse to one entry
@@ -613,8 +548,8 @@ fn serve_read(shared: &Shared, request: &Request) -> String {
     response
 }
 
-/// Compute one deterministic read against an already-acquired context.
-fn compute_read(shared: &Shared, ctx: &ReadCtx<'_>, request: &Request) -> String {
+/// Compute one deterministic read against an already-acquired snapshot.
+fn compute_read(shared: &Shared, ctx: &PreparedSnapshot, request: &Request) -> String {
     match request {
         Request::Rank {
             seeds,
@@ -657,7 +592,7 @@ fn resolve_seeds(
 
 fn op_rank(
     shared: &Shared,
-    ctx: &ReadCtx<'_>,
+    ctx: &PreparedSnapshot,
     seeds: &[String],
     k_features: usize,
     k_entities: usize,
@@ -692,7 +627,7 @@ fn op_rank(
 
 fn op_expand(
     shared: &Shared,
-    ctx: &ReadCtx<'_>,
+    ctx: &PreparedSnapshot,
     seeds: &[String],
     type_filter: Option<&str>,
     k: usize,
@@ -726,7 +661,7 @@ fn op_expand(
 
 fn op_heatmap(
     shared: &Shared,
-    ctx: &ReadCtx<'_>,
+    ctx: &PreparedSnapshot,
     seeds: &[String],
     k_features: usize,
     k_entities: usize,
@@ -790,14 +725,11 @@ fn op_heatmap(
         .render()
 }
 
-fn op_search(shared: &Shared, ctx: &ReadCtx<'_>, query: &str, k: usize) -> String {
-    let hits = match ctx {
-        // the snapshot path searches the pinned backend with engines
-        // attached to the snapshot (usually prebuilt by the warmer), so
-        // hits, names and generation all come from one immutable state
-        ReadCtx::Snapshot(snap) => shared.search.search_prepared(snap, query, k),
-        ReadCtx::Lock(_) => shared.search.search(&shared.store, query, k),
-    };
+fn op_search(shared: &Shared, ctx: &PreparedSnapshot, query: &str, k: usize) -> String {
+    // searches the pinned backend with engines attached to the snapshot
+    // (usually prebuilt by the warmer), so hits, names and generation
+    // all come from one immutable state
+    let hits = shared.search.search_prepared(ctx, query, k);
     // entity names are append-only and ids are stable, so resolving the
     // hit names against this context can never mislabel a hit
     let handle = ctx.handle();
@@ -825,7 +757,7 @@ fn op_append(shared: &Shared, ntriples: &str) -> String {
     };
     match shared.store.append(&delta) {
         Ok(applied) => {
-            shared.kick_warmer();
+            shared.warm_waker.unpark();
             Reply::ok()
                 .num("generation", applied.generation)
                 .num(
@@ -852,7 +784,7 @@ fn op_retract(shared: &Shared, ntriples: &str) -> String {
     };
     match shared.store.append(&delta) {
         Ok(applied) => {
-            shared.kick_warmer();
+            shared.warm_waker.unpark();
             let removed =
                 applied.removed_relations + applied.removed_literals + applied.removed_assertions;
             if removed == 0 && !delta.ops().is_empty() {
@@ -873,17 +805,20 @@ fn op_retract(shared: &Shared, ntriples: &str) -> String {
     }
 }
 
+/// Answered from the published snapshot, like every read: a probe never
+/// queues behind an append doing WAL IO under the write lock, and never
+/// delays the next writer. Publication happens under the write lock
+/// after apply, so these never lag a completed write and agree with the
+/// generation the read ops answer at.
 fn op_stats(shared: &Shared) -> String {
     let store = &shared.store;
-    let reader = store.read();
+    let snap = shared.snapshot();
+    let backend = snap.backend();
     Reply::ok()
-        .num("generation", reader.generation())
-        .num("shard_count", reader.backend().shard_count() as u64)
-        .num(
-            "trailing_shards",
-            reader.backend().trailing_shard_count() as u64,
-        )
-        .num("entities", reader.backend().entity_count() as u64)
+        .num("generation", snap.generation())
+        .num("shard_count", backend.shard_count() as u64)
+        .num("trailing_shards", backend.trailing_shard_count() as u64)
+        .num("entities", backend.entity_count() as u64)
         .num(
             "cached_probabilities",
             store.cache().cached_probability_count() as u64,
@@ -891,17 +826,11 @@ fn op_stats(shared: &Shared) -> String {
         .num("cache_generation", store.cache().generation())
         .with("poisoned", Value::Bool(store.is_poisoned()))
         .with("read_only", Value::Bool(shared.read_only))
-        .with("snapshots", Value::Bool(shared.snapshots))
         .num("memo_hits", shared.memo_hits.load(Ordering::Relaxed))
         .num("memo_misses", shared.memo_misses.load(Ordering::Relaxed))
         .num(
             "memo_entries",
             shared.memo.lock().unwrap_or_else(|p| p.into_inner()).len() as u64,
         )
-        .num(
-            "snapshot_reads",
-            shared.snapshot_reads.load(Ordering::Relaxed),
-        )
-        .num("lock_reads", shared.lock_reads.load(Ordering::Relaxed))
         .render()
 }

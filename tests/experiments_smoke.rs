@@ -1,22 +1,34 @@
 //! Small-scale versions of the quality experiments (Q1/Q2/Q4/Q5): the
 //! *shape* the paper claims must hold — the semantic-feature model wins,
-//! the multi-field representation helps, pivots land in coupled domains.
+//! the multi-field representation helps, pivots land in coupled domains
+//! — and the Q1/Q2 tables themselves, pinned byte for byte against
+//! `tests/golden/exp_*_small.txt` (regenerate after an *intentional*
+//! model change with `PIVOTE_GOLDEN_WRITE=1 cargo test -q --test
+//! experiments_smoke`).
 
 use pivote::prelude::*;
 use pivote_baselines::{
     EntityExpansion, FreqOverlapExpansion, JaccardExpansion, PivotEExpansion, PprExpansion,
 };
 use pivote_eval::{
-    default_search_cases, run_ese_eval, run_heatmap_report, run_pivot_eval, run_search_eval,
-    EseEvalConfig, SearchVariant,
+    default_search_cases, render_ese_table, render_search_table, run_ese_eval, run_heatmap_report,
+    run_pivot_eval, run_search_eval, EseEvalConfig, SearchVariant,
 };
 use pivote_search::{Field, FieldWeights};
 
 fn kg() -> KnowledgeGraph {
-    // the construction seam: under PIVOTE_INCREMENTAL=1 the experiment
-    // graph is built through the append path (base + delta splice), and
-    // every quality claim below must hold unchanged
-    pivote_eval::eval_graph(&DatagenConfig::small())
+    generate(&DatagenConfig::small())
+}
+
+/// Compare a rendered experiment table with `tests/golden/<file>`.
+fn assert_matches_golden(file: &str, rendered: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var("PIVOTE_GOLDEN_WRITE").is_ok() {
+        std::fs::write(&path, rendered).expect("golden written");
+    }
+    let golden = std::fs::read_to_string(&path)
+        .expect("golden file exists — regenerate with PIVOTE_GOLDEN_WRITE=1");
+    assert_eq!(rendered, golden, "{file} drifted from the golden table");
 }
 
 #[test]
@@ -49,6 +61,7 @@ fn q1_pivote_wins_map_against_all_baselines() {
             map_of(baseline)
         );
     }
+    assert_matches_golden("exp_ese_small.txt", &render_ese_table(&results));
 }
 
 #[test]
@@ -124,6 +137,7 @@ fn q2_multifield_lm_beats_names_only_on_alias_queries() {
     );
     // And label queries must work well for the mixture.
     assert!(mrr("lm-mixture", "label") > 0.5);
+    assert_matches_golden("exp_search_small.txt", &render_search_table(&results));
 }
 
 #[test]

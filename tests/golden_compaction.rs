@@ -17,7 +17,7 @@
 //! compacted path against it, so regeneration covers this path too.
 
 use pivote_core::{Expander, GraphHandle, HeatMap, RankingConfig, SfQuery};
-use pivote_kg::{shard_counts_from_env, EntityId, KnowledgeGraph, ShardedGraph};
+use pivote_kg::{EntityId, KnowledgeGraph, ShardedGraph};
 use serde::{Deserialize, Serialize};
 
 const GOLDEN_PATH: &str = concat!(
@@ -97,7 +97,7 @@ fn golden_rankings_reproduce_through_the_compaction_path() {
         .expect("golden file exists — regenerate with PIVOTE_GOLDEN_WRITE=1");
     let golden: Golden = serde_json::from_str(&golden_json).expect("golden parses");
 
-    for shards in shard_counts_from_env(&[1, 2, 3, 4]) {
+    for shards in [1, 2, 3, 4] {
         let (base, deltas) = quarters();
         let mut sg = ShardedGraph::from_graph(&base, shards);
         for d in &deltas {
@@ -135,7 +135,7 @@ fn golden_rankings_reproduce_through_the_concurrent_live_compaction_path() {
         .expect("golden file exists — regenerate with PIVOTE_GOLDEN_WRITE=1");
     let golden: Golden = serde_json::from_str(&golden_json).expect("golden parses");
 
-    for shards in shard_counts_from_env(&[1, 3]) {
+    for shards in [1, 3, 4] {
         let (base, deltas) = quarters();
         let live = pivote_core::LiveStore::with_threads(ShardedGraph::from_graph(&base, shards), 1);
         for d in &deltas {

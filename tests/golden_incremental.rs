@@ -3,7 +3,7 @@
 //! `data/sample.nt` is ingested in **two halves** — the first half parsed
 //! into a base graph, the second half appended as a
 //! [`DeltaBatch`](pivote_kg::DeltaBatch) via `KnowledgeGraph::apply` (and,
-//! sharded, via `ShardedGraph::apply` at the counts from `PIVOTE_SHARDS`)
+//! sharded, via `ShardedGraph::apply` at shard counts 1–4)
 //! — and the resulting rankings must reproduce
 //! `tests/golden/sample_rankings.json` **exactly**: the same golden file
 //! the full-parse backends are held to in `golden_sharded.rs`. Any drift
@@ -15,7 +15,7 @@
 //! incremental path against it, so regeneration covers both paths.
 
 use pivote_core::{Expander, GraphHandle, HeatMap, RankingConfig, SfQuery};
-use pivote_kg::{shard_counts_from_env, EntityId, KnowledgeGraph, ShardedGraph};
+use pivote_kg::{EntityId, KnowledgeGraph, ShardedGraph};
 use serde::{Deserialize, Serialize};
 
 const GOLDEN_PATH: &str = concat!(
@@ -111,7 +111,7 @@ fn golden_rankings_reproduce_through_the_append_path() {
     );
 
     // sharded append path, across the CI shard matrix
-    for shards in shard_counts_from_env(&[1, 2, 3, 4]) {
+    for shards in [1, 2, 3, 4] {
         let (base, delta) = base_and_delta();
         let mut sg = ShardedGraph::from_graph(&base, shards);
         sg.apply(&delta);

@@ -4,16 +4,16 @@
 //! heat-mapped once; the exact output — feature ranking with full-
 //! precision scores, entity ranking, quantized heat-map levels — is
 //! checked into `tests/golden/sample_rankings.json`. Every backend
-//! (single graph, and sharded at the counts from `PIVOTE_SHARDS`,
-//! default 1–4) must reproduce the golden file **exactly**, so any drift
-//! in the router, the id remap, the probability decomposition or the
-//! top-k heap merge fails this test with a readable diff.
+//! (single graph, and sharded at shard counts 1–4) must reproduce the
+//! golden file **exactly**, so any drift in the router, the id remap,
+//! the probability decomposition or the top-k heap merge fails this test
+//! with a readable diff.
 //!
 //! Regenerate (after an *intentional* model change) with:
 //! `PIVOTE_GOLDEN_WRITE=1 cargo test -q --test golden_sharded`
 
 use pivote_core::{Expander, GraphHandle, HeatMap, RankingConfig, SfQuery};
-use pivote_kg::{shard_counts_from_env, EntityId, KnowledgeGraph, ShardedGraph};
+use pivote_kg::{EntityId, KnowledgeGraph, ShardedGraph};
 use serde::{Deserialize, Serialize};
 
 const GOLDEN_PATH: &str = concat!(
@@ -91,7 +91,7 @@ fn golden_sample_rankings_reproduce_on_every_backend() {
         "single-graph backend drifted from the golden rankings"
     );
 
-    for shards in shard_counts_from_env(&[1, 2, 3, 4]) {
+    for shards in [1, 2, 3, 4] {
         let sg = ShardedGraph::from_graph(&kg, shards);
         for threads in [1, 2] {
             let got = snapshot(&GraphHandle::sharded_with_threads(&sg, threads));
@@ -162,7 +162,7 @@ fn golden_search_rankings_reproduce_on_every_backend() {
         "single-graph search drifted from the golden rankings"
     );
 
-    for shards in shard_counts_from_env(&[1, 2, 3, 4]) {
+    for shards in [1, 2, 3, 4] {
         let sg = ShardedGraph::from_graph(&kg, shards);
         let got = search_snapshot(&GraphHandle::sharded(&sg));
         assert_eq!(

@@ -3,7 +3,7 @@
 //! is bit-identical — feature rankings, entity rankings, heat maps and
 //! entity profiles — to a from-scratch rebuild of the union, on the
 //! single-graph backend and on the sharded backend across shard counts
-//! 1–4 (`PIVOTE_SHARDS` honoured) × worker threads 1–2.
+//! 1–4 × worker threads 1–2.
 //!
 //! This is the regression net for the whole append path: the per-row
 //! extent splice, the op-ordered dictionary interning, the sharded delta
@@ -13,7 +13,7 @@
 
 use pivote_core::{Expander, GraphHandle, HeatMap, RankingConfig, SfQuery};
 use pivote_explore::{build_profile, EntityProfile};
-use pivote_kg::{shard_counts_from_env, DeltaBatch, EntityId, KgBuilder, Literal};
+use pivote_kg::{DeltaBatch, EntityId, KgBuilder, Literal};
 use proptest::prelude::*;
 
 /// Base graph spec: edges over e0..e9 × p0..p3, categories c0..c2,
@@ -212,7 +212,7 @@ proptest! {
 
         // incremental sharded: partition the base, then apply the same
         // deltas through the router
-        for shards in shard_counts_from_env(&[1, 2, 3, 4]) {
+        for shards in [1, 2, 3, 4] {
             let mut sg = pivote_kg::ShardedGraph::from_graph(
                 &base_builder(&base).finish(),
                 shards,

@@ -1,12 +1,11 @@
 //! The replication contract, property-tested: for **any** random base
 //! graph and **any** random mixed insert/retract/compact script, a
 //! follower tailing the leader's delta log is **fingerprint-equal** to
-//! the leader at *every* synced generation — across shard counts 1–4
-//! (`PIVOTE_SHARDS` honoured), across leader compactions, and across a
-//! leader crash + recovery in the middle of the script. The follower
-//! always runs the single layout while the leader may be sharded, so
-//! every comparison also re-proves the cross-layout fingerprint
-//! contract.
+//! the leader at *every* synced generation — across shard counts 1–4,
+//! across leader compactions, and across a leader crash + recovery in
+//! the middle of the script. The follower always runs the single layout
+//! while the leader may be sharded, so every comparison also re-proves
+//! the cross-layout fingerprint contract.
 //!
 //! Plus the failure-injection legs the log format must survive:
 //!
@@ -21,8 +20,8 @@
 use pivote_core::{recover, LiveStore, ReplicaStore};
 use pivote_kg::wal::WalEvent;
 use pivote_kg::{
-    read_records, shard_counts_from_env, DeltaBatch, GraphBackend, KgBuilder, KnowledgeGraph,
-    Literal, ShardedGraph, WalWriter,
+    read_records, DeltaBatch, GraphBackend, KgBuilder, KnowledgeGraph, Literal, ShardedGraph,
+    WalWriter,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -220,7 +219,7 @@ proptest! {
         m3 in mixed_strategy(),
         compact_to in 1usize..3,
     ) {
-        for shards in shard_counts_from_env(&[1, 2, 3, 4]) {
+        for shards in [1, 2, 3, 4] {
             run_script(
                 shards,
                 &base,
@@ -248,7 +247,7 @@ fn golden_replication_script_is_exact() {
         vec![(0, 0), (1, 1), (2, 0)],
         vec![(0, 0), (1, 1)],
     );
-    for shards in shard_counts_from_env(&[1, 2, 3, 4]) {
+    for shards in [1, 2, 3, 4] {
         let mut d1 = DeltaBatch::new();
         d1.triple("e0", "p0", "e10");
         d1.typed("e10", "t0");

@@ -3,10 +3,9 @@
 //! after applying the sequence is bit-identical — feature rankings,
 //! entity rankings, heat maps and entity profiles — to a from-scratch
 //! rebuild of the *surviving* statements, on the single-graph backend
-//! and on the sharded backend across shard counts 1–4
-//! (`PIVOTE_SHARDS` honoured) × worker threads 1–2. And compaction
-//! (single-layout `reclaim`, sharded `compact`) reclaims every
-//! tombstone without moving a single score.
+//! and on the sharded backend across shard counts 1–4 × worker threads
+//! 1–2. And compaction (single-layout `reclaim`, sharded `compact`)
+//! reclaims every tombstone without moving a single score.
 //!
 //! Ground truth is a shadow statement store with the library's exact
 //! semantics: triples and type/category assertions are sets, literal
@@ -16,7 +15,7 @@
 //! interns names in insert-op order only.
 
 use pivote_core::{GraphHandle, RankingConfig, SfQuery};
-use pivote_kg::{shard_counts_from_env, DeltaBatch, EntityId, KgBuilder, KnowledgeGraph, Literal};
+use pivote_kg::{DeltaBatch, EntityId, KgBuilder, KnowledgeGraph, Literal};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -448,7 +447,7 @@ proptest! {
 
         // sharded: route the same batches, compare across shard counts ×
         // thread counts, then compact and compare once more
-        for shards in shard_counts_from_env(&[1, 2, 3, 4]) {
+        for shards in [1, 2, 3, 4] {
             let mut sg = pivote_kg::ShardedGraph::from_graph(
                 &base_builder(&base).finish(),
                 shards,

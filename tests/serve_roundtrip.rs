@@ -127,6 +127,35 @@ fn every_op_matches_the_library_bit_for_bit() {
         num_field(&stats, "entities"),
         Some(kg.entity_count() as u64)
     );
+    // the whole shape, in order: every counter the benchmark harness
+    // reads is numeric, and nothing reports which read path served —
+    // there is one
+    let serde::Value::Obj(fields) = &stats else {
+        panic!("stats must be an object: {stats:?}");
+    };
+    let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "ok",
+            "generation",
+            "shard_count",
+            "trailing_shards",
+            "entities",
+            "cached_probabilities",
+            "cache_generation",
+            "poisoned",
+            "read_only",
+            "memo_hits",
+            "memo_misses",
+            "memo_entries",
+        ]
+    );
+    for (name, value) in fields {
+        let flag = matches!(name.as_str(), "ok" | "poisoned" | "read_only");
+        let numeric = matches!(value, serde::Value::Num(_));
+        assert_eq!(numeric, !flag, "{name}: {stats:?}");
+    }
 }
 
 #[test]

@@ -3,20 +3,18 @@
 //! the generation-pinned [`pivote_core::PreparedSnapshot`] published
 //! after every write answers **bit-identically** to a fresh lock-path
 //! context over the same backend — at *every* generation, across shard
-//! counts 1–4 (`PIVOTE_SHARDS` honoured) and context thread counts
-//! 1–2. Historical snapshots are immutable: each one pinned mid-script
-//! must still answer from its own backend, unchanged, after every later
-//! write and compaction.
+//! counts 1–4 and context thread counts 1–2. Historical snapshots are
+//! immutable: each one pinned mid-script must still answer from its own
+//! backend, unchanged, after every later write and compaction.
 //!
 //! Plus the serving-layer leg: the generation-keyed response memo must
 //! hand back byte-identical responses for repeated reads, count its
-//! hits, serve every read off the snapshot path (zero lock reads), and
-//! drop every memoized entry the moment a write rolls the generation.
+//! hits, and drop every memoized entry the moment a write rolls the
+//! generation.
 
-use pivote_core::{GraphHandle, LiveStore, PreparedSnapshot, RankingConfig};
+use pivote_core::{Expander, GraphHandle, LiveStore, PreparedSnapshot, RankingConfig, SfQuery};
 use pivote_kg::{
-    shard_counts_from_env, DeltaBatch, EntityId, GraphBackend, KgBuilder, KnowledgeGraph, Literal,
-    ShardedGraph,
+    DeltaBatch, EntityId, GraphBackend, KgBuilder, KnowledgeGraph, Literal, ShardedGraph,
 };
 use pivote_serve::{num_field, response_ok, scored_list, Client, ServeConfig, Server};
 use proptest::prelude::*;
@@ -208,7 +206,7 @@ proptest! {
         m3 in mixed_strategy(),
         compact_to in 1usize..3,
     ) {
-        for shards in shard_counts_from_env(&[1, 2, 3, 4]) {
+        for shards in [1, 2, 3, 4] {
             for threads in [1usize, 2] {
                 run_script(
                     shards,
@@ -235,7 +233,7 @@ fn golden_snapshot_script_is_exact() {
         vec![(0, 0), (1, 1), (2, 0)],
         vec![(0, 0), (1, 1)],
     );
-    for shards in shard_counts_from_env(&[1, 2, 3, 4]) {
+    for shards in [1, 2, 3, 4] {
         let mut d1 = DeltaBatch::new();
         d1.triple("e0", "p0", "e10");
         d1.typed("e10", "t0");
@@ -267,37 +265,50 @@ fn sample() -> KnowledgeGraph {
     pivote_kg::parse(&nt).expect("sample parses")
 }
 
+/// `(features, entities)` of a rank over `seed` through the library's
+/// lock path (`LiveStore::read().handle()` + `Expander`) — the reference
+/// the served responses are compared with.
+type Ranked = (Vec<(String, f64)>, Vec<(String, f64)>);
+
+fn library_rank(store: &LiveStore, seed: &str, k: usize) -> Ranked {
+    let reader = store.read();
+    let handle = reader.handle();
+    let seed = handle.entity(seed).expect("seed exists");
+    let expander = Expander::with_handle(handle.clone(), RankingConfig::default());
+    let res = expander.expand(&SfQuery::from_seeds(vec![seed]), k, k);
+    (
+        res.features
+            .iter()
+            .map(|rf| (handle.feature_display(rf.feature), rf.score))
+            .collect(),
+        res.entities
+            .iter()
+            .map(|re| (handle.entity_name(re.entity).to_owned(), re.score))
+            .collect(),
+    )
+}
+
 /// Memoized responses are byte-identical to freshly computed ones, hits
-/// are counted, every read runs off the snapshot path, and a write
-/// drops the memo — the next read answers at the new generation.
+/// are counted, and a write drops the memo — the next read answers at
+/// the new generation.
 #[test]
 fn memoized_responses_match_fresh_and_roll_with_the_generation() {
     let store = Arc::new(LiveStore::with_threads(sample(), 1));
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    // ground truth from a lock-path server over an identical graph
-    let lock_store = Arc::new(LiveStore::with_threads(sample(), 1));
-    let lock_config = ServeConfig {
-        snapshots: false,
-        ..ServeConfig::default()
-    };
-    let lock_server = Server::bind("127.0.0.1:0", lock_store, lock_config).expect("bind lock");
-    let mut lock_client = Client::connect(lock_server.local_addr()).expect("connect lock");
+    // ground truth from the library's lock path over an identical graph
+    let reference = LiveStore::with_threads(sample(), 1);
+    let (want_features, want_entities) = library_rank(&reference, "Forrest_Gump", 10);
 
     let first = client.rank(&["Forrest_Gump"], 10, 10).expect("rank");
     assert!(response_ok(&first), "{first:?}");
-    let want = lock_client.rank(&["Forrest_Gump"], 10, 10).expect("rank");
-    assert!(response_ok(&want), "{want:?}");
     assert_eq!(
         scored_list(&first, "features"),
-        scored_list(&want, "features"),
-        "snapshot-path response diverged from the lock path"
+        want_features,
+        "served response diverged from the library"
     );
-    assert_eq!(
-        scored_list(&first, "entities"),
-        scored_list(&want, "entities")
-    );
+    assert_eq!(scored_list(&first, "entities"), want_entities);
 
     // the repeat comes out of the memo, byte-identical
     let again = client.rank(&["Forrest_Gump"], 10, 10).expect("rank again");
@@ -319,12 +330,6 @@ fn memoized_responses_match_fresh_and_roll_with_the_generation() {
         num_field(&stats, "memo_hits").expect("memo_hits") >= 1,
         "the repeated read must be a memo hit: {stats:?}"
     );
-    assert_eq!(
-        num_field(&stats, "lock_reads"),
-        Some(0),
-        "with snapshots on, no read may touch the store lock: {stats:?}"
-    );
-    assert!(num_field(&stats, "snapshot_reads").expect("snapshot_reads") >= 2);
 
     // a write rolls the generation: the memo must not serve stale state
     let nt = "<http://dbpedia.org/resource/Memo_Roll> \
@@ -341,15 +346,14 @@ fn memoized_responses_match_fresh_and_roll_with_the_generation() {
         Some(1),
         "the post-write read must answer at the new generation, not the memoized one"
     );
-    // and it matches the lock path replaying the same write
-    let v = lock_client.append(nt).expect("append lock");
-    assert!(response_ok(&v), "{v:?}");
-    let want_after = lock_client
-        .rank(&["Forrest_Gump"], 10, 10)
-        .expect("rank lock");
+    // and it matches the library replaying the same write
+    reference
+        .append(&pivote_kg::parse_into_delta(nt).expect("parses"))
+        .expect("reference append");
+    let (_, want_after) = library_rank(&reference, "Forrest_Gump", 10);
     assert_eq!(
         scored_list(&after, "entities"),
-        scored_list(&want_after, "entities"),
-        "post-write snapshot response diverged from the lock path"
+        want_after,
+        "post-write response diverged from the library"
     );
 }
