@@ -13,7 +13,7 @@
 //!   the same trait for side-by-side evaluation.
 //!
 //! Every method executes through the shared, backend-agnostic
-//! [`GraphHandle`](pivote_core::GraphHandle) substrate —
+//! [`GraphHandle`] substrate —
 //! [`EntityExpansion::expand_in`] — so candidate scoring parallelizes
 //! through the same scoped-thread fan-out, top-k selection uses the same
 //! bounded heap, the PivotE variants reuse the memoized `p(π|c)`

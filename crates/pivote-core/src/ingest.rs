@@ -2,7 +2,7 @@
 //!
 //! [`StreamingIngest`] couples [`pivote_kg::parse_stream`] to
 //! [`LiveStore::append`]: the dump flows from any [`io::BufRead`] through
-//! a reused line buffer into bounded [`DeltaBatch`]es, each applied under
+//! a reused line buffer into bounded [`DeltaBatch`](pivote_kg::DeltaBatch)es, each applied under
 //! the store's write lock as it completes. Peak ingest-side memory is
 //! O(batch), never O(dump) — the document is never held in memory, and
 //! the batch is cleared and reused after every append.

@@ -357,12 +357,14 @@ impl LiveStore {
 
     /// Stop-the-world re-partition: the union rebuild runs **under the
     /// write lock**, so every query issued during the pass blocks for
-    /// its full duration (roughly `ShardedGraph::from_graph` cost —
-    /// ~330ms measured at 16k films on a one-core host). Kept as the
-    /// baseline the blocked-time benchmarks compare against; interactive
-    /// deployments should use [`LiveStore::compact_concurrent`], which
-    /// holds the write lock only for a generation check and a pointer
-    /// swap.
+    /// its full duration (roughly `ShardedGraph::from_graph` cost).
+    /// Interactive deployments should use
+    /// [`LiveStore::compact_concurrent`], which holds the write lock only
+    /// for a generation check and a pointer swap. This synchronous pass
+    /// exists for the follower's log replay
+    /// ([`ReplicaStore`](crate::ReplicaStore)), which must apply a logged
+    /// `Compact` record in order before the next record; both paths run
+    /// the same locked pass.
     ///
     /// On the single layout compaction is the identity (a single graph
     /// is always one partition): no generation bump, a 1→1 receipt —
@@ -374,25 +376,10 @@ impl LiveStore {
     /// [`StoreError::Poisoned`] after a writer panic.
     pub fn compact_in_place(&self, target_shards: usize) -> Result<CompactionReceipt, StoreError> {
         let mut store = self.store.write().map_err(|_| StoreError::Poisoned)?;
-        if let GraphBackend::Single(kg) = &*store {
-            if kg.tombstone_count() == 0 {
-                return Ok(single_noop_receipt(kg));
-            }
+        if let Some(receipt) = noop_compaction(&store) {
+            return Ok(receipt);
         }
-        let shards_before = store.shard_count();
-        let trailing_before = store.trailing_shard_count();
-        self.log_event(|| WalEvent::Compact { target_shards })?;
-        *store = store.compact(target_shards);
-        self.cache.note_compaction();
-        self.republish(&store);
-        Ok(CompactionReceipt {
-            generation: store.generation(),
-            shards_before,
-            shards_after: store.shard_count(),
-            trailing_before,
-            entities: store.entity_count(),
-            attempts: 1,
-        })
+        self.compact_locked(&mut store, target_shards, None, 1)
     }
 
     /// Off-lock re-partition: clone the store under a read guard (cheap
@@ -440,15 +427,11 @@ impl LiveStore {
             // phase 1: consistent snapshot under a read guard
             let (clone, base_generation) = {
                 let guard = self.read_store();
-                if let GraphBackend::Single(kg) = &*guard {
-                    if kg.tombstone_count() == 0 {
-                        return Ok(single_noop_receipt(kg));
-                    }
+                if let Some(receipt) = noop_compaction(&guard) {
+                    return Ok(receipt);
                 }
                 (guard.clone(), guard.generation())
             };
-            let shards_before = clone.shard_count();
-            let trailing_before = clone.trailing_shard_count();
 
             // phase 2: the expensive rebuild, off every lock — appends
             // and queries proceed freely while this runs
@@ -458,41 +441,45 @@ impl LiveStore {
             // phase 3: validate + swap under the write lock (a write, so
             // a poisoned lock fails the pass closed)
             let mut store = self.store.write().map_err(|_| StoreError::Poisoned)?;
-            if store.generation() != base_generation {
-                if attempts < MAX_OFFLOCK_ATTEMPTS {
-                    continue; // a racing append won; rebuild against the new state
-                }
-                // appends keep winning: guarantee progress by finishing
-                // this pass under the write lock we already hold (one
-                // bounded stop-the-world rebuild instead of a livelock)
-                let shards_before = store.shard_count();
-                let trailing_before = store.trailing_shard_count();
-                self.log_event(|| WalEvent::Compact { target_shards })?;
-                *store = store.compact(target_shards);
-                self.cache.note_compaction();
-                self.republish(&store);
-                return Ok(CompactionReceipt {
-                    generation: store.generation(),
-                    shards_before,
-                    shards_after: store.shard_count(),
-                    trailing_before,
-                    entities: store.entity_count(),
-                    attempts: attempts + 1,
-                });
+            if store.generation() == base_generation {
+                return self.compact_locked(&mut store, target_shards, Some(fresh), attempts);
             }
-            self.log_event(|| WalEvent::Compact { target_shards })?;
-            *store = fresh;
-            self.cache.note_compaction();
-            self.republish(&store);
-            return Ok(CompactionReceipt {
-                generation: store.generation(),
-                shards_before,
-                shards_after: store.shard_count(),
-                trailing_before,
-                entities: store.entity_count(),
-                attempts,
-            });
+            if attempts < MAX_OFFLOCK_ATTEMPTS {
+                continue; // a racing append won; rebuild against the new state
+            }
+            // appends keep winning: guarantee progress by finishing this
+            // pass under the write lock we already hold (one bounded
+            // stop-the-world rebuild instead of a livelock)
+            return self.compact_locked(&mut store, target_shards, None, attempts + 1);
         }
+    }
+
+    /// The locked half of every compaction, under the write lock: log
+    /// the pass, install `rebuilt` (the off-lock rebuild of exactly this
+    /// state) or rebuild here when there is none, migrate the cache,
+    /// republish, and describe the pass.
+    fn compact_locked(
+        &self,
+        store: &mut GraphBackend,
+        target_shards: usize,
+        rebuilt: Option<GraphBackend>,
+        attempts: u64,
+    ) -> Result<CompactionReceipt, StoreError> {
+        let shards_before = store.shard_count();
+        let trailing_before = store.trailing_shard_count();
+        self.log_event(|| WalEvent::Compact { target_shards })?;
+        let compacted = rebuilt.unwrap_or_else(|| store.compact(target_shards));
+        *store = compacted;
+        self.cache.note_compaction();
+        self.republish(store);
+        Ok(CompactionReceipt {
+            generation: store.generation(),
+            shards_before,
+            shards_after: store.shard_count(),
+            trailing_before,
+            entities: store.entity_count(),
+            attempts,
+        })
     }
 
     /// Compact concurrently to `target_shards` iff `policy` judges the
@@ -527,15 +514,19 @@ impl LiveStore {
 /// maintenance with ever-larger wasted rebuilds.
 pub const MAX_OFFLOCK_ATTEMPTS: u64 = 4;
 
-/// The identity receipt for compaction on the single layout.
-fn single_noop_receipt(kg: &KnowledgeGraph) -> CompactionReceipt {
-    CompactionReceipt {
-        generation: kg.generation(),
-        shards_before: 1,
-        shards_after: 1,
-        trailing_before: 0,
-        entities: kg.entity_count(),
-        attempts: 1,
+/// Compaction is the identity on a single graph without tombstones: no
+/// generation bump, a 1→1 receipt. `None` when a pass has work to do.
+fn noop_compaction(store: &GraphBackend) -> Option<CompactionReceipt> {
+    match store {
+        GraphBackend::Single(kg) if kg.tombstone_count() == 0 => Some(CompactionReceipt {
+            generation: kg.generation(),
+            shards_before: 1,
+            shards_after: 1,
+            trailing_before: 0,
+            entities: kg.entity_count(),
+            attempts: 1,
+        }),
+        _ => None,
     }
 }
 

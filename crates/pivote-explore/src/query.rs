@@ -76,7 +76,7 @@ impl ExplorationQuery {
     }
 
     /// [`ExplorationQuery::summary`] over a backend-agnostic
-    /// [`GraphHandle`] — identical output on single and sharded backends.
+    /// [`GraphHandle`](pivote_core::GraphHandle) — identical output on single and sharded backends.
     pub fn summary_with(&self, handle: &pivote_core::GraphHandle<'_>) -> String {
         self.summary_impl(
             |e| handle.display_name(e),

@@ -21,7 +21,7 @@
 //! - **snapshots**: [`GraphBackend::to_single`] materializes the logical
 //!   graph (identity clone for single, union rebuild for sharded) and
 //!   [`GraphBackend::save_snapshot`] writes it through the one
-//!   [`snapshot`](crate::snapshot) format every build path round-trips.
+//!   [`snapshot`] format every build path round-trips.
 //!
 //! The enum is deliberately *owned* (not borrowed): it is the thing a
 //! live store puts behind its `RwLock`, clones under a read guard for

@@ -5,7 +5,7 @@
 //! aliases, possibly introducing brand-new entities, predicates, types or
 //! categories. Names (not ids) keep a batch independent of any particular
 //! graph's dictionary state, so one batch can be applied to a single
-//! [`KnowledgeGraph`](crate::KnowledgeGraph), to a
+//! [`KnowledgeGraph`], to a
 //! [`ShardedGraph`](crate::ShardedGraph), or replayed into a fresh
 //! [`KgBuilder`] — and because the ops are *ordered*, all three intern new
 //! dictionary terms in exactly the same global order, which is what makes

@@ -5,7 +5,7 @@
 //! in both directions, per-predicate runs sorted by target id, and sorted
 //! extent lists for every type and category. The frozen graph is *not*
 //! write-only: [`KnowledgeGraph::apply`] splices a
-//! [`DeltaBatch`](crate::delta::DeltaBatch) of new statements into the
+//! [`DeltaBatch`] of new statements into the
 //! touched rows in place (amortized, row-proportional work), which is the
 //! substrate of the live-graph execution layer.
 //!

@@ -6,7 +6,7 @@
 //! normalization) read their collection-level inputs — total field
 //! length, vocabulary size, collection/document frequency, document
 //! count — through the [`CollectionView`] trait. A single-graph
-//! [`FieldedIndex`](crate::index::FieldedIndex) implements it directly;
+//! [`FieldedIndex`] implements it directly;
 //! a sharded deployment merges per-shard indexes into one
 //! [`CorpusStats`] (counting each **owned** document exactly once, so
 //! ghost copies don't inflate the statistics) and scores every shard

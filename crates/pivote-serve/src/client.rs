@@ -1,5 +1,7 @@
-//! A minimal blocking client for the line-JSON protocol — what the eval
-//! driver, the CI serve leg and the integration tests speak through.
+//! A minimal blocking client for the line-JSON protocol — what the
+//! benchmark harness and the wire tests speak through. Any request goes
+//! through [`Client::request`] / [`Client::request_raw`]; the typed
+//! helpers cover the ops those callers send by name.
 
 use serde::Value;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -71,48 +73,6 @@ impl Client {
             ("seeds", names(seeds)),
             ("k_features", Value::Num(k_features as f64)),
             ("k_entities", Value::Num(k_entities as f64)),
-        ])
-    }
-
-    /// `{"op":"expand", ...}` — entity-set expansion.
-    pub fn expand(
-        &mut self,
-        seeds: &[&str],
-        type_filter: Option<&str>,
-        k: usize,
-    ) -> io::Result<Value> {
-        let mut fields = vec![
-            ("op", Value::Str("expand".to_owned())),
-            ("seeds", names(seeds)),
-            ("k", Value::Num(k as f64)),
-        ];
-        if let Some(t) = type_filter {
-            fields.push(("type", Value::Str(t.to_owned())));
-        }
-        self.request_obj(fields)
-    }
-
-    /// `{"op":"heatmap", ...}` — the entity × feature correlation matrix.
-    pub fn heatmap(
-        &mut self,
-        seeds: &[&str],
-        k_features: usize,
-        k_entities: usize,
-    ) -> io::Result<Value> {
-        self.request_obj(vec![
-            ("op", Value::Str("heatmap".to_owned())),
-            ("seeds", names(seeds)),
-            ("k_features", Value::Num(k_features as f64)),
-            ("k_entities", Value::Num(k_entities as f64)),
-        ])
-    }
-
-    /// `{"op":"search", ...}` — keyword search.
-    pub fn search(&mut self, query: &str, k: usize) -> io::Result<Value> {
-        self.request_obj(vec![
-            ("op", Value::Str("search".to_owned())),
-            ("query", Value::Str(query.to_owned())),
-            ("k", Value::Num(k as f64)),
         ])
     }
 

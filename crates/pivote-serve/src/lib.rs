@@ -13,12 +13,20 @@
 //! | `stats` | generation / shard / density-cache probes |
 //! | `shutdown` | graceful stop, persisting warm state |
 //!
+//! Two layers. [`Service`] answers a request in-process: it owns the
+//! store, the search cache and its warmer, and the response memo, and
+//! exposes [`Service::compute`] (one read against one snapshot, no memo)
+//! and [`Service::call`] (one request line → one response line, what a
+//! worker runs). Tests and benchmarks call it directly. [`Server`] is
+//! only sockets: listener, worker pool, line framing with an idle
+//! budget, and graceful shutdown around one `Arc<Service>`.
+//!
 //! All connections share **one** store and **one** density cache, so
 //! the memoization and invalidation guarantees of the library hold
-//! across clients; the server owns the background
-//! [`pivote_core::MaintenanceHandle`], so compaction never runs on a
-//! request path. See [`server`] for the shutdown/warm-restart
-//! semantics and [`protocol`] for the wire format.
+//! across clients. A serving leader does not compact: the trailing
+//! shards its writes open stay for the life of the store. See [`server`]
+//! for the shutdown/warm-restart semantics and [`protocol`] for the wire
+//! format.
 //!
 //! Try it by hand (`nc` is all a client needs):
 //!
@@ -33,10 +41,9 @@
 pub mod client;
 pub mod protocol;
 pub mod server;
+pub mod service;
 
 pub use client::{num_field, response_ok, scored_list, Client};
 pub use protocol::{Reply, Request, MAX_REQUEST_COUNT};
-pub use server::{
-    backend_fingerprint, store_with_warm_state, MaintenanceConfig, ServeConfig, Server,
-    ShutdownReport,
-};
+pub use server::{store_with_warm_state, ServeConfig, Server, ShutdownReport};
+pub use service::Service;

@@ -38,7 +38,7 @@ impl Analyzer {
     }
 
     /// Run the chain after tokenization over one raw token (see
-    /// [`raw_tokens`](crate::raw_tokens)): lowercase it into `buf`, drop it if it is a
+    /// [`raw_tokens`]): lowercase it into `buf`, drop it if it is a
     /// stopword, stem it where it sits. The term borrows `buf`, so a
     /// caller reusing one buffer allocates nothing per token.
     pub fn term<'b>(&self, raw: &str, buf: &'b mut String) -> Option<&'b str> {

@@ -1,8 +1,10 @@
 //! The serving layer end to end, over real TCP connections:
 //!
-//! - every op answers **bit-identically** to the same call made through
-//!   the library (the network hop adds no drift — scores cross the wire
-//!   as shortest-round-trip JSON numbers);
+//! - every read answers **byte-identically** to `Service::compute` on a
+//!   second, in-process service over an identically built store (the
+//!   network hop adds no drift — scores cross the wire as
+//!   shortest-round-trip JSON numbers); `compute` itself is checked
+//!   against the engines in `crates/pivote-serve/tests/service.rs`;
 //! - protocol abuse (malformed JSON, unknown ops, bad N-Triples,
 //!   clients hanging up mid-exchange) produces per-request error
 //!   responses and never takes the server down;
@@ -12,13 +14,11 @@
 //!   the warm sidecar answers repeat queries with **zero** `p(π|c)`
 //!   recomputes (pinned through the stats probe).
 
-use pivote_core::{
-    Expander, GraphHandle, HeatMap, LiveStore, RankingConfig, ReplicaHandle, ReplicaStore, SfQuery,
-};
-use pivote_explore::{Session, SessionConfig};
+use pivote_core::{LiveStore, ReplicaHandle, ReplicaStore};
 use pivote_kg::KnowledgeGraph;
 use pivote_serve::{
-    num_field, response_ok, scored_list, store_with_warm_state, Client, ServeConfig, Server,
+    num_field, response_ok, scored_list, store_with_warm_state, Client, Request, ServeConfig,
+    Server, Service,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,7 +30,7 @@ fn sample() -> KnowledgeGraph {
 }
 
 fn serve_sample() -> Server {
-    let store = Arc::new(LiveStore::with_threads(sample(), 1));
+    let store = Arc::new(LiveStore::new(sample()));
     Server::bind("127.0.0.1:0", store, ServeConfig::default()).expect("bind ephemeral port")
 }
 
@@ -39,83 +39,28 @@ fn every_op_matches_the_library_bit_for_bit() {
     let server = serve_sample();
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    // library-side ground truth on an identical graph
-    let kg = sample();
-    let handle = GraphHandle::single_with_threads(&kg, 1);
-    let gump = handle.entity("Forrest_Gump").expect("Forrest_Gump");
-    let expander = Expander::with_handle(handle.clone(), RankingConfig::default());
-    let want = expander.expand(&SfQuery::from_seeds(vec![gump]), 10, 10);
-
-    let ranked = client.rank(&["Forrest_Gump"], 10, 10).expect("rank");
-    assert!(response_ok(&ranked), "{ranked:?}");
-    let got_features = scored_list(&ranked, "features");
-    assert_eq!(got_features.len(), want.features.len());
-    for (got, want_rf) in got_features.iter().zip(&want.features) {
-        assert_eq!(got.0, handle.feature_display(want_rf.feature));
-        assert_eq!(
-            got.1.to_bits(),
-            want_rf.score.to_bits(),
-            "feature score drifted"
-        );
-    }
-    let got_entities = scored_list(&ranked, "entities");
-    assert_eq!(got_entities.len(), want.entities.len());
-    for (got, want_re) in got_entities.iter().zip(&want.entities) {
-        assert_eq!(got.0, handle.entity_name(want_re.entity));
-        assert_eq!(
-            got.1.to_bits(),
-            want_re.score.to_bits(),
-            "entity score drifted"
-        );
-    }
-
-    // expand mirrors the entity half
-    let expanded = client.expand(&["Forrest_Gump"], None, 10).expect("expand");
-    assert!(response_ok(&expanded));
-    assert_eq!(scored_list(&expanded, "entities"), got_entities);
-
-    // heatmap levels match the library's quantization exactly
-    let axis: Vec<_> = want.entities.iter().map(|re| re.entity).collect();
-    let hm = HeatMap::compute(expander.ranker(), &axis, &want.features);
-    let heat = client.heatmap(&["Forrest_Gump"], 10, 10).expect("heatmap");
-    assert!(response_ok(&heat));
-    let serde::Value::Arr(rows) = heat.field("levels").expect("levels") else {
-        panic!("levels must be an array");
-    };
-    assert_eq!(rows.len(), hm.height());
-    for (r, row) in rows.iter().enumerate() {
-        let serde::Value::Arr(cols) = row else {
-            panic!("level rows must be arrays");
-        };
-        assert_eq!(cols.len(), hm.width());
-        for (c, level) in cols.iter().enumerate() {
-            let serde::Value::Num(n) = level else {
-                panic!("levels must be numbers");
-            };
-            assert_eq!(*n as u8, hm.level(r, c), "level drifted at ({r},{c})");
-        }
-    }
-
-    // search equals the session engine's hits
-    let session = Session::with_handle(handle.clone(), SessionConfig::default());
-    for query in ["forrest gump", "tom hanks", "film"] {
-        let want_hits: Vec<(String, f64)> = session
-            .search_hits(query, 10)
-            .iter()
-            .map(|h| (handle.entity_name(h.entity).to_owned(), h.score))
-            .collect();
-        let got = client.search(query, 10).expect("search");
-        assert!(response_ok(&got));
-        let got_hits = scored_list(&got, "hits");
-        assert_eq!(got_hits.len(), want_hits.len(), "{query}");
-        for (g, w) in got_hits.iter().zip(&want_hits) {
-            assert_eq!(g.0, w.0, "{query}");
-            assert_eq!(
-                g.1.to_bits(),
-                w.1.to_bits(),
-                "{query}: search score drifted"
-            );
-        }
+    // the reference: a second service over an identically built store,
+    // answering in-process through the function the workers run
+    let reference = Service::new(Arc::new(LiveStore::new(sample())), false);
+    let snap = reference.snapshot();
+    for line in [
+        r#"{"op":"rank","seeds":["Forrest_Gump"],"k_features":10,"k_entities":10}"#,
+        r#"{"op":"rank","seeds":["Forrest_Gump","Tom_Hanks"],"k_features":3,"k_entities":7}"#,
+        r#"{"op":"expand","seeds":["Forrest_Gump"],"k":10}"#,
+        r#"{"op":"expand","seeds":["Forrest_Gump"],"type":"Film","k":5}"#,
+        r#"{"op":"heatmap","seeds":["Forrest_Gump"],"k_features":10,"k_entities":10}"#,
+        r#"{"op":"search","query":"forrest gump","k":10}"#,
+        r#"{"op":"search","query":"tom hanks","k":10}"#,
+        r#"{"op":"search","query":"film","k":10}"#,
+        r#"{"op":"rank","seeds":["No_Such_Entity_Anywhere"]}"#,
+    ] {
+        let wire = client.request_raw(line).expect(line);
+        let want = reference
+            .compute(&snap, &Request::parse(line).expect(line))
+            .render();
+        assert_eq!(wire, want, "{line}");
+        let answered = !line.contains("No_Such");
+        assert_eq!(wire.starts_with(r#"{"ok":true"#), answered, "{wire}");
     }
 
     // stats reflects the fresh store
@@ -125,7 +70,7 @@ fn every_op_matches_the_library_bit_for_bit() {
     assert_eq!(num_field(&stats, "shard_count"), Some(1));
     assert_eq!(
         num_field(&stats, "entities"),
-        Some(kg.entity_count() as u64)
+        Some(sample().entity_count() as u64)
     );
     // the whole shape, in order: every counter the benchmark harness
     // reads is numeric, and nothing reports which read path served —
@@ -156,6 +101,16 @@ fn every_op_matches_the_library_bit_for_bit() {
         let numeric = matches!(value, serde::Value::Num(_));
         assert_eq!(numeric, !flag, "{name}: {stats:?}");
     }
+}
+
+#[test]
+fn bind_returns_only_once_a_search_can_be_answered() {
+    // the listener is bound after generation 0's search engines are
+    // attached, so no client ever waits in the backlog on the index build
+    let server = serve_sample();
+    let snap = server.store().snapshot().expect("bind publishes snapshots");
+    assert!(snap.attached_search().is_some());
+    assert!(Arc::ptr_eq(server.store(), server.service().store()));
 }
 
 #[test]
@@ -294,7 +249,7 @@ fn slow_loris_clients_cannot_pin_the_worker_pool() {
     // ONE worker, a short idle budget: any connection that fails to
     // deliver a complete request line within the budget is dropped,
     // freeing the worker for clients that actually speak
-    let store = Arc::new(LiveStore::with_threads(sample(), 1));
+    let store = Arc::new(LiveStore::new(sample()));
     let config = ServeConfig {
         workers: 1,
         idle_timeout: Duration::from_millis(500),
@@ -337,7 +292,7 @@ fn a_read_only_replica_server_tails_the_leader_over_tcp() {
 
     // leader: a store recording every write in the delta log (the
     // serving layer rides the exact same write path)
-    let leader = Arc::new(LiveStore::with_threads(sample(), 1));
+    let leader = Arc::new(LiveStore::new(sample()));
     leader.log_to(&wal_path).expect("leader logs");
 
     // follower: a read-only server over a ReplicaStore tailing the log
@@ -483,7 +438,7 @@ fn restart_from_the_warm_sidecar_recomputes_nothing() {
 
     // first life: serve cold, warm the cache through real queries, stop
     // gracefully
-    let store = Arc::new(LiveStore::with_threads(sample(), 1));
+    let store = Arc::new(LiveStore::new(sample()));
     let config = ServeConfig {
         warm_path: Some(warm_path.clone()),
         ..ServeConfig::default()

@@ -7,16 +7,13 @@
 //! immutable: each one pinned mid-script must still answer from its own
 //! backend, unchanged, after every later write and compaction.
 //!
-//! Plus the serving-layer leg: the generation-keyed response memo must
-//! hand back byte-identical responses for repeated reads, count its
-//! hits, and drop every memoized entry the moment a write rolls the
-//! generation.
+//! The serving layer's response memo on top of these snapshots is
+//! pinned socket-free in `crates/pivote-serve/tests/service.rs`.
 
-use pivote_core::{Expander, GraphHandle, LiveStore, PreparedSnapshot, RankingConfig, SfQuery};
+use pivote_core::{GraphHandle, LiveStore, PreparedSnapshot, RankingConfig};
 use pivote_kg::{
     DeltaBatch, EntityId, GraphBackend, KgBuilder, KnowledgeGraph, Literal, ShardedGraph,
 };
-use pivote_serve::{num_field, response_ok, scored_list, Client, ServeConfig, Server};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -253,107 +250,4 @@ fn golden_snapshot_script_is_exact() {
             ],
         );
     }
-}
-
-// ---------------------------------------------------------------------
-// serving-layer memo
-// ---------------------------------------------------------------------
-
-fn sample() -> KnowledgeGraph {
-    let nt = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/data/sample.nt"))
-        .expect("bundled sample exists");
-    pivote_kg::parse(&nt).expect("sample parses")
-}
-
-/// `(features, entities)` of a rank over `seed` through the library's
-/// lock path (`LiveStore::read().handle()` + `Expander`) — the reference
-/// the served responses are compared with.
-type Ranked = (Vec<(String, f64)>, Vec<(String, f64)>);
-
-fn library_rank(store: &LiveStore, seed: &str, k: usize) -> Ranked {
-    let reader = store.read();
-    let handle = reader.handle();
-    let seed = handle.entity(seed).expect("seed exists");
-    let expander = Expander::with_handle(handle.clone(), RankingConfig::default());
-    let res = expander.expand(&SfQuery::from_seeds(vec![seed]), k, k);
-    (
-        res.features
-            .iter()
-            .map(|rf| (handle.feature_display(rf.feature), rf.score))
-            .collect(),
-        res.entities
-            .iter()
-            .map(|re| (handle.entity_name(re.entity).to_owned(), re.score))
-            .collect(),
-    )
-}
-
-/// Memoized responses are byte-identical to freshly computed ones, hits
-/// are counted, and a write drops the memo — the next read answers at
-/// the new generation.
-#[test]
-fn memoized_responses_match_fresh_and_roll_with_the_generation() {
-    let store = Arc::new(LiveStore::with_threads(sample(), 1));
-    let server = Server::bind("127.0.0.1:0", store, ServeConfig::default()).expect("bind");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-
-    // ground truth from the library's lock path over an identical graph
-    let reference = LiveStore::with_threads(sample(), 1);
-    let (want_features, want_entities) = library_rank(&reference, "Forrest_Gump", 10);
-
-    let first = client.rank(&["Forrest_Gump"], 10, 10).expect("rank");
-    assert!(response_ok(&first), "{first:?}");
-    assert_eq!(
-        scored_list(&first, "features"),
-        want_features,
-        "served response diverged from the library"
-    );
-    assert_eq!(scored_list(&first, "entities"), want_entities);
-
-    // the repeat comes out of the memo, byte-identical
-    let again = client.rank(&["Forrest_Gump"], 10, 10).expect("rank again");
-    assert_eq!(
-        scored_list(&again, "features"),
-        scored_list(&first, "features")
-    );
-    assert_eq!(
-        scored_list(&again, "entities"),
-        scored_list(&first, "entities")
-    );
-    assert_eq!(
-        num_field(&again, "generation"),
-        num_field(&first, "generation")
-    );
-    let stats = client.stats().expect("stats");
-    assert!(response_ok(&stats));
-    assert!(
-        num_field(&stats, "memo_hits").expect("memo_hits") >= 1,
-        "the repeated read must be a memo hit: {stats:?}"
-    );
-
-    // a write rolls the generation: the memo must not serve stale state
-    let nt = "<http://dbpedia.org/resource/Memo_Roll> \
-              <http://dbpedia.org/ontology/servedBy> \
-              <http://dbpedia.org/resource/Forrest_Gump> .\n";
-    let v = client.append(nt).expect("append");
-    assert!(response_ok(&v), "{v:?}");
-    let after = client
-        .rank(&["Forrest_Gump"], 10, 10)
-        .expect("rank after write");
-    assert!(response_ok(&after));
-    assert_eq!(
-        num_field(&after, "generation"),
-        Some(1),
-        "the post-write read must answer at the new generation, not the memoized one"
-    );
-    // and it matches the library replaying the same write
-    reference
-        .append(&pivote_kg::parse_into_delta(nt).expect("parses"))
-        .expect("reference append");
-    let (_, want_after) = library_rank(&reference, "Forrest_Gump", 10);
-    assert_eq!(
-        scored_list(&after, "entities"),
-        want_after,
-        "post-write response diverged from the library"
-    );
 }
