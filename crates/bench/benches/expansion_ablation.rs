@@ -8,10 +8,12 @@ use pivote_baselines::{
 };
 use pivote_bench::{bench_kg, film_seeds};
 use pivote_core::{Expander, RankingConfig, SfQuery};
+use pivote_kg::ShardedGraph;
 use std::hint::black_box;
 
 fn bench_ablation(c: &mut Criterion) {
     let kg = bench_kg();
+    let sg = ShardedGraph::from(kg.clone());
     let seeds = film_seeds(&kg, 3);
     let query = SfQuery::from_seeds(seeds.clone());
 
@@ -41,7 +43,7 @@ fn bench_ablation(c: &mut Criterion) {
             // expander construction is cheap; the cache must start cold
             // each iteration to compare the configs fairly
             b.iter(|| {
-                let expander = Expander::new(&kg, cfg);
+                let expander = Expander::new(&sg, cfg);
                 black_box(expander.expand(black_box(&query), 20, 15))
             })
         });
@@ -49,16 +51,16 @@ fn bench_ablation(c: &mut Criterion) {
 
     // baselines at the same task size
     group.bench_function("baseline_jaccard", |b| {
-        b.iter(|| black_box(JaccardExpansion.expand(&kg, &seeds, 20)))
+        b.iter(|| black_box(JaccardExpansion.expand(&sg, &seeds, 20)))
     });
     group.bench_function("baseline_ppr", |b| {
-        b.iter(|| black_box(PprExpansion::default().expand(&kg, &seeds, 20)))
+        b.iter(|| black_box(PprExpansion::default().expand(&sg, &seeds, 20)))
     });
     group.bench_function("baseline_freq_overlap", |b| {
-        b.iter(|| black_box(FreqOverlapExpansion.expand(&kg, &seeds, 20)))
+        b.iter(|| black_box(FreqOverlapExpansion.expand(&sg, &seeds, 20)))
     });
     group.bench_function("baseline_pivote_trait", |b| {
-        b.iter(|| black_box(PivotEExpansion::default().expand(&kg, &seeds, 20)))
+        b.iter(|| black_box(PivotEExpansion::default().expand(&sg, &seeds, 20)))
     });
     group.finish();
 }

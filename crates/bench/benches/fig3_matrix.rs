@@ -6,13 +6,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pivote_bench::{bench_kg, flagship_film};
 use pivote_core::{Expander, HeatMap, RankingConfig, SfQuery};
 use pivote_kg::EntityId;
+use pivote_kg::ShardedGraph;
 use pivote_viz::{heatmap_ascii, heatmap_svg};
 use std::hint::black_box;
 
 fn bench_matrix(c: &mut Criterion) {
     let kg = bench_kg();
+    let sg = ShardedGraph::from(kg.clone());
     let flagship = flagship_film(&kg);
-    let expander = Expander::new(&kg, RankingConfig::default());
+    let expander = Expander::new(&sg, RankingConfig::default());
     let query = SfQuery::from_seeds(vec![flagship]);
 
     let mut group = c.benchmark_group("fig3_matrix");

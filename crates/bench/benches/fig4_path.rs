@@ -6,11 +6,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pivote_bench::{bench_kg, flagship_film};
 use pivote_core::{Direction, SemanticFeature};
 use pivote_explore::{Session, UserAction};
+use pivote_kg::ShardedGraph;
 use pivote_viz::{path_ascii, path_dot, path_svg};
 use std::hint::black_box;
 
 fn bench_path(c: &mut Criterion) {
     let kg = bench_kg();
+    let sg = ShardedGraph::from(kg.clone());
     let flagship = flagship_film(&kg);
     let starring = kg.predicate("starring").expect("starring");
     let cast_feature = SemanticFeature {
@@ -23,11 +25,11 @@ fn bench_path(c: &mut Criterion) {
     group.sample_size(10);
     // session construction indexes the graph; bench it separately
     group.bench_function("session_build", |b| {
-        b.iter(|| black_box(Session::with_defaults(&kg)))
+        b.iter(|| black_box(Session::with_defaults(&sg)))
     });
     group.bench_function("scripted_session_replay", |b| {
         b.iter_batched(
-            || Session::with_defaults(&kg),
+            || Session::with_defaults(&sg),
             |mut s| {
                 s.submit_keywords(&kg.display_name(flagship));
                 s.click_entity(flagship);
@@ -40,7 +42,7 @@ fn bench_path(c: &mut Criterion) {
         )
     });
 
-    let mut s = Session::with_defaults(&kg);
+    let mut s = Session::with_defaults(&sg);
     s.submit_keywords(&kg.display_name(flagship));
     s.click_entity(flagship);
     s.lookup(flagship);

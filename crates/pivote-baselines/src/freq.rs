@@ -46,7 +46,7 @@ impl EntityExpansion for FreqOverlapExpansion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pivote_kg::KgBuilder;
+    use pivote_kg::{KgBuilder, ShardedGraph};
 
     #[test]
     fn counts_shared_features() {
@@ -64,7 +64,7 @@ mod tests {
         b.triple(f3, starring, bb);
         let kg = b.finish();
         let f1 = kg.entity("f1").unwrap();
-        let out = FreqOverlapExpansion.expand(&kg, &[f1], 10);
+        let out = FreqOverlapExpansion.expand(&ShardedGraph::from(kg.clone()), &[f1], 10);
         assert_eq!(out[0].0, kg.entity("f2").unwrap());
         assert_eq!(out[0].1, 2.0); // shares A and B
         let f3_entry = out
@@ -77,6 +77,8 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let kg = KgBuilder::new().finish();
-        assert!(FreqOverlapExpansion.expand(&kg, &[], 5).is_empty());
+        assert!(FreqOverlapExpansion
+            .expand(&ShardedGraph::from(kg.clone()), &[], 5)
+            .is_empty());
     }
 }

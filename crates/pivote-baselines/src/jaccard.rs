@@ -63,7 +63,7 @@ impl EntityExpansion for JaccardExpansion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pivote_kg::{KgBuilder, KnowledgeGraph};
+    use pivote_kg::{KgBuilder, KnowledgeGraph, ShardedGraph};
 
     fn kg() -> KnowledgeGraph {
         // f1, f2 share both actors; f3 shares one.
@@ -86,7 +86,7 @@ mod tests {
     fn closer_neighbourhood_ranks_higher() {
         let kg = kg();
         let f1 = kg.entity("f1").unwrap();
-        let out = JaccardExpansion.expand(&kg, &[f1], 10);
+        let out = JaccardExpansion.expand(&ShardedGraph::from(kg.clone()), &[f1], 10);
         assert_eq!(out[0].0, kg.entity("f2").unwrap());
         assert!(out[0].1 > 0.9, "f2 shares the full neighbourhood");
         let f3_pos = out
@@ -100,7 +100,7 @@ mod tests {
     fn seeds_are_excluded_and_k_respected() {
         let kg = kg();
         let f1 = kg.entity("f1").unwrap();
-        let out = JaccardExpansion.expand(&kg, &[f1], 1);
+        let out = JaccardExpansion.expand(&ShardedGraph::from(kg.clone()), &[f1], 1);
         assert_eq!(out.len(), 1);
         assert!(out.iter().all(|&(e, _)| e != f1));
     }
@@ -108,8 +108,12 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let kg = kg();
-        assert!(JaccardExpansion.expand(&kg, &[], 5).is_empty());
+        assert!(JaccardExpansion
+            .expand(&ShardedGraph::from(kg.clone()), &[], 5)
+            .is_empty());
         let f1 = kg.entity("f1").unwrap();
-        assert!(JaccardExpansion.expand(&kg, &[f1], 0).is_empty());
+        assert!(JaccardExpansion
+            .expand(&ShardedGraph::from(kg.clone()), &[f1], 0)
+            .is_empty());
     }
 }

@@ -12,13 +12,12 @@
 //! - [`PivotEExpansion`] — the paper's model ([`pivote_core`]) adapted to
 //!   the same trait for side-by-side evaluation.
 //!
-//! Every method executes through the shared, backend-agnostic
-//! [`GraphHandle`] substrate —
+//! Every method executes through the shared [`GraphHandle`] substrate —
 //! [`EntityExpansion::expand_in`] — so candidate scoring parallelizes
 //! through the same scoped-thread fan-out, top-k selection uses the same
 //! bounded heap, the PivotE variants reuse the memoized `p(π|c)`
-//! densities, and every baseline runs unchanged (and bit-identically)
-//! over a single graph or a sharded one.
+//! densities, and every baseline runs unchanged (and bit-identically) at
+//! any shard count.
 //! [`EntityExpansion::expand`] is a convenience wrapper constructing a
 //! private context; the evaluation harness builds one handle per graph
 //! and shares it across all methods and ablations.
@@ -33,7 +32,7 @@ pub mod jaccard;
 pub mod ppr;
 
 use pivote_core::{Expander, GraphHandle, RankingConfig};
-use pivote_kg::{EntityId, KnowledgeGraph};
+use pivote_kg::{EntityId, ShardedGraph};
 
 pub use freq::FreqOverlapExpansion;
 pub use jaccard::JaccardExpansion;
@@ -45,8 +44,8 @@ pub trait EntityExpansion {
     fn name(&self) -> &'static str;
 
     /// Top-`k` entities similar to `seeds`, best first, seeds excluded,
-    /// executed on a shared backend-agnostic [`GraphHandle`] (single
-    /// graph or sharded — results are identical).
+    /// executed on a shared [`GraphHandle`] (results are identical at
+    /// every shard count).
     fn expand_in(
         &self,
         handle: &GraphHandle<'_>,
@@ -54,10 +53,9 @@ pub trait EntityExpansion {
         k: usize,
     ) -> Vec<(EntityId, f64)>;
 
-    /// [`EntityExpansion::expand_in`] with a fresh private single-graph
-    /// context.
-    fn expand(&self, kg: &KnowledgeGraph, seeds: &[EntityId], k: usize) -> Vec<(EntityId, f64)> {
-        self.expand_in(&GraphHandle::single(kg), seeds, k)
+    /// [`EntityExpansion::expand_in`] with a fresh private context.
+    fn expand(&self, sg: &ShardedGraph, seeds: &[EntityId], k: usize) -> Vec<(EntityId, f64)> {
+        self.expand_in(&GraphHandle::new(sg), seeds, k)
     }
 }
 
@@ -147,7 +145,7 @@ mod tests {
             Box::new(PivotEExpansion::default()),
         ];
         for m in &methods {
-            let out = m.expand(&kg, seeds, 5);
+            let out = m.expand(&ShardedGraph::from(kg.clone()), seeds, 5);
             assert!(!out.is_empty(), "{} returned nothing", m.name());
             assert!(out.len() <= 5);
             assert!(
@@ -168,7 +166,8 @@ mod tests {
         let kg = generate(&DatagenConfig::tiny());
         let film = kg.type_id("Film").unwrap();
         let seeds = &kg.type_extent(film)[..2];
-        let shared = GraphHandle::single(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let shared = GraphHandle::new(&sg);
         let methods: Vec<Box<dyn EntityExpansion>> = vec![
             Box::new(JaccardExpansion),
             Box::new(PprExpansion::default()),
@@ -178,7 +177,7 @@ mod tests {
             Box::new(PivotEExpansion::without_discriminability()),
         ];
         for m in &methods {
-            let private = m.expand(&kg, seeds, 5);
+            let private = m.expand(&sg, seeds, 5);
             let through_shared = m.expand_in(&shared, seeds, 5);
             assert_eq!(
                 private.len(),

@@ -7,7 +7,7 @@
 
 use crate::{select_top_k, EntityExpansion};
 use pivote_core::GraphHandle;
-use pivote_kg::{EntityId, KnowledgeGraph};
+use pivote_kg::{EntityId, ShardedGraph};
 
 /// Personalized PageRank via power iteration.
 #[derive(Debug, Clone, Copy)]
@@ -29,16 +29,16 @@ impl Default for PprExpansion {
 
 impl PprExpansion {
     /// Full PPR vector over all entities (indexed by raw entity id),
-    /// computed on a single graph.
-    pub fn scores(&self, kg: &KnowledgeGraph, seeds: &[EntityId]) -> Vec<f64> {
-        self.scores_in(&GraphHandle::single(kg), seeds)
+    /// computed on a fresh private context over `sg`.
+    pub fn scores(&self, sg: &ShardedGraph, seeds: &[EntityId]) -> Vec<f64> {
+        self.scores_in(&GraphHandle::new(sg), seeds)
     }
 
-    /// Full PPR vector over all entities on any backend. Edge rows come
-    /// from each entity's home shard (complete on both backends), so the
-    /// mass distribution is identical on single and sharded graphs.
+    /// Full PPR vector over all entities. Edge rows come from each
+    /// entity's home shard (complete at any shard count), so the mass
+    /// distribution is identical at every shard count.
     pub fn scores_in(&self, handle: &GraphHandle<'_>, seeds: &[EntityId]) -> Vec<f64> {
-        let n = handle.entity_count();
+        let n = handle.graph().entity_count();
         let mut rank = vec![0.0f64; n];
         if n == 0 || seeds.is_empty() {
             return rank;
@@ -51,12 +51,12 @@ impl PprExpansion {
         for _ in 0..self.iterations {
             next.iter_mut().for_each(|v| *v = 0.0);
             let mut dangling = 0.0;
-            for e in handle.entity_ids() {
+            for e in handle.graph().entity_ids() {
                 let r = rank[e.index()];
                 if r == 0.0 {
                     continue;
                 }
-                let deg = handle.degree(e);
+                let deg = handle.graph().degree(e);
                 if deg == 0 {
                     dangling += r;
                     continue;
@@ -64,7 +64,7 @@ impl PprExpansion {
                 let share = (1.0 - self.alpha) * r / deg as f64;
                 // zero-alloc scatter: per-target sums are invariant to the
                 // visit order (all of e's shares are the same value), so
-                // both backends produce identical mass
+                // every shard count produces identical mass
                 handle.for_each_edge(e, |_, n| next[n.index()] += share);
             }
             // teleport mass: restart probability plus dangling mass
@@ -108,7 +108,7 @@ impl EntityExpansion for PprExpansion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pivote_kg::KgBuilder;
+    use pivote_kg::{KgBuilder, KnowledgeGraph};
 
     fn kg() -> KnowledgeGraph {
         let mut b = KgBuilder::new();
@@ -128,7 +128,7 @@ mod tests {
     fn mass_concentrates_near_seeds() {
         let kg = kg();
         let f1 = kg.entity("f1").unwrap();
-        let out = PprExpansion::default().expand(&kg, &[f1], 10);
+        let out = PprExpansion::default().expand(&ShardedGraph::from(kg.clone()), &[f1], 10);
         assert!(!out.is_empty());
         // A (direct neighbour) first, then f2 (2 hops), far unreachable
         assert_eq!(out[0].0, kg.entity("A").unwrap());
@@ -141,7 +141,7 @@ mod tests {
     fn scores_form_probability_like_mass() {
         let kg = kg();
         let f1 = kg.entity("f1").unwrap();
-        let scores = PprExpansion::default().scores(&kg, &[f1]);
+        let scores = PprExpansion::default().scores(&ShardedGraph::from(kg.clone()), &[f1]);
         let total: f64 = scores.iter().sum();
         assert!((total - 1.0).abs() < 1e-6, "mass conserved, got {total}");
         assert!(scores.iter().all(|&s| s >= 0.0));
@@ -150,7 +150,9 @@ mod tests {
     #[test]
     fn empty_seed_set() {
         let kg = kg();
-        assert!(PprExpansion::default().expand(&kg, &[], 5).is_empty());
+        assert!(PprExpansion::default()
+            .expand(&ShardedGraph::from(kg.clone()), &[], 5)
+            .is_empty());
     }
 
     #[test]
@@ -163,7 +165,7 @@ mod tests {
         let kg = b.finish();
         // sink has degree 1 (incoming counts), so make a true dangling case:
         // a graph where the seed is isolated.
-        let scores = PprExpansion::default().scores(&kg, &[a]);
+        let scores = PprExpansion::default().scores(&ShardedGraph::from(kg.clone()), &[a]);
         let total: f64 = scores.iter().sum();
         assert!((total - 1.0).abs() < 1e-6);
     }

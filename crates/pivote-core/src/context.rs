@@ -1,56 +1,34 @@
-//! The shared query-execution layer.
+//! The memoized state and parallel primitives under the query context.
 //!
 //! Every query operation in this workspace — feature ranking
 //! (`r(π,Q) = d(π)·c(π,Q)`), entity ranking, ESE expansion, heat maps,
 //! explanations, session replay, and the comparison baselines — bottoms
 //! out in the same primitives: extent lookups, `p(π|c)` density
-//! estimates, candidate scoring, and top-k selection. [`QueryContext`]
-//! owns those primitives once per knowledge graph so all engines share
-//! one memoized, parallel substrate instead of re-deriving state behind
-//! private caches:
+//! estimates, candidate scoring, and top-k selection. The one context
+//! ([`ShardedContext`](crate::sharded::ShardedContext)) runs them; this
+//! module holds what it shares and reuses:
 //!
-//! - **Feature interning**: semantic features are mapped to dense
-//!   [`FeatureId`]s with their extent slices resolved once, so hot loops
-//!   index instead of re-walking the CSR store, and cache keys are dense
-//!   integer pairs instead of hashed structs.
-//! - **Probability cache**: `p(π|c) = ‖E(π) ∩ E(c)‖ / ‖E(c)‖` is a pure
-//!   graph quantity (independent of any [`RankingConfig`]), cached in a
-//!   sharded map keyed by `(FeatureId, ContextId)` — readers on the hot
-//!   path take a shard read lock only, so parallel scoring never
-//!   serializes behind one global mutex.
-//! - **Parallel scoring**: [`QueryContext::par_map`] fans pure per-item
-//!   work out over scoped worker threads in deterministic chunk order, so
+//! - **[`SharedCache`]**: the feature-id registry, the `p(π|c)`
+//!   probability cache and the resolved global extents, shared by every
+//!   context over one logical graph — across queries, sessions, appends
+//!   and compactions. `p(π|c) = ‖E(π) ∩ E(c)‖ / ‖E(c)‖` is a pure graph
+//!   quantity (independent of any [`RankingConfig`](crate::RankingConfig)),
+//!   cached in a sharded map keyed by `(feature id, context)` — readers
+//!   on the hot path take a shard read lock only, so parallel scoring
+//!   never serializes behind one global mutex.
+//! - **Parallel scoring**: `par_map_slice` fans pure per-item work out
+//!   over scoped worker threads in deterministic chunk order, so
 //!   parallel results are bit-identical to sequential ones.
 //! - **Bounded top-k**: [`top_k_ranked`] selects the best `k` by
 //!   `(score desc, id asc)` with a size-`k` binary heap instead of
 //!   sorting the full candidate set.
-//!
-//! Ranking *logic* stays in [`crate::ranking::Ranker`] and friends; they
-//! hold an `Arc<QueryContext>` and pass their [`RankingConfig`] into the
-//! context methods, which is what lets one context serve the full model
-//! and its ablations (and every baseline) concurrently over one graph.
 
-use crate::config::RankingConfig;
-use crate::extent::{intersect_len, union_k};
-use crate::feature::{features_of, SemanticFeature};
-use crate::ranking::{RankedEntity, RankedFeature};
-use pivote_kg::{AppliedDelta, CategoryId, EntityId, KnowledgeGraph, TypeId};
+use crate::feature::SemanticFeature;
+use pivote_kg::{AppliedDelta, CategoryId, EntityId, TypeId};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// Dense handle of an interned [`SemanticFeature`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FeatureId(u32);
-
-impl FeatureId {
-    /// The raw dense index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 /// A smoothing context: a category or a type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,10 +102,10 @@ struct FeatureRegistry {
 /// memoized state: the feature-id registry and the `p(π|c)` probability
 /// cache, stamped with a generation counter.
 ///
-/// A [`QueryContext`] (or
-/// [`ShardedContext`](crate::sharded::ShardedContext)) built with
-/// [`QueryContext::with_cache`] shares this state with every other
-/// context over the same logical graph — across queries, sessions *and
+/// A [`ShardedContext`](crate::sharded::ShardedContext) built with
+/// [`ShardedContext::with_cache`](crate::sharded::ShardedContext::with_cache)
+/// shares this state with every other context over the same logical
+/// graph — across queries, sessions *and
 /// appends*: when the graph grows, [`SharedCache::invalidate`] drops
 /// exactly the densities whose feature or context extents the
 /// [`AppliedDelta`] touched, and everything else stays warm. Feature ids
@@ -417,7 +395,7 @@ impl SharedCache {
     /// [`SharedCache::generation`], like an append — and return the new
     /// value. **Nothing is dropped**: every cached `p(π|c)` is an exact
     /// global quantity (integer intersection sums over the whole
-    /// partition, identical to the single-graph value bit for bit) and
+    /// partition, identical at every shard count bit for bit) and
     /// every feature id is partition-independent, so re-sharding the
     /// same logical graph invalidates neither. The **global extent
     /// registry survives too**: a registered resolution lists global
@@ -479,505 +457,18 @@ impl SharedCache {
     }
 }
 
-/// The shared, memoized, parallel execution substrate for one graph.
-///
-/// Cheap to construct; all interior state is lazily filled and
-/// thread-safe, so one context (behind an [`std::sync::Arc`]) serves
-/// every engine and every worker thread of a query session.
-pub struct QueryContext<'kg> {
-    kg: &'kg KnowledgeGraph,
-    threads: usize,
-    /// Shared (possibly cross-context, append-surviving) memoized state.
-    cache: Arc<SharedCache>,
-    /// Cache generation at construction. While the cache is still at
-    /// this generation its entries are exact for this context's graph
-    /// snapshot; once it moves (an append invalidated behind our back —
-    /// only possible for contexts running off the store lock) this
-    /// context computes locally and neither trusts nor writes the
-    /// shared maps.
-    born_gen: u64,
-    /// Per-context extent resolutions, indexed by dense feature id. The
-    /// slices borrow this context's graph snapshot, so they are exact for
-    /// its lifetime; a context built after an append re-resolves lazily.
-    extents: RwLock<Vec<Option<&'kg [EntityId]>>>,
-}
-
-impl<'kg> QueryContext<'kg> {
-    /// Context over `kg` with one worker per available core.
-    pub fn new(kg: &'kg KnowledgeGraph) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_threads(kg, threads)
-    }
-
-    /// Context with an explicit worker-thread count (`0` is clamped to 1;
-    /// `1` disables parallel fan-out entirely).
-    pub fn with_threads(kg: &'kg KnowledgeGraph, threads: usize) -> Self {
-        Self::with_cache(kg, threads, Arc::new(SharedCache::new()))
-    }
-
-    /// Context on an existing [`SharedCache`] — the live-graph entry
-    /// point: every density the cache already holds (from earlier
-    /// queries, earlier sessions, or earlier graph generations whose
-    /// extents were not touched since) is a hit for this context.
-    pub fn with_cache(kg: &'kg KnowledgeGraph, threads: usize, cache: Arc<SharedCache>) -> Self {
-        let born_gen = cache.generation();
-        Self {
-            kg,
-            threads: threads.max(1),
-            cache,
-            born_gen,
-            extents: RwLock::new(Vec::new()),
-        }
-    }
-
-    /// The knowledge graph this context reads.
-    #[inline]
-    pub fn kg(&self) -> &'kg KnowledgeGraph {
-        self.kg
-    }
-
-    /// Configured worker-thread count.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The shared memoized state behind this context.
-    pub fn cache(&self) -> &Arc<SharedCache> {
-        &self.cache
-    }
-
-    /// Number of cached `p(π|c)` probabilities (diagnostics).
-    pub fn cached_probability_count(&self) -> usize {
-        self.cache.cached_probability_count()
-    }
-
-    // ---- interning -----------------------------------------------------
-
-    /// Intern a feature, resolving its extent handle on first sight.
-    pub fn intern(&self, sf: SemanticFeature) -> FeatureId {
-        let fid = self.cache.feature_id(sf);
-        {
-            let extents = self.extents.read().expect("extent table poisoned");
-            if let Some(Some(_)) = extents.get(fid as usize) {
-                return FeatureId(fid);
-            }
-        }
-        let resolved = sf.extent(self.kg);
-        let mut extents = self.extents.write().expect("extent table poisoned");
-        if extents.len() <= fid as usize {
-            extents.resize(fid as usize + 1, None);
-        }
-        extents[fid as usize] = Some(resolved);
-        FeatureId(fid)
-    }
-
-    /// The extent handle of an interned feature, resolved against this
-    /// context's graph snapshot (lazily, if the id was interned by a
-    /// sibling context sharing the same cache).
-    pub fn extent(&self, id: FeatureId) -> &'kg [EntityId] {
-        {
-            let extents = self.extents.read().expect("extent table poisoned");
-            if let Some(Some(extent)) = extents.get(id.index()) {
-                return extent;
-            }
-        }
-        let sf = self.cache.feature(id.0);
-        let resolved = sf.extent(self.kg);
-        let mut extents = self.extents.write().expect("extent table poisoned");
-        if extents.len() <= id.index() {
-            extents.resize(id.index() + 1, None);
-        }
-        extents[id.index()] = Some(resolved);
-        resolved
-    }
-
-    // ---- probability cache ---------------------------------------------
-
-    /// Cached `p(π|c) = ‖E(π) ∩ E(c)‖ / ‖E(c)‖`.
-    pub(crate) fn p_feature_given_ctx(&self, sf: SemanticFeature, ctx: Ctx) -> f64 {
-        self.p_by_fid(self.intern(sf), ctx)
-    }
-
-    /// [`QueryContext::p_feature_given_ctx`] by dense feature id — the
-    /// hot-loop entry that skips re-hashing the feature.
-    fn p_by_fid(&self, fid: FeatureId, ctx: Ctx) -> f64 {
-        let key = prob_key(fid.0, ctx);
-        // seqlock-style validity: the hit is trustworthy only if the
-        // cache generation still equals this context's birth generation
-        // *after* the read — otherwise an invalidation ran and the value
-        // may belong to a different graph snapshot
-        if let Some(p) = self.cache.prob_get(key) {
-            if self.cache.generation() == self.born_gen {
-                return p;
-            }
-        }
-        let ctx_extent = match ctx {
-            Ctx::Cat(c) => self.kg.category_extent(c),
-            Ctx::Type(t) => self.kg.type_extent(t),
-        };
-        let p = if ctx_extent.is_empty() {
-            0.0
-        } else {
-            intersect_len(self.extent(fid), ctx_extent) as f64 / ctx_extent.len() as f64
-        };
-        self.cache.prob_insert_if_current(key, p, self.born_gen);
-        p
-    }
-
-    /// `p(π|c*) = max_c p(π|c)` by dense feature id, the smoothing loop
-    /// of the resolved-feature scoring path.
-    fn p_best_ctx_by_fid(&self, config: &RankingConfig, fid: FeatureId, e: EntityId) -> f64 {
-        let mut best = 0.0f64;
-        for c in self.kg.categories_of(e) {
-            best = best.max(self.p_by_fid(fid, Ctx::Cat(c)));
-        }
-        if config.use_types_as_context {
-            for t in self.kg.types_of(e) {
-                best = best.max(self.p_by_fid(fid, Ctx::Type(t)));
-            }
-        }
-        best
-    }
-
-    /// Cached `p(π|c)` for one category context.
-    pub fn p_for_category(&self, sf: SemanticFeature, c: CategoryId) -> f64 {
-        self.p_feature_given_ctx(sf, Ctx::Cat(c))
-    }
-
-    /// Cached `p(π|t)` for one type context.
-    pub fn p_for_type(&self, sf: SemanticFeature, t: TypeId) -> f64 {
-        self.p_feature_given_ctx(sf, Ctx::Type(t))
-    }
-
-    /// `p(π|c*) = max_c p(π|c)` over the categories (and, when configured,
-    /// types) of `e`.
-    pub fn p_feature_given_best_context(
-        &self,
-        config: &RankingConfig,
-        sf: SemanticFeature,
-        e: EntityId,
-    ) -> f64 {
-        let mut best = 0.0f64;
-        for c in self.kg.categories_of(e) {
-            best = best.max(self.p_feature_given_ctx(sf, Ctx::Cat(c)));
-        }
-        if config.use_types_as_context {
-            for t in self.kg.types_of(e) {
-                best = best.max(self.p_feature_given_ctx(sf, Ctx::Type(t)));
-            }
-        }
-        best
-    }
-
-    /// `p(π|e)`: 1 for an exact match, otherwise the error-tolerant
-    /// context estimate (or 0 when error tolerance is disabled).
-    pub fn p_feature_given_entity(
-        &self,
-        config: &RankingConfig,
-        sf: SemanticFeature,
-        e: EntityId,
-    ) -> f64 {
-        if sf.matches(self.kg, e) {
-            return 1.0;
-        }
-        if !config.error_tolerant {
-            return 0.0;
-        }
-        self.p_feature_given_best_context(config, sf, e)
-    }
-
-    // ---- ranking model -------------------------------------------------
-    //
-    // LOCKSTEP: ShardedContext (sharded.rs) mirrors these model bodies
-    // over its per-shard primitives; edits to the scoring/filter logic
-    // here must be applied there too (bit-identity is enforced by
-    // tests/sharded_equivalence.rs and tests/golden_sharded.rs).
-
-    /// `d(π)`: inverse extent size (or 1 under the A2 ablation).
-    pub fn discriminability(&self, config: &RankingConfig, sf: SemanticFeature) -> f64 {
-        if !config.use_discriminability {
-            return 1.0;
-        }
-        let n = sf.extent_size(self.kg);
-        if n == 0 {
-            0.0
-        } else {
-            1.0 / n as f64
-        }
-    }
-
-    /// `c(π, Q) = ∏_{e∈Q} p(π|e)`.
-    pub fn commonality(
-        &self,
-        config: &RankingConfig,
-        sf: SemanticFeature,
-        seeds: &[EntityId],
-    ) -> f64 {
-        let mut c = 1.0;
-        for &e in seeds {
-            c *= self.p_feature_given_entity(config, sf, e);
-            if c == 0.0 {
-                break;
-            }
-        }
-        c
-    }
-
-    /// The candidate feature pool: the union of the seeds' own features,
-    /// filtered by extent size.
-    pub fn candidate_features(
-        &self,
-        config: &RankingConfig,
-        seeds: &[EntityId],
-    ) -> Vec<SemanticFeature> {
-        let mut all: Vec<SemanticFeature> = seeds
-            .iter()
-            .flat_map(|&e| features_of(self.kg, e))
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all.retain(|sf| {
-            let n = sf.extent_size(self.kg);
-            n >= config.min_extent.max(1) && n <= config.max_extent
-        });
-        all
-    }
-
-    /// Rank all candidate features of the query: `Φ(Q)` scored by
-    /// `r(π, Q)`, descending, zero-scored features dropped. Scoring is
-    /// fanned out over the worker threads.
-    pub fn rank_features(&self, config: &RankingConfig, seeds: &[EntityId]) -> Vec<RankedFeature> {
-        self.rank_features_top_k(config, seeds, usize::MAX)
-    }
-
-    /// [`QueryContext::rank_features`] with bounded heap selection of the
-    /// best `k`.
-    pub fn rank_features_top_k(
-        &self,
-        config: &RankingConfig,
-        seeds: &[EntityId],
-        k: usize,
-    ) -> Vec<RankedFeature> {
-        let candidates = self.candidate_features(config, seeds);
-        let scored = self.par_map(&candidates, |&sf| {
-            let d = self.discriminability(config, sf);
-            let c = if d > 0.0 {
-                self.commonality(config, sf, seeds)
-            } else {
-                0.0
-            };
-            RankedFeature {
-                feature: sf,
-                score: d * c,
-                discriminability: d,
-                commonality: c,
-            }
-        });
-        top_k_ranked(
-            scored.into_iter().filter(|rf| rf.score > 0.0),
-            k,
-            |rf| rf.score,
-            |a, b| a.feature.cmp(&b.feature),
-        )
-    }
-
-    /// Gather candidate entities: the union of the extents of the top
-    /// features, in feature-score order, capped at `max_candidates`, with
-    /// seeds removed when configured.
-    pub fn candidate_entities(
-        &self,
-        config: &RankingConfig,
-        seeds: &[EntityId],
-        features: &[RankedFeature],
-    ) -> Vec<EntityId> {
-        let top = &features[..features.len().min(config.top_features)];
-        let cap = config.max_candidates.saturating_mul(4);
-        let mut picked: Vec<&[EntityId]> = Vec::with_capacity(top.len());
-        let mut total = 0usize;
-        for rf in top {
-            picked.push(rf.feature.extent(self.kg));
-            total += picked.last().expect("just pushed").len();
-            if total >= cap {
-                break;
-            }
-        }
-        let mut cands = union_k(&picked);
-        if config.exclude_seeds {
-            cands.retain(|e| !seeds.contains(e));
-        }
-        cands.truncate(config.max_candidates);
-        cands
-    }
-
-    /// `r(e, Q)` for one entity over a scored feature set.
-    pub fn score_entity(
-        &self,
-        config: &RankingConfig,
-        e: EntityId,
-        features: &[RankedFeature],
-    ) -> f64 {
-        let mut score = 0.0;
-        for rf in features {
-            let p = if rf.feature.matches(self.kg, e) {
-                1.0
-            } else if config.error_tolerant && config.smooth_candidates {
-                self.p_feature_given_best_context(config, rf.feature, e)
-            } else {
-                0.0
-            };
-            score += p * rf.score;
-        }
-        score
-    }
-
-    /// Rank candidate entities by `r(e, Q)`: parallel scoring, full sort.
-    pub fn rank_entities(
-        &self,
-        config: &RankingConfig,
-        seeds: &[EntityId],
-        features: &[RankedFeature],
-    ) -> Vec<RankedEntity> {
-        self.rank_entities_top_k(config, seeds, features, usize::MAX, |_| true)
-    }
-
-    /// Rank candidate entities with a pre-score filter and bounded top-k
-    /// selection. The filter runs *before* scoring, so expensive smoothing
-    /// is never spent on entities a hard query condition already excludes.
-    ///
-    /// Parallel and sequential execution produce bit-identical results:
-    /// per-entity scores are pure functions of the graph, candidates are
-    /// chunked in order, and the `(score desc, id asc)` selection order is
-    /// total (entity ids are unique).
-    pub fn rank_entities_top_k<F>(
-        &self,
-        config: &RankingConfig,
-        seeds: &[EntityId],
-        features: &[RankedFeature],
-        k: usize,
-        filter: F,
-    ) -> Vec<RankedEntity>
-    where
-        F: Fn(EntityId) -> bool + Sync,
-    {
-        let top = &features[..features.len().min(config.top_features)];
-        let mut candidates = self.candidate_entities(config, seeds, features);
-        candidates.retain(|&e| filter(e));
-        self.score_and_select(config, candidates, top, k)
-    }
-
-    /// Score an explicit candidate set in parallel and select the top `k`.
-    ///
-    /// The candidate pass resolves the fixed feature set **once** —
-    /// dense cache ids plus extent slices — so the per-candidate loop is
-    /// a binary search per feature instead of a CSR re-walk (the
-    /// amortization the sharded backend always had; worth ~2× on
-    /// `rank_entities` at 16k films). Bit-identical to scoring via
-    /// [`QueryContext::score_entity`]: same extents, same cached
-    /// probabilities, same fold order.
-    pub fn score_and_select(
-        &self,
-        config: &RankingConfig,
-        candidates: Vec<EntityId>,
-        features: &[RankedFeature],
-        k: usize,
-    ) -> Vec<RankedEntity> {
-        let resolved: Vec<(FeatureId, f64, &'kg [EntityId])> = features
-            .iter()
-            .map(|rf| {
-                let fid = self.intern(rf.feature);
-                (fid, rf.score, self.extent(fid))
-            })
-            .collect();
-        let scored = self.par_map(&candidates, |&e| {
-            let mut score = 0.0;
-            for &(fid, feature_score, extent) in &resolved {
-                let p = if extent.binary_search(&e).is_ok() {
-                    1.0
-                } else if config.error_tolerant && config.smooth_candidates {
-                    self.p_best_ctx_by_fid(config, fid, e)
-                } else {
-                    0.0
-                };
-                score += p * feature_score;
-            }
-            RankedEntity { entity: e, score }
-        });
-        top_k_ranked(
-            scored.into_iter(),
-            k,
-            |re| re.score,
-            |a, b| a.entity.cmp(&b.entity),
-        )
-    }
-
-    // ---- parallel substrate --------------------------------------------
-
-    /// Map a pure function over a slice using the context's worker
-    /// threads. Chunks are assigned and concatenated in slice order, so
-    /// the output is identical to a sequential `iter().map().collect()`.
-    pub fn par_map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        self.par_map_with(self.threads, items, f)
-    }
-
-    /// [`QueryContext::par_map`] with an explicit thread count.
-    pub fn par_map_with<T, U, F>(&self, threads: usize, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        par_map_slice(threads, items, f)
-    }
-}
-
-/// Map a pure function over a slice on scoped worker threads. Chunks are
-/// assigned and concatenated in slice order, so the output is identical
-/// to a sequential `iter().map().collect()`. Shared by the single-graph
-/// [`QueryContext`] and the sharded execution layer.
+/// Map a pure function over a slice on at most `threads` scoped worker
+/// threads (contiguous chunks, joined in slice order), so the output is
+/// identical to a sequential `iter().map().collect()`. Runs inline at
+/// one thread or below `MIN_PARALLEL_ITEMS` items.
 pub(crate) fn par_map_slice<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    chunked_map(threads, items, MIN_PARALLEL_ITEMS, f)
-}
-
-/// Fan items out over at most `workers` scoped threads (contiguous
-/// chunks, joined in item order). Unlike [`par_map_slice`] there is no
-/// minimum-size threshold — this is the shard fan-out primitive, where
-/// item counts are small (one per shard) but each item is a large unit
-/// of work. `workers == 1` runs inline; chunking keeps the spawned
-/// thread count within the context's configured budget even when there
-/// are more shards than workers.
-pub(crate) fn fan_out<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    chunked_map(workers, items, 0, f)
-}
-
-/// The one scoped-thread chunk-map core behind [`par_map_slice`] and
-/// [`fan_out`]: contiguous chunks over at most `workers` threads, joined
-/// in item order; runs inline below `min_items` or at one worker.
-fn chunked_map<T, U, F>(workers: usize, items: &[T], min_items: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers == 1 || items.len() < min_items {
+    let workers = threads.max(1).min(items.len().max(1));
+    if workers == 1 || items.len() < MIN_PARALLEL_ITEMS {
         return items.iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(workers);
@@ -1068,7 +559,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pivote_kg::{generate, DatagenConfig, KgBuilder};
+    use crate::config::RankingConfig;
+    use crate::sharded::ShardedContext;
+    use pivote_kg::{generate, DatagenConfig, KgBuilder, KnowledgeGraph, ShardedGraph};
 
     fn toy() -> KnowledgeGraph {
         let mut b = KgBuilder::new();
@@ -1089,22 +582,31 @@ mod tests {
         b.finish()
     }
 
+    /// A feature keeps one dense id, and two contexts sharing a cache
+    /// resolve it to the same extent.
     #[test]
     fn interning_is_stable_and_shared() {
         let kg = toy();
-        let ctx = QueryContext::new(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let cache = Arc::new(SharedCache::new());
         let sf =
             SemanticFeature::to_anchor(kg.entity("A").unwrap(), kg.predicate("starring").unwrap());
-        let id1 = ctx.intern(sf);
-        let id2 = ctx.intern(sf);
+        let id1 = cache.feature_id(sf);
+        let id2 = cache.feature_id(sf);
         assert_eq!(id1, id2);
-        assert_eq!(ctx.extent(id1), sf.extent(&kg));
+        assert_eq!(cache.feature(id1), sf);
+        for _ in 0..2 {
+            let ctx = ShardedContext::with_cache(&sg, 1, Arc::clone(&cache));
+            assert_eq!(&*ctx.feature_extent(sf), sf.extent(&kg));
+        }
+        assert_eq!(cache.feature_count(), 1);
     }
 
     #[test]
     fn probability_cache_fills_once() {
         let kg = toy();
-        let ctx = QueryContext::new(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let ctx = ShardedContext::new(&sg);
         let cfg = RankingConfig::default();
         let sf =
             SemanticFeature::to_anchor(kg.entity("A").unwrap(), kg.predicate("starring").unwrap());
@@ -1119,12 +621,11 @@ mod tests {
 
     #[test]
     fn par_map_matches_sequential_order() {
-        let kg = toy();
-        let ctx = QueryContext::with_threads(&kg, 4);
         let items: Vec<u32> = (0..1000).collect();
         let seq: Vec<u64> = items.iter().map(|&x| x as u64 * 3).collect();
-        let par = ctx.par_map(&items, |&x| x as u64 * 3);
+        let par = par_map_slice(4, &items, |&x| x as u64 * 3);
         assert_eq!(seq, par);
+        assert_eq!(par_map_slice(3, &items, |&x| x as u64 * 3), seq);
     }
 
     #[test]
@@ -1154,13 +655,14 @@ mod tests {
     #[test]
     fn one_context_serves_multiple_configs() {
         let kg = generate(&DatagenConfig::tiny());
-        let ctx = QueryContext::new(&kg);
         let film = kg.type_id("Film").unwrap();
-        let seeds = &kg.type_extent(film)[..2];
+        let seeds = kg.type_extent(film)[..2].to_vec();
+        let sg = ShardedGraph::from(kg);
+        let ctx = ShardedContext::new(&sg);
         let full = RankingConfig::default();
         let ablated = RankingConfig::default().without_discriminability();
-        let rf_full = ctx.rank_features(&full, seeds);
-        let rf_ablated = ctx.rank_features(&ablated, seeds);
+        let rf_full = ctx.rank_features(&full, &seeds);
+        let rf_ablated = ctx.rank_features(&ablated, &seeds);
         assert!(!rf_full.is_empty());
         assert!(!rf_ablated.is_empty());
         assert!(rf_ablated.iter().all(|rf| rf.discriminability == 1.0));

@@ -8,15 +8,12 @@
 //! two recommendation areas of the PivotE interface (Fig. 3-c and 3-e).
 
 use crate::config::RankingConfig;
-use crate::context::QueryContext;
 use crate::extent::{contains, intersect_k};
 use crate::feature::SemanticFeature;
 use crate::handle::GraphHandle;
 use crate::ranking::{RankedEntity, RankedFeature, Ranker};
-use pivote_kg::{EntityId, KnowledgeGraph, TypeId};
+use pivote_kg::{EntityId, ShardedGraph, TypeId};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
-use std::sync::Arc;
 
 /// A structured exploration query.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,7 +114,7 @@ pub fn diversify_features(
 }
 
 /// The expansion engine: a thin orchestration layer over [`Ranker`],
-/// running on a backend-agnostic [`GraphHandle`].
+/// running on a [`GraphHandle`].
 pub struct Expander<'kg> {
     ranker: Ranker<'kg>,
 }
@@ -127,21 +124,12 @@ pub struct Expander<'kg> {
 const PSEUDO_SEEDS: usize = 5;
 
 impl<'kg> Expander<'kg> {
-    /// Create an expander over `kg` with a fresh private context.
-    pub fn new(kg: &'kg KnowledgeGraph, config: RankingConfig) -> Self {
-        Self {
-            ranker: Ranker::new(kg, config),
-        }
+    /// Create an expander over `sg` with a fresh private context.
+    pub fn new(sg: &'kg ShardedGraph, config: RankingConfig) -> Self {
+        Self::with_handle(GraphHandle::new(sg), config)
     }
 
-    /// Create an expander sharing an existing single-graph context.
-    pub fn with_context(ctx: Arc<QueryContext<'kg>>, config: RankingConfig) -> Self {
-        Self {
-            ranker: Ranker::with_context(ctx, config),
-        }
-    }
-
-    /// Create an expander over any backend handle (single or sharded).
+    /// Create an expander over a graph handle (sharing its context).
     pub fn with_handle(handle: GraphHandle<'kg>, config: RankingConfig) -> Self {
         Self {
             ranker: Ranker::with_handle(handle, config),
@@ -153,18 +141,9 @@ impl<'kg> Expander<'kg> {
         &self.ranker
     }
 
-    /// The backend-agnostic graph handle.
+    /// The graph handle this expander runs on.
     pub fn handle(&self) -> &GraphHandle<'kg> {
         self.ranker.handle()
-    }
-
-    /// The shared single-graph execution context.
-    ///
-    /// # Panics
-    /// When the expander runs on a sharded backend; use
-    /// [`Expander::handle`].
-    pub fn context(&self) -> &Arc<QueryContext<'kg>> {
-        self.ranker.context()
     }
 
     /// Expand a seed set: top-`k_entities` similar entities and
@@ -199,7 +178,7 @@ impl<'kg> Expander<'kg> {
         let filter: Option<Vec<EntityId>> = if query.required.is_empty() {
             None
         } else {
-            let extents: Vec<Cow<'_, [EntityId]>> = query
+            let extents: Vec<std::sync::Arc<[EntityId]>> = query
                 .required
                 .iter()
                 .map(|sf| handle.feature_extent(*sf))
@@ -214,7 +193,7 @@ impl<'kg> Expander<'kg> {
             query.seeds.clone()
         } else {
             let mut members: Vec<EntityId> = filter.clone().unwrap_or_default();
-            members.sort_by_key(|&e| std::cmp::Reverse(handle.degree(e)));
+            members.sort_by_key(|&e| std::cmp::Reverse(handle.graph().degree(e)));
             members.truncate(PSEUDO_SEEDS);
             members.sort_unstable();
             members
@@ -237,7 +216,7 @@ impl<'kg> Expander<'kg> {
             }
         }
         if let Some(t) = query.type_filter {
-            candidates.retain(|&e| handle.has_type(e, t));
+            candidates.retain(|&e| handle.graph().has_type(e, t));
         }
 
         let entities = handle.score_and_select(config, candidates, top, k_entities);
@@ -252,7 +231,7 @@ impl<'kg> Expander<'kg> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pivote_kg::{generate, DatagenConfig, KgBuilder};
+    use pivote_kg::{generate, DatagenConfig, KgBuilder, KnowledgeGraph};
 
     fn toy() -> KnowledgeGraph {
         let mut b = KgBuilder::new();
@@ -279,7 +258,8 @@ mod tests {
     #[test]
     fn seed_expansion_returns_similar_films() {
         let kg = toy();
-        let ex = Expander::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ex = Expander::new(&sg, RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let res = ex.expand_seeds(&[f1], 10, 10);
         assert_eq!(res.entities[0].entity, kg.entity("f2").unwrap());
@@ -290,7 +270,8 @@ mod tests {
     fn feature_query_find_films_starring_a() {
         // The paper's "Find films starring Tom Hanks" pattern.
         let kg = toy();
-        let ex = Expander::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ex = Expander::new(&sg, RankingConfig::default());
         let a = kg.entity("A").unwrap();
         let sf = SemanticFeature::to_anchor(a, kg.predicate("starring").unwrap());
         let res = ex.expand(&SfQuery::from_features(vec![sf]), 10, 10);
@@ -303,7 +284,8 @@ mod tests {
     #[test]
     fn combined_seed_and_feature_query() {
         let kg = toy();
-        let ex = Expander::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ex = Expander::new(&sg, RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let bsf =
             SemanticFeature::to_anchor(kg.entity("B").unwrap(), kg.predicate("starring").unwrap());
@@ -320,7 +302,8 @@ mod tests {
     #[test]
     fn type_filter_restricts_domain() {
         let kg = toy();
-        let ex = Expander::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ex = Expander::new(&sg, RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let film = kg.type_id("Film").unwrap();
         let actor = kg.type_id("Actor").unwrap();
@@ -333,7 +316,8 @@ mod tests {
     #[test]
     fn empty_query_returns_nothing() {
         let kg = toy();
-        let ex = Expander::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ex = Expander::new(&sg, RankingConfig::default());
         let res = ex.expand(&SfQuery::default(), 10, 10);
         assert!(res.entities.is_empty());
         assert!(res.features.is_empty());
@@ -342,7 +326,8 @@ mod tests {
     #[test]
     fn k_limits_are_respected() {
         let kg = toy();
-        let ex = Expander::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ex = Expander::new(&sg, RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let res = ex.expand_seeds(&[f1], 1, 1);
         assert_eq!(res.entities.len(), 1);
@@ -352,7 +337,8 @@ mod tests {
     #[test]
     fn expansion_on_generated_kg_stays_in_domain() {
         let kg = generate(&DatagenConfig::tiny());
-        let ex = Expander::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ex = Expander::new(&sg, RankingConfig::default());
         let film = kg.type_id("Film").unwrap();
         let seeds = &kg.type_extent(film)[..2.min(kg.type_extent(film).len())];
         let res = ex.expand(&SfQuery::from_seeds(seeds.to_vec()).with_type(film), 10, 10);
@@ -368,7 +354,8 @@ mod tests {
         let kg = pivote_kg::generate(&pivote_kg::DatagenConfig::tiny());
         let film = kg.type_id("Film").unwrap();
         let seed = kg.type_extent(film)[0];
-        let ex = Expander::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ex = Expander::new(&sg, RankingConfig::default());
         let features = ex.ranker().rank_features(&[seed]);
         let diverse = diversify_features(&features, 1);
         assert_eq!(diverse.len(), features.len(), "nothing is dropped");
@@ -399,7 +386,8 @@ mod tests {
     #[test]
     fn conjunctive_feature_query_intersects() {
         let kg = toy();
-        let ex = Expander::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ex = Expander::new(&sg, RankingConfig::default());
         let starring = kg.predicate("starring").unwrap();
         let sf_a = SemanticFeature::to_anchor(kg.entity("A").unwrap(), starring);
         let sf_b = SemanticFeature::to_anchor(kg.entity("B").unwrap(), starring);

@@ -114,7 +114,7 @@ pub enum CellExplanation {
 /// Explain one cell of the heat map.
 ///
 /// The per-context densities come from the shared
-/// [`crate::context::QueryContext`] probability cache, so explaining a
+/// [`crate::context::SharedCache`] probability cache, so explaining a
 /// cell of an already-computed heat map costs only the argmax scan.
 pub fn explain_cell(ranker: &Ranker<'_>, sf: SemanticFeature, e: EntityId) -> CellExplanation {
     let handle = ranker.handle();
@@ -126,17 +126,17 @@ pub fn explain_cell(ranker: &Ranker<'_>, sf: SemanticFeature, e: EntityId) -> Ce
     }
     // the ranker caches only the max density; rescan for the argmax name
     let mut best: Option<(String, f64)> = None;
-    for c in handle.categories_of(e) {
+    for c in handle.graph().categories_of(e) {
         let p = handle.p_for_category(sf, c);
         if best.as_ref().map(|(_, bp)| p > *bp).unwrap_or(p > 0.0) {
-            best = Some((handle.category_name(c).to_owned(), p));
+            best = Some((handle.graph().category_name(c).to_owned(), p));
         }
     }
     if ranker.config().use_types_as_context {
-        for t in handle.types_of(e) {
+        for t in handle.graph().types_of(e) {
             let p = handle.p_for_type(sf, t);
             if best.as_ref().map(|(_, bp)| p > *bp).unwrap_or(p > 0.0) {
-                best = Some((handle.type_name(t).to_owned(), p));
+                best = Some((handle.graph().type_name(t).to_owned(), p));
             }
         }
     }
@@ -153,7 +153,8 @@ pub fn explain_cell(ranker: &Ranker<'_>, sf: SemanticFeature, e: EntityId) -> Ce
 mod tests {
     use super::*;
     use crate::config::RankingConfig;
-    use pivote_kg::KgBuilder;
+    use crate::handle::GraphHandle;
+    use pivote_kg::{KgBuilder, ShardedGraph};
 
     /// The paper's example: Forrest Gump and Apollo 13 share Hanks and
     /// Sinise.
@@ -181,7 +182,8 @@ mod tests {
     #[test]
     fn paper_example_pair_explanation() {
         let kg = kg();
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let gump = kg.entity("Forrest_Gump").unwrap();
         let apollo = kg.entity("Apollo_13_(film)").unwrap();
         let exp = explain_pair(&ranker, gump, apollo, 10);
@@ -202,7 +204,8 @@ mod tests {
     #[test]
     fn disjoint_entities_share_nothing() {
         let kg = kg();
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let gump = kg.entity("Forrest_Gump").unwrap();
         let hanks = kg.entity("Tom_Hanks").unwrap();
         let exp = explain_pair(&ranker, gump, hanks, 10);
@@ -213,7 +216,8 @@ mod tests {
     #[test]
     fn limit_truncates() {
         let kg = kg();
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let gump = kg.entity("Forrest_Gump").unwrap();
         let apollo = kg.entity("Apollo_13_(film)").unwrap();
         assert_eq!(explain_pair(&ranker, gump, apollo, 1).shared.len(), 1);
@@ -222,7 +226,8 @@ mod tests {
     #[test]
     fn cell_direct_match() {
         let kg = kg();
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let gump = kg.entity("Forrest_Gump").unwrap();
         let sinise = kg.entity("Gary_Sinise").unwrap();
         let sf = SemanticFeature::to_anchor(sinise, kg.predicate("starring").unwrap());
@@ -235,7 +240,8 @@ mod tests {
     #[test]
     fn cell_via_category_context() {
         let kg = kg();
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let cast_away = kg.entity("Cast_Away").unwrap();
         let sinise = kg.entity("Gary_Sinise").unwrap();
         let sf = SemanticFeature::to_anchor(sinise, kg.predicate("starring").unwrap());
@@ -254,7 +260,11 @@ mod tests {
     #[test]
     fn cell_none_without_tolerance() {
         let kg = kg();
-        let ranker = Ranker::new(&kg, RankingConfig::default().without_error_tolerance());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(
+            GraphHandle::new(&sg),
+            RankingConfig::default().without_error_tolerance(),
+        );
         let cast_away = kg.entity("Cast_Away").unwrap();
         let sinise = kg.entity("Gary_Sinise").unwrap();
         let sf = SemanticFeature::to_anchor(sinise, kg.predicate("starring").unwrap());

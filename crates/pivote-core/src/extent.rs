@@ -5,9 +5,9 @@
 //! provides merge intersections that switch to galloping (exponential
 //! probe + binary search) when one side is much smaller, which is the
 //! common case (a specific feature against a broad category), plus the
-//! k-way union/intersection primitives the [`crate::context::QueryContext`]
-//! execution layer builds candidate pools and required-feature filters
-//! from.
+//! k-way union/intersection primitives the
+//! [`crate::sharded::ShardedContext`] execution layer builds candidate
+//! pools and required-feature filters from.
 
 use pivote_kg::EntityId;
 

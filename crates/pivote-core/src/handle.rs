@@ -1,603 +1,118 @@
-//! [`GraphHandle`] — one handle, two backends.
+//! [`GraphHandle`] — the handle every query engine holds.
 //!
 //! Every query engine in the workspace (ranker, expander, heat map,
 //! explanations, sessions, baselines, eval harness) holds a
-//! [`GraphHandle`] instead of a concrete context, so the same engine code
-//! runs unchanged over a single in-memory [`KnowledgeGraph`] (through
-//! [`QueryContext`]) or over a range-partitioned [`ShardedGraph`]
-//! (through [`ShardedContext`]). The two backends produce bit-identical
-//! rankings — see `crate::sharded` for why — so switching backends is a
-//! deployment decision, not a semantics decision.
-//!
-//! The handle exposes two API families:
+//! [`GraphHandle`]: a cheap-to-clone `Arc` around the one query context,
+//! [`ShardedContext`], over a [`ShardedGraph`]. Clones share every
+//! memoized density and extent. The handle exposes two API families:
 //!
 //! - the **query API** (`rank_features`, `rank_entities_top_k`,
-//!   `p_feature_given_entity`, …) dispatching to the backend's execution
-//!   substrate, and
-//! - a **graph-lookup API** (`display_name`, `types_of`, `out_edges`, …)
-//!   mirroring the [`KnowledgeGraph`] read surface with global entity
-//!   ids, so engines never need the concrete store type.
+//!   `p_feature_given_entity`, …) of the context it dereferences to, and
+//! - the few graph lookups that add logic over global entity ids
+//!   (`feature_display`, `for_each_edge`, `neighbours`); plain lookups
+//!   (`display_name`, `types_of`, `out_edges`, …) are the store's own,
+//!   through [`ShardedContext::graph`], so engines never deal with
+//!   shards either way.
 
-use crate::config::RankingConfig;
-use crate::context::QueryContext;
-use crate::feature::{features_of, SemanticFeature};
-use crate::ranking::{RankedEntity, RankedFeature};
+use crate::context::SharedCache;
+use crate::feature::SemanticFeature;
 use crate::sharded::ShardedContext;
-use pivote_kg::{CategoryId, EntityId, KnowledgeGraph, Literal, PredicateId, ShardedGraph, TypeId};
-use std::borrow::Cow;
+use pivote_kg::{EntityId, PredicateId, ShardedGraph, TypeId};
 use std::sync::Arc;
 
-/// A backend-agnostic handle to one knowledge graph and its execution
-/// context. Cheap to clone (`Arc` inside); all memoized state is shared
-/// between clones.
+/// A handle to one graph and its query context. Cheap to clone (`Arc`
+/// inside); all memoized state is shared between clones.
 #[derive(Clone)]
-pub enum GraphHandle<'g> {
-    /// One in-memory graph behind the shared [`QueryContext`].
-    Single(Arc<QueryContext<'g>>),
-    /// A range-sharded graph behind the [`ShardedContext`].
-    Sharded(Arc<ShardedContext<'g>>),
+pub struct GraphHandle<'g> {
+    ctx: Arc<ShardedContext<'g>>,
 }
 
-impl<'g> From<Arc<QueryContext<'g>>> for GraphHandle<'g> {
-    fn from(ctx: Arc<QueryContext<'g>>) -> Self {
-        GraphHandle::Single(ctx)
-    }
-}
+impl<'g> std::ops::Deref for GraphHandle<'g> {
+    type Target = ShardedContext<'g>;
 
-impl<'g> From<Arc<ShardedContext<'g>>> for GraphHandle<'g> {
-    fn from(ctx: Arc<ShardedContext<'g>>) -> Self {
-        GraphHandle::Sharded(ctx)
+    fn deref(&self) -> &ShardedContext<'g> {
+        &self.ctx
     }
 }
 
 impl<'g> GraphHandle<'g> {
-    /// Handle over a single graph with a fresh auto-threaded context.
-    pub fn single(kg: &'g KnowledgeGraph) -> Self {
-        GraphHandle::Single(Arc::new(QueryContext::new(kg)))
+    /// Handle over `sg` with a fresh context, one worker per core.
+    pub fn new(sg: &'g ShardedGraph) -> Self {
+        Self::from_context(ShardedContext::new(sg))
     }
 
-    /// Handle over a single graph with an explicit thread count.
-    pub fn single_with_threads(kg: &'g KnowledgeGraph, threads: usize) -> Self {
-        GraphHandle::Single(Arc::new(QueryContext::with_threads(kg, threads)))
+    /// Handle over `sg` with an explicit worker-thread count.
+    pub fn with_threads(sg: &'g ShardedGraph, threads: usize) -> Self {
+        Self::from_context(ShardedContext::with_threads(sg, threads))
     }
 
-    /// Handle over a sharded graph with a fresh auto-threaded context.
-    pub fn sharded(sg: &'g ShardedGraph) -> Self {
-        GraphHandle::Sharded(Arc::new(ShardedContext::new(sg)))
+    /// Handle over `sg` whose context shares an existing [`SharedCache`].
+    pub fn with_cache(sg: &'g ShardedGraph, threads: usize, cache: Arc<SharedCache>) -> Self {
+        Self::from_context(ShardedContext::with_cache(sg, threads, cache))
     }
 
-    /// Handle over a sharded graph with an explicit thread count.
-    pub fn sharded_with_threads(sg: &'g ShardedGraph, threads: usize) -> Self {
-        GraphHandle::Sharded(Arc::new(ShardedContext::with_threads(sg, threads)))
-    }
-
-    /// The underlying single graph, when this handle is single-backend
-    /// (`None` for sharded handles — there is no one graph to borrow).
-    pub fn kg(&self) -> Option<&'g KnowledgeGraph> {
-        match self {
-            GraphHandle::Single(ctx) => Some(ctx.kg()),
-            GraphHandle::Sharded(_) => None,
-        }
-    }
-
-    /// The underlying sharded graph, when this handle is sharded.
-    pub fn sharded_graph(&self) -> Option<&'g ShardedGraph> {
-        match self {
-            GraphHandle::Single(_) => None,
-            GraphHandle::Sharded(ctx) => Some(ctx.graph()),
-        }
-    }
-
-    /// Short backend label for logs and experiment tables.
-    pub fn backend_name(&self) -> String {
-        match self {
-            GraphHandle::Single(_) => "single".to_owned(),
-            GraphHandle::Sharded(ctx) => format!("sharded-{}", ctx.graph().shard_count()),
-        }
-    }
-
-    /// Configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        match self {
-            GraphHandle::Single(ctx) => ctx.threads(),
-            GraphHandle::Sharded(ctx) => ctx.threads(),
-        }
-    }
-
-    /// Number of cached `p(π|c)` probabilities (diagnostics).
-    pub fn cached_probability_count(&self) -> usize {
-        match self {
-            GraphHandle::Single(ctx) => ctx.cached_probability_count(),
-            GraphHandle::Sharded(ctx) => ctx.cached_probability_count(),
-        }
-    }
-
-    // ---- query API -----------------------------------------------------
-
-    /// Cached `p(π|c)` for one category context.
-    pub fn p_for_category(&self, sf: SemanticFeature, c: CategoryId) -> f64 {
-        match self {
-            GraphHandle::Single(ctx) => ctx.p_for_category(sf, c),
-            GraphHandle::Sharded(ctx) => ctx.p_for_category(sf, c),
-        }
-    }
-
-    /// Cached `p(π|t)` for one type context.
-    pub fn p_for_type(&self, sf: SemanticFeature, t: TypeId) -> f64 {
-        match self {
-            GraphHandle::Single(ctx) => ctx.p_for_type(sf, t),
-            GraphHandle::Sharded(ctx) => ctx.p_for_type(sf, t),
-        }
-    }
-
-    /// `p(π|c*)` over `e`'s contexts.
-    pub fn p_feature_given_best_context(
-        &self,
-        config: &RankingConfig,
-        sf: SemanticFeature,
-        e: EntityId,
-    ) -> f64 {
-        match self {
-            GraphHandle::Single(ctx) => ctx.p_feature_given_best_context(config, sf, e),
-            GraphHandle::Sharded(ctx) => ctx.p_feature_given_best_context(config, sf, e),
-        }
-    }
-
-    /// `p(π|e)`: 1 for an exact match, else the error-tolerant estimate.
-    pub fn p_feature_given_entity(
-        &self,
-        config: &RankingConfig,
-        sf: SemanticFeature,
-        e: EntityId,
-    ) -> f64 {
-        match self {
-            GraphHandle::Single(ctx) => ctx.p_feature_given_entity(config, sf, e),
-            GraphHandle::Sharded(ctx) => ctx.p_feature_given_entity(config, sf, e),
-        }
-    }
-
-    /// `d(π)`: inverse extent size (or 1 under the A2 ablation).
-    pub fn discriminability(&self, config: &RankingConfig, sf: SemanticFeature) -> f64 {
-        match self {
-            GraphHandle::Single(ctx) => ctx.discriminability(config, sf),
-            GraphHandle::Sharded(ctx) => ctx.discriminability(config, sf),
-        }
-    }
-
-    /// `c(π, Q) = ∏ p(π|e)`.
-    pub fn commonality(
-        &self,
-        config: &RankingConfig,
-        sf: SemanticFeature,
-        seeds: &[EntityId],
-    ) -> f64 {
-        match self {
-            GraphHandle::Single(ctx) => ctx.commonality(config, sf, seeds),
-            GraphHandle::Sharded(ctx) => ctx.commonality(config, sf, seeds),
-        }
-    }
-
-    /// The candidate feature pool of a query.
-    pub fn candidate_features(
-        &self,
-        config: &RankingConfig,
-        seeds: &[EntityId],
-    ) -> Vec<SemanticFeature> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.candidate_features(config, seeds),
-            GraphHandle::Sharded(ctx) => ctx.candidate_features(config, seeds),
-        }
-    }
-
-    /// Rank all candidate features of the query.
-    pub fn rank_features(&self, config: &RankingConfig, seeds: &[EntityId]) -> Vec<RankedFeature> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.rank_features(config, seeds),
-            GraphHandle::Sharded(ctx) => ctx.rank_features(config, seeds),
-        }
-    }
-
-    /// The best `k` features, via bounded heap selection.
-    pub fn rank_features_top_k(
-        &self,
-        config: &RankingConfig,
-        seeds: &[EntityId],
-        k: usize,
-    ) -> Vec<RankedFeature> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.rank_features_top_k(config, seeds, k),
-            GraphHandle::Sharded(ctx) => ctx.rank_features_top_k(config, seeds, k),
-        }
-    }
-
-    /// Gather candidate entities for a scored feature set.
-    pub fn candidate_entities(
-        &self,
-        config: &RankingConfig,
-        seeds: &[EntityId],
-        features: &[RankedFeature],
-    ) -> Vec<EntityId> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.candidate_entities(config, seeds, features),
-            GraphHandle::Sharded(ctx) => ctx.candidate_entities(config, seeds, features),
-        }
-    }
-
-    /// `r(e, Q)` for one entity.
-    pub fn score_entity(
-        &self,
-        config: &RankingConfig,
-        e: EntityId,
-        features: &[RankedFeature],
-    ) -> f64 {
-        match self {
-            GraphHandle::Single(ctx) => ctx.score_entity(config, e, features),
-            GraphHandle::Sharded(ctx) => ctx.score_entity(config, e, features),
-        }
-    }
-
-    /// Rank candidate entities by `r(e, Q)`.
-    pub fn rank_entities(
-        &self,
-        config: &RankingConfig,
-        seeds: &[EntityId],
-        features: &[RankedFeature],
-    ) -> Vec<RankedEntity> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.rank_entities(config, seeds, features),
-            GraphHandle::Sharded(ctx) => ctx.rank_entities(config, seeds, features),
-        }
-    }
-
-    /// Rank candidate entities with a pre-score filter and bounded top-k.
-    pub fn rank_entities_top_k<F>(
-        &self,
-        config: &RankingConfig,
-        seeds: &[EntityId],
-        features: &[RankedFeature],
-        k: usize,
-        filter: F,
-    ) -> Vec<RankedEntity>
-    where
-        F: Fn(EntityId) -> bool + Sync,
-    {
-        match self {
-            GraphHandle::Single(ctx) => ctx.rank_entities_top_k(config, seeds, features, k, filter),
-            GraphHandle::Sharded(ctx) => {
-                ctx.rank_entities_top_k(config, seeds, features, k, filter)
-            }
-        }
-    }
-
-    /// Score an explicit candidate set and select the top `k`.
-    pub fn score_and_select(
-        &self,
-        config: &RankingConfig,
-        candidates: Vec<EntityId>,
-        features: &[RankedFeature],
-        k: usize,
-    ) -> Vec<RankedEntity> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.score_and_select(config, candidates, features, k),
-            GraphHandle::Sharded(ctx) => ctx.score_and_select(config, candidates, features, k),
-        }
-    }
-
-    /// Map a pure function over a slice on the backend's worker threads
-    /// (deterministic chunk order — identical to a sequential map).
-    pub fn par_map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        match self {
-            GraphHandle::Single(ctx) => ctx.par_map(items, f),
-            GraphHandle::Sharded(ctx) => ctx.par_map(items, f),
-        }
-    }
-
-    /// [`GraphHandle::par_map`] with an explicit thread count.
-    pub fn par_map_with<T, U, F>(&self, threads: usize, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        match self {
-            GraphHandle::Single(ctx) => ctx.par_map_with(threads, items, f),
-            GraphHandle::Sharded(ctx) => ctx.par_map_with(threads, items, f),
-        }
+    fn from_context(ctx: ShardedContext<'g>) -> Self {
+        Self { ctx: Arc::new(ctx) }
     }
 
     // ---- semantic features over the handle -----------------------------
 
-    /// The extent `E(π)` as global entity ids (borrowed on the single
-    /// backend, assembled from owned per-shard prefixes on the sharded
-    /// one).
-    pub fn feature_extent(&self, sf: SemanticFeature) -> Cow<'g, [EntityId]> {
-        match self {
-            GraphHandle::Single(ctx) => Cow::Borrowed(sf.extent(ctx.kg())),
-            GraphHandle::Sharded(ctx) => Cow::Owned(ctx.extent_global(sf)),
-        }
-    }
-
-    /// `‖E(π)‖`.
-    pub fn feature_extent_len(&self, sf: SemanticFeature) -> usize {
-        match self {
-            GraphHandle::Single(ctx) => sf.extent_size(ctx.kg()),
-            GraphHandle::Sharded(ctx) => ctx.extent_len(sf),
-        }
-    }
-
-    /// Whether `e ⊨ π`.
-    pub fn feature_matches(&self, sf: SemanticFeature, e: EntityId) -> bool {
-        match self {
-            GraphHandle::Single(ctx) => sf.matches(ctx.kg(), e),
-            GraphHandle::Sharded(ctx) => ctx.matches(sf, e),
-        }
-    }
-
-    /// All semantic features of `e`, sorted (global anchors).
-    pub fn features_of(&self, e: EntityId) -> Vec<SemanticFeature> {
-        match self {
-            GraphHandle::Single(ctx) => features_of(ctx.kg(), e),
-            GraphHandle::Sharded(ctx) => ctx.features_of_entity(e),
-        }
-    }
-
-    /// Render a feature in the paper's `anchor:predicate` notation —
-    /// one formatting implementation for both backends (the sharded arm
-    /// renders through the anchor's home shard, whose names and
-    /// dictionaries match the global graph).
+    /// Render a feature in the paper's `anchor:predicate` notation,
+    /// through the anchor's home shard (whose names and dictionaries
+    /// match the global graph).
     pub fn feature_display(&self, sf: SemanticFeature) -> String {
-        match self {
-            GraphHandle::Single(ctx) => sf.display(ctx.kg()),
-            GraphHandle::Sharded(ctx) => {
-                let (shard, local) = ctx.graph().home(sf.anchor);
-                SemanticFeature {
-                    anchor: local,
-                    ..sf
-                }
-                .display(shard.graph())
-            }
+        let (shard, local) = self.graph().home(sf.anchor);
+        SemanticFeature {
+            anchor: local,
+            ..sf
         }
+        .display(shard.graph())
     }
 
-    // ---- graph-lookup API (global ids) ---------------------------------
-
-    /// Number of entities.
-    pub fn entity_count(&self) -> usize {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().entity_count(),
-            GraphHandle::Sharded(ctx) => ctx.graph().entity_count(),
-        }
-    }
-
-    /// Iterate every entity id.
-    pub fn entity_ids(&self) -> impl Iterator<Item = EntityId> {
-        (0..self.entity_count() as u32).map(EntityId::new)
-    }
+    // ---- graph lookups over the handle ---------------------------------
+    //
+    // Plain lookups go through `handle.graph()`, the store itself; the
+    // handle keeps only what adds logic, plus the three lookups the
+    // stand-alone harness under `benchmark/` calls on it.
 
     /// Resolve an entity by name.
     pub fn entity(&self, name: &str) -> Option<EntityId> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().entity(name),
-            GraphHandle::Sharded(ctx) => ctx.graph().entity(name),
-        }
+        self.graph().entity(name)
     }
 
     /// The canonical name of an entity.
     pub fn entity_name(&self, e: EntityId) -> &'g str {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().entity_name(e),
-            GraphHandle::Sharded(ctx) => ctx.graph().entity_name(e),
-        }
-    }
-
-    /// The `rdfs:label` of an entity, if set.
-    pub fn label(&self, e: EntityId) -> Option<&'g str> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().label(e),
-            GraphHandle::Sharded(ctx) => ctx.graph().label(e),
-        }
-    }
-
-    /// Display name (label, else the name with underscores as spaces).
-    pub fn display_name(&self, e: EntityId) -> String {
-        match self.label(e) {
-            Some(l) => l.to_owned(),
-            None => self.entity_name(e).replace('_', " "),
-        }
-    }
-
-    /// Redirect/disambiguation aliases of an entity.
-    pub fn aliases(&self, e: EntityId) -> &'g [String] {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().aliases(e),
-            GraphHandle::Sharded(ctx) => ctx.graph().aliases(e),
-        }
-    }
-
-    /// Literal statements `(predicate, literal)` of an entity.
-    pub fn literals(&self, e: EntityId) -> Vec<(PredicateId, &'g Literal)> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().literals(e).collect(),
-            GraphHandle::Sharded(ctx) => ctx.graph().literals(e).collect(),
-        }
-    }
-
-    /// Resolve a predicate by name.
-    pub fn predicate(&self, name: &str) -> Option<PredicateId> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().predicate(name),
-            GraphHandle::Sharded(ctx) => ctx.graph().predicate(name),
-        }
-    }
-
-    /// The name of a predicate.
-    pub fn predicate_name(&self, p: PredicateId) -> &'g str {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().predicate_name(p),
-            GraphHandle::Sharded(ctx) => ctx.graph().predicate_name(p),
-        }
+        self.graph().entity_name(e)
     }
 
     /// Resolve a type by name.
     pub fn type_id(&self, name: &str) -> Option<TypeId> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().type_id(name),
-            GraphHandle::Sharded(ctx) => ctx.graph().type_id(name),
-        }
-    }
-
-    /// The name of a type.
-    pub fn type_name(&self, t: TypeId) -> &'g str {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().type_name(t),
-            GraphHandle::Sharded(ctx) => ctx.graph().type_name(t),
-        }
-    }
-
-    /// Resolve a category by name.
-    pub fn category_id(&self, name: &str) -> Option<CategoryId> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().category_id(name),
-            GraphHandle::Sharded(ctx) => ctx.graph().category_id(name),
-        }
-    }
-
-    /// The name of a category.
-    pub fn category_name(&self, c: CategoryId) -> &'g str {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().category_name(c),
-            GraphHandle::Sharded(ctx) => ctx.graph().category_name(c),
-        }
-    }
-
-    /// Types of an entity, sorted by type id.
-    pub fn types_of(&self, e: EntityId) -> Vec<TypeId> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().types_of(e).collect(),
-            GraphHandle::Sharded(ctx) => ctx.graph().types_of(e).collect(),
-        }
-    }
-
-    /// Categories of an entity, sorted by category id.
-    pub fn categories_of(&self, e: EntityId) -> Vec<CategoryId> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().categories_of(e).collect(),
-            GraphHandle::Sharded(ctx) => ctx.graph().categories_of(e).collect(),
-        }
-    }
-
-    /// Whether `e` has type `t`.
-    pub fn has_type(&self, e: EntityId, t: TypeId) -> bool {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().has_type(e, t),
-            GraphHandle::Sharded(ctx) => ctx.graph().has_type(e, t),
-        }
-    }
-
-    /// Whether `e` is in category `c`.
-    pub fn has_category(&self, e: EntityId, c: CategoryId) -> bool {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().has_category(e, c),
-            GraphHandle::Sharded(ctx) => ctx.graph().has_category(e, c),
-        }
-    }
-
-    /// Degree of an entity over entity edges (both directions).
-    pub fn degree(&self, e: EntityId) -> usize {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().degree(e),
-            GraphHandle::Sharded(ctx) => ctx.graph().degree(e),
-        }
-    }
-
-    /// Outgoing `(predicate, object)` pairs of `e`. Complete on both
-    /// backends; pair order may differ between backends (shard-local
-    /// target order), so order-sensitive callers must sort.
-    pub fn out_edges(&self, e: EntityId) -> Vec<(PredicateId, EntityId)> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().out_edges(e).collect(),
-            GraphHandle::Sharded(ctx) => ctx.graph().out_edges(e),
-        }
-    }
-
-    /// Incoming `(predicate, subject)` pairs of `e`.
-    pub fn in_edges(&self, e: EntityId) -> Vec<(PredicateId, EntityId)> {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().in_edges(e).collect(),
-            GraphHandle::Sharded(ctx) => ctx.graph().in_edges(e),
-        }
+        self.graph().type_id(name)
     }
 
     /// Visit every edge of `e` — outgoing `(p, object)` pairs first, then
     /// incoming `(p, subject)` pairs — without allocating. This is the
-    /// hot-loop variant of [`GraphHandle::out_edges`]/[`GraphHandle::in_edges`]
+    /// hot-loop variant of [`ShardedGraph::out_edges`]/[`ShardedGraph::in_edges`]
     /// for per-iteration graph scatters (e.g. the PPR power iteration);
-    /// visit order within a direction is backend-dependent (shard-local
-    /// target order on the sharded backend).
+    /// visit order within a direction is shard-local target order.
     pub fn for_each_edge(&self, e: EntityId, mut visit: impl FnMut(PredicateId, EntityId)) {
-        match self {
-            GraphHandle::Single(ctx) => {
-                let kg = ctx.kg();
-                for (p, o) in kg.out_edges(e) {
-                    visit(p, o);
-                }
-                for (p, s) in kg.in_edges(e) {
-                    visit(p, s);
-                }
-            }
-            GraphHandle::Sharded(ctx) => {
-                let (shard, local) = ctx.graph().home(e);
-                for (p, o) in shard.graph().out_edges(local) {
-                    visit(p, shard.to_global(o));
-                }
-                for (p, s) in shard.graph().in_edges(local) {
-                    visit(p, shard.to_global(s));
-                }
-            }
+        let (shard, local) = self.graph().home(e);
+        for (p, o) in shard.graph().out_edges(local) {
+            visit(p, shard.to_global(o));
+        }
+        for (p, s) in shard.graph().in_edges(local) {
+            visit(p, shard.to_global(s));
         }
     }
 
     /// Sorted, deduplicated neighbour ids of `e` (both directions, any
-    /// predicate) — identical on both backends.
+    /// predicate) — identical at every shard count.
     pub fn neighbours(&self, e: EntityId) -> Vec<EntityId> {
-        let mut out: Vec<EntityId> = self
-            .out_edges(e)
-            .into_iter()
-            .map(|(_, o)| o)
-            .chain(self.in_edges(e).into_iter().map(|(_, s)| s))
-            .collect();
+        let mut out = Vec::new();
+        self.for_each_edge(e, |_, n| out.push(n));
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// All entities of type `t`, sorted by global entity id.
-    pub fn type_extent(&self, t: TypeId) -> Cow<'g, [EntityId]> {
-        match self {
-            GraphHandle::Single(ctx) => Cow::Borrowed(ctx.kg().type_extent(t)),
-            GraphHandle::Sharded(ctx) => Cow::Owned(ctx.graph().type_extent(t)),
-        }
-    }
-
-    /// `‖E(t)‖` without materializing the extent.
-    pub fn type_extent_len(&self, t: TypeId) -> usize {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().type_extent(t).len(),
-            GraphHandle::Sharded(ctx) => ctx.graph().type_extent_len(t),
-        }
-    }
-
-    /// Number of distinct types.
-    pub fn type_count(&self) -> usize {
-        match self {
-            GraphHandle::Single(ctx) => ctx.kg().type_count(),
-            GraphHandle::Sharded(ctx) => ctx.graph().type_count(),
-        }
     }
 }
 
@@ -606,49 +121,61 @@ mod tests {
     use super::*;
     use pivote_kg::{generate, DatagenConfig};
 
+    /// The lookup API over a one-shard store and over a three-shard
+    /// partition both answer what the graph itself says.
     #[test]
     fn both_backends_answer_the_lookup_api_identically() {
         let kg = generate(&DatagenConfig::tiny());
+        let one = ShardedGraph::from(kg.clone());
         let sg = ShardedGraph::from_graph(&kg, 3);
-        let single = GraphHandle::single_with_threads(&kg, 1);
-        let sharded = GraphHandle::sharded_with_threads(&sg, 1);
-        assert_eq!(single.entity_count(), sharded.entity_count());
-        assert_eq!(single.type_count(), sharded.type_count());
+        let single = GraphHandle::with_threads(&one, 1);
+        let sharded = GraphHandle::with_threads(&sg, 1);
+        assert_eq!(single.graph().entity_count(), kg.entity_count());
+        assert_eq!(sharded.graph().entity_count(), kg.entity_count());
+        assert_eq!(single.graph().type_count(), sharded.graph().type_count());
         for e in kg.entity_ids().take(80) {
+            assert_eq!(single.entity_name(e), kg.entity_name(e));
             assert_eq!(single.entity_name(e), sharded.entity_name(e));
-            assert_eq!(single.display_name(e), sharded.display_name(e));
-            assert_eq!(single.types_of(e), sharded.types_of(e));
-            assert_eq!(single.categories_of(e), sharded.categories_of(e));
-            assert_eq!(single.degree(e), sharded.degree(e));
+            assert_eq!(
+                single.graph().display_name(e),
+                sharded.graph().display_name(e)
+            );
+            assert!(single.graph().types_of(e).eq(sharded.graph().types_of(e)));
+            assert!(single
+                .graph()
+                .categories_of(e)
+                .eq(sharded.graph().categories_of(e)));
+            assert_eq!(single.graph().degree(e), sharded.graph().degree(e));
             assert_eq!(single.neighbours(e), sharded.neighbours(e));
+            assert_eq!(single.features_of(e), pivote_features(&kg, e));
             assert_eq!(single.features_of(e), sharded.features_of(e));
             for sf in single.features_of(e).into_iter().take(4) {
+                assert_eq!(single.feature_extent_len(sf), sf.extent_size(&kg));
                 assert_eq!(
                     single.feature_extent_len(sf),
                     sharded.feature_extent_len(sf)
                 );
+                assert_eq!(single.feature_extent(sf).as_ref(), sf.extent(&kg));
                 assert_eq!(
                     single.feature_extent(sf).as_ref(),
                     sharded.feature_extent(sf).as_ref()
                 );
+                assert_eq!(single.feature_display(sf), sf.display(&kg));
                 assert_eq!(single.feature_display(sf), sharded.feature_display(sf));
             }
         }
         for t in kg.type_ids() {
+            assert_eq!(one.type_extent(t), kg.type_extent(t));
+            assert_eq!(sg.type_extent(t), kg.type_extent(t));
             assert_eq!(
-                single.type_extent(t).as_ref(),
-                sharded.type_extent(t).as_ref()
+                single.graph().type_extent_len(t),
+                sharded.graph().type_extent_len(t)
             );
-            assert_eq!(single.type_extent_len(t), sharded.type_extent_len(t));
-            assert_eq!(single.type_name(t), sharded.type_name(t));
+            assert_eq!(single.graph().type_name(t), sharded.graph().type_name(t));
         }
     }
 
-    #[test]
-    fn backend_names_are_distinct() {
-        let kg = generate(&DatagenConfig::tiny());
-        let sg = ShardedGraph::from_graph(&kg, 2);
-        assert_eq!(GraphHandle::single(&kg).backend_name(), "single");
-        assert_eq!(GraphHandle::sharded(&sg).backend_name(), "sharded-2");
+    fn pivote_features(kg: &pivote_kg::KnowledgeGraph, e: EntityId) -> Vec<SemanticFeature> {
+        crate::feature::features_of(kg, e)
     }
 }

@@ -33,8 +33,7 @@ impl HeatMap {
     /// `features` should be the query's ranked features (carrying
     /// `r(π, Q)` in their `score`); `entities` the recommended entities.
     /// Rows are computed in parallel on the ranker's shared
-    /// [`crate::handle::GraphHandle`] — single or sharded backend alike;
-    /// the memoized `p(π|c)` densities mean cells explaining
+    /// [`crate::handle::GraphHandle`]; the memoized `p(π|c)` densities mean cells explaining
     /// already-ranked entities are cache hits.
     pub fn compute(ranker: &Ranker<'_>, entities: &[EntityId], features: &[RankedFeature]) -> Self {
         let handle = ranker.handle();
@@ -106,7 +105,8 @@ fn quantize(values: &[f64]) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::config::RankingConfig;
-    use pivote_kg::{KgBuilder, KnowledgeGraph};
+    use crate::handle::GraphHandle;
+    use pivote_kg::{KgBuilder, KnowledgeGraph, ShardedGraph};
 
     fn kg() -> KnowledgeGraph {
         let mut b = KgBuilder::new();
@@ -129,7 +129,8 @@ mod tests {
 
     fn build() -> (KnowledgeGraph, Vec<EntityId>, Vec<RankedFeature>, HeatMap) {
         let kg = kg();
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let features = ranker.rank_features(&[f1]);
         let entities = ranker
@@ -198,7 +199,8 @@ mod tests {
     #[test]
     fn empty_axes_give_empty_matrix() {
         let kg = kg();
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let hm = HeatMap::compute(&ranker, &[], &[]);
         assert_eq!(hm.width(), 0);
         assert_eq!(hm.height(), 0);

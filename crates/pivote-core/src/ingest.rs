@@ -10,7 +10,7 @@
 //! Queries keep running throughout (readers take the lock only per
 //! batch), and a [`MaintenanceHandle`](crate::MaintenanceHandle) spawned
 //! on the same store absorbs the trailing shards each batch leaves
-//! behind, so a sharded backend stays balanced *during* the ingest rather
+//! behind, so the store stays balanced *during* the ingest rather
 //! than after it:
 //!
 //! ```
@@ -272,7 +272,7 @@ mod tests {
         let streamed = Arc::try_unwrap(store)
             .unwrap_or_else(|_| panic!("store still shared"))
             .into_inner()
-            .into_single();
+            .to_graph();
         assert_eq!(ntriples::serialize(&streamed), ntriples::serialize(&bulk));
     }
 
@@ -293,7 +293,7 @@ mod tests {
             .unwrap();
         assert_eq!(batches_seen, 60usize.div_ceil(16));
         let reader = store.read();
-        assert_eq!(reader.handle().entity_count(), 60);
+        assert_eq!(reader.handle().graph().entity_count(), 60);
     }
 
     /// Ingesting a changeset's `added` half then its `removed` half
@@ -331,12 +331,14 @@ mod tests {
         clean.apply(&parse_into_delta(&base).unwrap());
         let got = Arc::try_unwrap(store)
             .unwrap_or_else(|_| panic!("store still shared"))
-            .into_inner()
-            .into_single();
+            .into_inner();
         assert!(got.tombstone_count() > 0);
-        assert_eq!(ntriples::serialize(&got), ntriples::serialize(&clean));
         assert_eq!(
-            ntriples::serialize(&got.reclaim()),
+            ntriples::serialize(&got.to_graph()),
+            ntriples::serialize(&clean)
+        );
+        assert_eq!(
+            ntriples::serialize(&got.compact(1).to_graph()),
             ntriples::serialize(&clean)
         );
     }

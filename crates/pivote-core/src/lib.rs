@@ -7,17 +7,17 @@
 //!   and their extents `E(π)`;
 //! - [`extent`]: sorted-set algebra over extents (the ranking hot loop),
 //!   including the k-way union/intersection primitives;
-//! - [`context`]: the shared [`QueryContext`] execution layer — interned
-//!   extents, the sharded `p(π|c)` probability cache, parallel candidate
-//!   scoring and bounded top-k selection — that every query engine in the
-//!   workspace (core, explore, baselines, eval) runs through;
-//! - [`sharded`]: the multi-graph twin — [`ShardedContext`] over a
-//!   `pivote_kg::ShardedGraph`, fanning scoring out per shard and merging
-//!   per-shard top-k heaps into bit-identical global rankings;
-//! - [`handle`]: [`GraphHandle`], the backend-agnostic enum (single |
-//!   sharded) every engine holds;
-//! - [`live`]: [`LiveStore`] — the append-while-querying wrapper over
-//!   either backend whose guard-scoped handles share one
+//! - [`sharded`]: [`ShardedContext`], the one query context — interned
+//!   extents, the `p(π|c)` probability cache, per-shard candidate scoring
+//!   merged into bit-identical global top-k rankings — that every query
+//!   engine in the workspace (core, explore, baselines, eval) runs
+//!   through, over a `pivote_kg::ShardedGraph` of any shard count;
+//! - [`context`]: what contexts share and reuse — the [`SharedCache`],
+//!   the parallel map primitives and bounded top-k selection;
+//! - [`handle`]: [`GraphHandle`], the cheap-to-clone handle to one
+//!   context that every engine holds;
+//! - [`live`]: [`LiveStore`] — the append-while-querying wrapper whose
+//!   guard-scoped handles share one
 //!   generation-stamped [`SharedCache`] across queries, sessions,
 //!   appends *and* compactions, with off-lock concurrent compaction and
 //!   a background [`MaintenanceHandle`];
@@ -46,12 +46,13 @@
 //!
 //! ```
 //! use pivote_core::{Expander, RankingConfig, SfQuery};
-//! use pivote_kg::{generate, DatagenConfig};
+//! use pivote_kg::{generate, DatagenConfig, ShardedGraph};
 //!
 //! let kg = generate(&DatagenConfig::tiny());
 //! let film = kg.type_id("Film").unwrap();
 //! let seed = kg.type_extent(film)[0];
-//! let expander = Expander::new(&kg, RankingConfig::default());
+//! let sg = ShardedGraph::from(kg);
+//! let expander = Expander::new(&sg, RankingConfig::default());
 //! let result = expander.expand(&SfQuery::from_seeds(vec![seed]), 10, 10);
 //! assert!(!result.features.is_empty());
 //! ```
@@ -75,7 +76,7 @@ pub mod sharded;
 pub mod warm;
 
 pub use config::RankingConfig;
-pub use context::{top_k_ranked, FeatureId, QueryContext, SharedCache};
+pub use context::{top_k_ranked, SharedCache};
 pub use expansion::{diversify_features, Expander, ExpansionResult, SfQuery};
 pub use explain::{explain_cell, explain_pair, CellExplanation, PairExplanation};
 pub use feature::{features_of, Direction, SemanticFeature};

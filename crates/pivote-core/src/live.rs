@@ -1,20 +1,20 @@
-//! The live store: one append-while-querying wrapper for both backends.
+//! The live store: the append-while-querying wrapper.
 //!
-//! [`LiveStore`] owns a [`GraphBackend`] (single [`KnowledgeGraph`] |
-//! [`ShardedGraph`]) behind an `RwLock` plus one [`SharedCache`], and
-//! coordinates the three halves of the live-store contract:
+//! [`LiveStore`] owns a [`ShardedGraph`] — one shard for a parsed graph
+//! wrapped by move, or a range partition — behind an `RwLock` plus one
+//! [`SharedCache`], and coordinates the three halves of the live-store
+//! contract:
 //!
 //! - **Queries** take a read guard ([`LiveStore::read`]) and build a
-//!   cheap backend-agnostic [`GraphHandle`] over the locked store sharing
-//!   the persistent cache — so every density memoized by any earlier
-//!   query (on any generation whose extents were not touched since) is a
-//!   hit, whichever physical layout answers.
+//!   cheap [`GraphHandle`] over the locked store sharing the persistent
+//!   cache — so every density memoized by any earlier query (on any
+//!   generation whose extents were not touched since) is a hit.
 //! - **Appends** ([`LiveStore::append`]) take the write lock, splice the
 //!   [`DeltaBatch`] in place, and invalidate exactly the cached densities
 //!   the [`AppliedDelta`] receipt names — all before any new reader can
 //!   observe the new graph, so a reader's context and the cache are
 //!   always mutually consistent.
-//! - **Maintenance** re-partitions a degenerate sharded layout. The
+//! - **Maintenance** re-partitions a degenerate store. The
 //!   interactive-path variant is [`LiveStore::compact_concurrent`]: the
 //!   expensive union rebuild runs **off the write lock** against a clone
 //!   taken under a read guard, and the write lock is held only for a
@@ -29,15 +29,11 @@
 //! never outlive the read guard, so no query ever observes a
 //! half-spliced row or a half-swapped partition.
 
-use crate::context::{QueryContext, SharedCache};
+use crate::context::SharedCache;
 use crate::handle::GraphHandle;
 use crate::prepared::PreparedSnapshot;
-use crate::sharded::ShardedContext;
 use pivote_kg::wal::{WalEvent, WalHeader, WalWriter};
-use pivote_kg::{
-    AppliedDelta, CompactionPolicy, CompactionReceipt, DeltaBatch, GraphBackend, KnowledgeGraph,
-    ShardedGraph,
-};
+use pivote_kg::{AppliedDelta, CompactionPolicy, CompactionReceipt, DeltaBatch, ShardedGraph};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::time::Duration;
@@ -86,10 +82,10 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// An in-memory knowledge-graph store — single or sharded layout — that
-/// can grow (and be re-partitioned) while sessions query it.
+/// An in-memory knowledge-graph store that can grow (and be
+/// re-partitioned) while sessions query it.
 pub struct LiveStore {
-    store: RwLock<GraphBackend>,
+    store: RwLock<ShardedGraph>,
     cache: Arc<SharedCache>,
     threads: usize,
     /// The optional durable delta log. Lock order: store write lock
@@ -102,15 +98,17 @@ pub struct LiveStore {
     /// readers with one read-and-clone — never the store lock.
     published: RwLock<Option<Arc<PreparedSnapshot>>>,
     /// Whether publication is on. Off by default: publication clones the
-    /// backend once per write, which bulk ingest shouldn't pay for.
+    /// store's shard list once per write, which bulk ingest shouldn't pay
+    /// for.
     publish: AtomicBool,
 }
 
 impl LiveStore {
     /// Wrap a store with one worker per available core for its contexts.
-    /// Accepts a [`KnowledgeGraph`], a [`ShardedGraph`] or a prebuilt
-    /// [`GraphBackend`].
-    pub fn new(store: impl Into<GraphBackend>) -> Self {
+    /// Accepts a [`ShardedGraph`] or a
+    /// [`KnowledgeGraph`](pivote_kg::KnowledgeGraph), which becomes one
+    /// shard by move.
+    pub fn new(store: impl Into<ShardedGraph>) -> Self {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -118,7 +116,7 @@ impl LiveStore {
     }
 
     /// Wrap a store with an explicit per-context worker-thread count.
-    pub fn with_threads(store: impl Into<GraphBackend>, threads: usize) -> Self {
+    pub fn with_threads(store: impl Into<ShardedGraph>, threads: usize) -> Self {
         Self::with_cache(store, threads, Arc::new(SharedCache::new()))
     }
 
@@ -128,7 +126,7 @@ impl LiveStore {
     /// queries after a restart hit memoized densities instead of
     /// recomputing every `p(π|c)` from the extents.
     pub fn with_cache(
-        store: impl Into<GraphBackend>,
+        store: impl Into<ShardedGraph>,
         threads: usize,
         cache: Arc<SharedCache>,
     ) -> Self {
@@ -153,8 +151,9 @@ impl LiveStore {
     /// the post-invalidation cache generation, keeping its shared-cache
     /// reads trusted until the next write.
     ///
-    /// The cost is one backend clone per write; leave it off for bulk
-    /// ingest and turn it on when the store starts serving.
+    /// The cost is one shard-list clone per write (shard graphs are
+    /// shared, not copied); leave it off for bulk ingest and turn it on
+    /// when the store starts serving.
     pub fn enable_snapshots(&self) {
         self.publish.store(true, Ordering::SeqCst);
         // a read guard excludes writers, so the state published here is
@@ -184,7 +183,7 @@ impl LiveStore {
     /// it still holds the store write lock (and by `enable_snapshots`
     /// under a read guard), so publications are totally ordered with
     /// mutations and the slot never lags a completed write.
-    fn republish(&self, store: &GraphBackend) {
+    fn republish(&self, store: &ShardedGraph) {
         if !self.publish.load(Ordering::SeqCst) {
             return;
         }
@@ -212,9 +211,10 @@ impl LiveStore {
     /// fingerprint. Holds the write lock while fingerprinting so no
     /// append can slip between the fingerprint and the first record.
     ///
-    /// Returns the header the log was created with. Pair it with
-    /// [`GraphBackend::save_snapshot`] of the same state to give
-    /// followers (and crash recovery) their starting point.
+    /// Returns the header the log was created with. Pair it with a
+    /// snapshot of the same state ([`ShardedGraph::to_graph`] through
+    /// [`pivote_kg::save_to_path`]) to give followers (and crash
+    /// recovery) their starting point.
     pub fn log_to(&self, path: impl AsRef<std::path::Path>) -> Result<WalHeader, StoreError> {
         let store = self.store.write().map_err(|_| StoreError::Poisoned)?;
         let writer = WalWriter::create(path, store.generation(), store.fingerprint())
@@ -270,7 +270,7 @@ impl LiveStore {
     /// Read-side lock acquisition under the poisoning policy: reads
     /// recover ([`StoreError`] explains why that is sound) and keep the
     /// store queryable after a writer panic.
-    fn read_store(&self) -> RwLockReadGuard<'_, GraphBackend> {
+    fn read_store(&self) -> RwLockReadGuard<'_, ShardedGraph> {
         self.store.read().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -285,13 +285,13 @@ impl LiveStore {
         self.read_store().generation()
     }
 
-    /// The current shard count (1 for the single layout).
+    /// The current shard count.
     pub fn shard_count(&self) -> usize {
         self.read_store().shard_count()
     }
 
     /// Trailing shards appended by deltas since the last deliberate
-    /// partition (always 0 for the single layout).
+    /// partition.
     pub fn trailing_shard_count(&self) -> usize {
         self.read_store().trailing_shard_count()
     }
@@ -348,8 +348,8 @@ impl LiveStore {
         }
     }
 
-    /// Unwrap the owned backend (consumes the wrapper).
-    pub fn into_inner(self) -> GraphBackend {
+    /// Unwrap the owned graph (consumes the wrapper).
+    pub fn into_inner(self) -> ShardedGraph {
         self.store.into_inner().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -366,11 +366,10 @@ impl LiveStore {
     /// `Compact` record in order before the next record; both paths run
     /// the same locked pass.
     ///
-    /// On the single layout compaction is the identity (a single graph
-    /// is always one partition): no generation bump, a 1→1 receipt —
-    /// *unless* the graph holds tombstones from retractions, in which
-    /// case the pass is an id-preserving reclaim rebuild (same answers,
-    /// dead rows returned, generation bumped).
+    /// On a one-shard store without trailing shards or tombstones
+    /// compaction is the identity: no generation bump, a 1→1 receipt.
+    /// Any other store is rebuilt into `target_shards` fresh shards (same
+    /// answers, dead rows returned, generation bumped).
     ///
     /// Like every write, compaction fails closed with
     /// [`StoreError::Poisoned`] after a writer panic.
@@ -460,9 +459,9 @@ impl LiveStore {
     /// republish, and describe the pass.
     fn compact_locked(
         &self,
-        store: &mut GraphBackend,
+        store: &mut ShardedGraph,
         target_shards: usize,
-        rebuilt: Option<GraphBackend>,
+        rebuilt: Option<ShardedGraph>,
         attempts: u64,
     ) -> Result<CompactionReceipt, StoreError> {
         let shards_before = store.shard_count();
@@ -500,7 +499,7 @@ impl LiveStore {
                 Ok(guard) => guard,
                 Err(_) => return None,
             };
-            if !guard.needs_compaction(policy) {
+            if !policy.needs_compaction(&guard) {
                 return None;
             }
         }
@@ -514,26 +513,28 @@ impl LiveStore {
 /// maintenance with ever-larger wasted rebuilds.
 pub const MAX_OFFLOCK_ATTEMPTS: u64 = 4;
 
-/// Compaction is the identity on a single graph without tombstones: no
-/// generation bump, a 1→1 receipt. `None` when a pass has work to do.
-fn noop_compaction(store: &GraphBackend) -> Option<CompactionReceipt> {
-    match store {
-        GraphBackend::Single(kg) if kg.tombstone_count() == 0 => Some(CompactionReceipt {
-            generation: kg.generation(),
-            shards_before: 1,
-            shards_after: 1,
-            trailing_before: 0,
-            entities: kg.entity_count(),
-            attempts: 1,
-        }),
-        _ => None,
-    }
+/// Compaction is the identity on one shard without trailing shards or
+/// tombstones, whatever the target — a parsed graph wrapped by move
+/// stays as it is: no generation bump, a 1→1 receipt. `None` when a
+/// pass has work to do.
+fn noop_compaction(store: &ShardedGraph) -> Option<CompactionReceipt> {
+    let idle = store.shard_count() == 1
+        && store.trailing_shard_count() == 0
+        && store.tombstone_count() == 0;
+    idle.then(|| CompactionReceipt {
+        generation: store.generation(),
+        shards_before: 1,
+        shards_after: 1,
+        trailing_before: 0,
+        entities: store.entity_count(),
+        attempts: 1,
+    })
 }
 
 /// A read guard over a [`LiveStore`]: the entry point for querying one
-/// consistent store snapshot, on either layout.
+/// consistent store snapshot.
 pub struct LiveReader<'a> {
-    guard: RwLockReadGuard<'a, GraphBackend>,
+    guard: RwLockReadGuard<'a, ShardedGraph>,
     cache: Arc<SharedCache>,
     threads: usize,
     /// The published snapshot at acquisition time, when the store has
@@ -544,7 +545,7 @@ pub struct LiveReader<'a> {
 
 impl LiveReader<'_> {
     /// The locked store snapshot.
-    pub fn backend(&self) -> &GraphBackend {
+    pub fn backend(&self) -> &ShardedGraph {
         &self.guard
     }
 
@@ -553,33 +554,11 @@ impl LiveReader<'_> {
         self.guard.generation()
     }
 
-    /// The locked single-layout graph.
-    ///
-    /// # Panics
-    /// When the store is sharded; use [`LiveReader::backend`] or
-    /// [`LiveReader::handle`] for layout-agnostic access.
-    pub fn kg(&self) -> &KnowledgeGraph {
-        self.guard
-            .as_single()
-            .expect("LiveReader::kg is single-layout only; use handle()")
-    }
-
-    /// The locked sharded-layout graph.
-    ///
-    /// # Panics
-    /// When the store is single; use [`LiveReader::backend`] or
-    /// [`LiveReader::handle`] for layout-agnostic access.
-    pub fn graph(&self) -> &ShardedGraph {
-        self.guard
-            .as_sharded()
-            .expect("LiveReader::graph is sharded-layout only; use handle()")
-    }
-
-    /// A backend-agnostic [`GraphHandle`] over this snapshot sharing the
-    /// live store's persistent cache. Cheap to build (the heavy state
-    /// lives in the cache); scoped to the guard, so it can never observe
-    /// an append or a compaction swap. When the store publishes prepared
-    /// snapshots and the published generation matches the locked one —
+    /// A [`GraphHandle`] over this snapshot sharing the live store's
+    /// persistent cache. Cheap to build (the heavy state lives in the
+    /// cache); scoped to the guard, so it can never observe an append or
+    /// a compaction swap. When the store publishes prepared snapshots
+    /// and the published generation matches the locked one —
     /// publication happens under the write lock, so it always does in
     /// practice — the snapshot's prepared context is reused outright and
     /// this is a clone, not a construction.
@@ -589,16 +568,7 @@ impl LiveReader<'_> {
                 return snap.handle();
             }
         }
-        match &*self.guard {
-            GraphBackend::Single(kg) => GraphHandle::Single(Arc::new(QueryContext::with_cache(
-                kg,
-                self.threads,
-                Arc::clone(&self.cache),
-            ))),
-            GraphBackend::Sharded(sg) => GraphHandle::Sharded(Arc::new(
-                ShardedContext::with_cache(sg, self.threads, Arc::clone(&self.cache)),
-            )),
-        }
+        GraphHandle::with_cache(&self.guard, self.threads, Arc::clone(&self.cache))
     }
 }
 
@@ -671,24 +641,24 @@ impl Drop for MaintenanceHandle {
 mod tests {
     use super::*;
     use crate::config::RankingConfig;
-    use pivote_kg::{generate, DatagenConfig, EntityId};
+    use pivote_kg::{generate, DatagenConfig, EntityId, KnowledgeGraph};
 
     fn seeds(kg: &KnowledgeGraph, n: usize) -> Vec<EntityId> {
         let film = kg.type_id("Film").unwrap();
         kg.type_extent(film)[..n].to_vec()
     }
 
+    fn names(kg: &KnowledgeGraph, n: u32) -> Vec<String> {
+        (0..n)
+            .map(|i| kg.entity_name(EntityId::new(i)).to_owned())
+            .collect()
+    }
+
     #[test]
     fn append_then_query_equals_rebuild_then_query() {
-        let live = LiveStore::with_threads(generate(&DatagenConfig::tiny()), 1);
-        let (s, names) = {
-            let reader = live.read();
-            let s = seeds(reader.kg(), 2);
-            let names: Vec<String> = (0..4)
-                .map(|i| reader.kg().entity_name(EntityId::new(i)).to_owned())
-                .collect();
-            (s, names)
-        };
+        let kg = generate(&DatagenConfig::tiny());
+        let (s, names) = (seeds(&kg, 2), names(&kg, 4));
+        let live = LiveStore::with_threads(kg, 1);
         let mut delta = DeltaBatch::new();
         delta.triple(&names[0], "brand_new_link", &names[1]).triple(
             &names[2],
@@ -704,12 +674,12 @@ mod tests {
         let union = {
             let mut kg = generate(&DatagenConfig::tiny());
             kg.apply(&delta);
-            kg
+            ShardedGraph::from(kg)
         };
         let cfg = RankingConfig::default();
         let reader = live.read();
         let live_ctx = reader.handle();
-        let fresh_ctx = QueryContext::with_threads(&union, 1);
+        let fresh_ctx = GraphHandle::with_threads(&union, 1);
         let lf = live_ctx.rank_features(&cfg, &s);
         let ff = fresh_ctx.rank_features(&cfg, &s);
         assert_eq!(lf, ff, "feature rankings must match the rebuilt union");
@@ -727,8 +697,8 @@ mod tests {
         let kg = generate(&DatagenConfig::tiny());
         let s = seeds(&kg, 2);
         let cfg = RankingConfig::default();
-        let single = QueryContext::with_threads(&kg, 1);
-        let base_features = single.rank_features(&cfg, &s);
+        let one = ShardedGraph::from(kg.clone());
+        let base_features = GraphHandle::with_threads(&one, 1).rank_features(&cfg, &s);
 
         let live = LiveStore::with_threads(ShardedGraph::from_graph(&kg, 3), 1);
         {
@@ -747,8 +717,8 @@ mod tests {
 
         let mut union = generate(&DatagenConfig::tiny());
         union.apply(&delta);
-        let fresh = QueryContext::with_threads(&union, 1);
-        let want = fresh.rank_features(&cfg, &s);
+        let union = ShardedGraph::from(union);
+        let want = GraphHandle::with_threads(&union, 1).rank_features(&cfg, &s);
         let reader = live.read();
         let got = reader.handle().rank_features(&cfg, &s);
         assert_eq!(got, want, "sharded live append must match rebuilt union");
@@ -904,7 +874,7 @@ mod tests {
         ] {
             assert_eq!(receipt.shards_before, 1);
             assert_eq!(receipt.shards_after, 1);
-            assert_eq!(receipt.generation, 0, "no generation bump on single");
+            assert_eq!(receipt.generation, 0, "no generation bump on one shard");
         }
         assert_eq!(live.generation(), 0);
         assert_eq!(live.cache().generation(), cache_gen, "cache untouched");
@@ -914,6 +884,63 @@ mod tests {
             max_tombstone_fraction: 0.0,
         };
         assert!(live.maybe_compact(&policy, 2).is_none());
+    }
+
+    /// The no-op applies to exactly one shard with no trailing shards
+    /// and no tombstones — a one-shard store stays so through writes
+    /// that mint entities; a held tombstone or a second shard each give
+    /// the pass work to do.
+    #[test]
+    fn noop_compaction_needs_one_shard_without_trailing_or_tombstones() {
+        let kg = generate(&DatagenConfig::tiny());
+        let names = names(&kg, 2);
+        let mut one = ShardedGraph::from(kg.clone());
+        let receipt = noop_compaction(&one).expect("a wrapped graph is idle");
+        assert_eq!(
+            (receipt.generation, receipt.shards_after, receipt.entities),
+            (0, 1, kg.entity_count())
+        );
+        assert!(noop_compaction(&ShardedGraph::from_graph(&kg, 2)).is_none());
+
+        let mut link = DeltaBatch::new();
+        link.triple(&names[0], "noop_link", &names[1]);
+        one.apply(&link);
+        assert!(noop_compaction(&one).is_some(), "no entity minted");
+        let mut retract = DeltaBatch::new();
+        retract.retract_triple(&names[0], "noop_link", &names[1]);
+        one.apply(&retract);
+        assert!(one.tombstone_count() > 0);
+        assert!(noop_compaction(&one).is_none(), "a tombstone is held");
+
+        // a minted entity joins the one shard in place: still idle
+        let mut minted = ShardedGraph::from(kg.clone());
+        let mut d = DeltaBatch::new();
+        d.entity("Noop_Minted_Entity");
+        minted.apply(&d);
+        assert_eq!(minted.shard_count(), 1);
+        assert_eq!(minted.entity_count(), kg.entity_count() + 1);
+        let receipt = noop_compaction(&minted).expect("no tail, no tombstone");
+        assert_eq!(receipt.generation, 1);
+
+        // a partition's minted tail is work
+        let mut grown = ShardedGraph::from_graph(&kg, 2);
+        grown.apply(&d);
+        assert_eq!(grown.trailing_shard_count(), 1);
+        assert!(noop_compaction(&grown).is_none(), "a trailing shard");
+    }
+
+    /// Publication shares storage: the published snapshot holds the very
+    /// shard graph the store holds, not a copy of it.
+    #[test]
+    fn published_snapshots_share_the_shard_graphs() {
+        let live = LiveStore::with_threads(generate(&DatagenConfig::tiny()), 1);
+        live.enable_snapshots();
+        let snap = live.snapshot().expect("snapshots are enabled");
+        let reader = live.read();
+        assert!(std::ptr::eq(
+            snap.backend().shard(0).graph(),
+            reader.backend().shard(0).graph()
+        ));
     }
 
     #[test]
@@ -981,21 +1008,15 @@ mod tests {
 
     /// Retract through the live store: the receipt-named invalidation
     /// drops the stale densities (append+retract answers equal a rebuild
-    /// from the surviving triples), and compaction on the single layout
+    /// from the surviving triples), and compaction of a one-shard store
     /// is no longer the identity when tombstones are held — it reclaims
     /// them with a generation bump, bit-identical answers, and a live
     /// cache.
     #[test]
     fn retract_then_compact_reclaims_on_the_single_layout() {
-        let live = LiveStore::with_threads(generate(&DatagenConfig::tiny()), 1);
-        let (s, names) = {
-            let reader = live.read();
-            let s = seeds(reader.kg(), 2);
-            let names: Vec<String> = (0..2)
-                .map(|i| reader.kg().entity_name(EntityId::new(i)).to_owned())
-                .collect();
-            (s, names)
-        };
+        let kg = generate(&DatagenConfig::tiny());
+        let (s, names) = (seeds(&kg, 2), names(&kg, 2));
+        let live = LiveStore::with_threads(kg, 1);
         let cfg = RankingConfig::default();
         // insert an edge, warm the cache on it, then retract it
         let mut d = DeltaBatch::new();
@@ -1013,8 +1034,8 @@ mod tests {
         assert_eq!(live.generation(), 2);
 
         // answers equal a fresh build from the surviving statements
-        let union = generate(&DatagenConfig::tiny());
-        let fresh = QueryContext::with_threads(&union, 1);
+        let union = ShardedGraph::from(generate(&DatagenConfig::tiny()));
+        let fresh = GraphHandle::with_threads(&union, 1);
         let want_f = fresh.rank_features(&cfg, &s);
         let want_e = fresh.rank_entities(&cfg, &s, &want_f);
         {
@@ -1046,7 +1067,7 @@ mod tests {
             let got_f = reader.handle().rank_features(&cfg, &s);
             assert_eq!(got_f, want_f, "reclaim must not change answers");
         }
-        // a tombstone-free single store is the identity again
+        // a tombstone-free one-shard store is the identity again
         let receipt = live.compact_in_place(1).unwrap();
         assert_eq!(receipt.generation, 3, "no bump without tombstones");
     }
@@ -1111,7 +1132,8 @@ mod tests {
         // bit-identical to what a fresh context over that state computes
         let mut union = generate(&DatagenConfig::tiny());
         union.apply(&d);
-        let fresh = QueryContext::with_threads(&union, 1);
+        let union = ShardedGraph::from(union);
+        let fresh = GraphHandle::with_threads(&union, 1);
         assert_eq!(before_f, fresh.rank_features(&cfg, &s));
         assert_eq!(at_append.handle().rank_features(&cfg, &s), before_f);
     }
@@ -1124,8 +1146,8 @@ mod tests {
         let kg = generate(&DatagenConfig::tiny());
         let s = seeds(&kg, 2);
         for backend in [
-            GraphBackend::Single(kg.clone()),
-            GraphBackend::Sharded(ShardedGraph::from_graph(&kg, 3)),
+            ShardedGraph::from(kg.clone()),
+            ShardedGraph::from_graph(&kg, 3),
         ] {
             let live = LiveStore::with_threads(backend, 1);
             live.enable_snapshots();

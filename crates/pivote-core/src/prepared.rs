@@ -4,9 +4,10 @@
 //! everything one query needs, built **once per store generation**
 //! instead of once per request:
 //!
-//! - an `Arc<GraphBackend>` clone of the graph at that generation (the
-//!   backends have been `Clone` since the PR-5 unification — publication
-//!   clones the graph once per *write*, never per read);
+//! - an `Arc<ShardedGraph>` clone of the graph at that generation —
+//!   cloning a [`ShardedGraph`] bumps one `Arc` per shard, so the
+//!   snapshot **shares** every shard graph with the live store, and a
+//!   later write copies only the shards it touches;
 //! - a pre-built [`GraphHandle`] (query context) over that clone,
 //!   sharing the store's [`SharedCache`] so densities and global extent
 //!   resolutions stay warm across generations;
@@ -25,18 +26,17 @@
 //!
 //! ## Safety architecture
 //!
-//! The prepared context borrows the snapshot's own backend allocation.
+//! The prepared context borrows the snapshot's own graph allocation.
 //! That self-reference is expressed by extending the borrow to
 //! `'static` at construction and never letting the `'static` handle
 //! escape: the only accessor, [`PreparedSnapshot::handle`], re-shortens
 //! the lifetime to the `&self` borrow, so user code cannot outlive the
-//! snapshot with it. Field order puts the context before the backend,
-//! so on drop the borrower is gone before the borrowed allocation.
+//! snapshot with it. Field order puts the context before the graph, so
+//! on drop the borrower is gone before the borrowed allocation.
 
-use crate::context::{QueryContext, SharedCache};
+use crate::context::SharedCache;
 use crate::handle::GraphHandle;
-use crate::sharded::ShardedContext;
-use pivote_kg::GraphBackend;
+use pivote_kg::ShardedGraph;
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
@@ -52,7 +52,7 @@ pub struct PreparedSnapshot {
     /// (`dyn Any` keeps the dependency arrow pointing the right way).
     search: OnceLock<Arc<dyn Any + Send + Sync>>,
     /// The pinned graph. Keeps the allocation `ctx` borrows alive.
-    backend: Arc<GraphBackend>,
+    backend: Arc<ShardedGraph>,
 }
 
 impl std::fmt::Debug for PreparedSnapshot {
@@ -70,27 +70,18 @@ impl PreparedSnapshot {
     /// context once, up front, so every request served from this
     /// snapshot skips per-request setup entirely.
     pub fn prepare(
-        backend: Arc<GraphBackend>,
+        backend: Arc<ShardedGraph>,
         generation: u64,
         threads: usize,
         cache: Arc<SharedCache>,
     ) -> Arc<PreparedSnapshot> {
-        // SAFETY: `backend` is an `Arc`, so the `GraphBackend` allocation
+        // SAFETY: `backend` is an `Arc`, so the `ShardedGraph` allocation
         // is stable for as long as any clone lives; this struct holds a
         // clone for its whole lifetime, the borrowing context is dropped
         // before it (field order), and the `'static` handle is never
         // exposed — `handle()` re-ties it to `&self`.
-        let ctx = unsafe {
-            let pinned: &'static GraphBackend = &*Arc::as_ptr(&backend);
-            match pinned {
-                GraphBackend::Single(kg) => {
-                    GraphHandle::Single(Arc::new(QueryContext::with_cache(kg, threads, cache)))
-                }
-                GraphBackend::Sharded(sg) => {
-                    GraphHandle::Sharded(Arc::new(ShardedContext::with_cache(sg, threads, cache)))
-                }
-            }
-        };
+        let pinned: &'static ShardedGraph = unsafe { &*Arc::as_ptr(&backend) };
+        let ctx = GraphHandle::with_cache(pinned, threads, cache);
         Arc::new(PreparedSnapshot {
             generation,
             ctx,
@@ -104,8 +95,8 @@ impl PreparedSnapshot {
         self.generation
     }
 
-    /// The pinned graph backend.
-    pub fn backend(&self) -> &GraphBackend {
+    /// The pinned graph.
+    pub fn backend(&self) -> &ShardedGraph {
         &self.backend
     }
 
@@ -116,7 +107,7 @@ impl PreparedSnapshot {
         // SAFETY: lifetime-only transmute, shortening `'static` to the
         // `&self` borrow (the context types are invariant over their
         // graph lifetime, so this cannot be a plain coercion). The
-        // borrowed backend outlives the result because `self` does.
+        // borrowed graph outlives the result because `self` does.
         unsafe { std::mem::transmute::<GraphHandle<'static>, GraphHandle<'_>>(self.ctx.clone()) }
     }
 
@@ -150,7 +141,7 @@ impl PreparedSnapshot {
 mod tests {
     use super::*;
     use crate::config::RankingConfig;
-    use pivote_kg::{generate, DatagenConfig, ShardedGraph};
+    use pivote_kg::{generate, DatagenConfig};
 
     #[test]
     fn prepared_answers_match_fresh_context_bitwise() {
@@ -158,14 +149,12 @@ mod tests {
         let film = kg.type_id("Film").unwrap();
         let seeds = kg.type_extent(film)[..2].to_vec();
         let cfg = RankingConfig::default();
-        let fresh = crate::context::QueryContext::with_threads(&kg, 1);
+        let one = ShardedGraph::from(kg.clone());
+        let fresh = GraphHandle::with_threads(&one, 1);
         let want_f = fresh.rank_features(&cfg, &seeds);
         let want_e = fresh.rank_entities(&cfg, &seeds, &want_f);
 
-        for backend in [
-            GraphBackend::Single(kg.clone()),
-            GraphBackend::Sharded(ShardedGraph::from_graph(&kg, 3)),
-        ] {
+        for backend in [one.clone(), ShardedGraph::from_graph(&kg, 3)] {
             let snap =
                 PreparedSnapshot::prepare(Arc::new(backend), 7, 1, Arc::new(SharedCache::new()));
             assert_eq!(snap.generation(), 7);
@@ -189,7 +178,7 @@ mod tests {
     fn search_slot_is_write_once() {
         let kg = generate(&DatagenConfig::tiny());
         let snap = PreparedSnapshot::prepare(
-            Arc::new(GraphBackend::Single(kg)),
+            Arc::new(ShardedGraph::from(kg)),
             0,
             1,
             Arc::new(SharedCache::new()),

@@ -14,19 +14,17 @@
 //!   set `Φ(Q)`.
 //!
 //! [`Ranker`] owns the *model*: a [`RankingConfig`] applied through a
-//! shared [`QueryContext`], which provides memoized probabilities,
+//! shared [`GraphHandle`], whose context provides memoized probabilities,
 //! interned extents, parallel scoring and bounded top-k selection. Several
 //! rankers (e.g. the A1/A2 ablations, or every baseline in
 //! `pivote-baselines`) can share one context over the same graph — the
 //! cached `p(π|c)` densities are pure graph quantities.
 
 use crate::config::RankingConfig;
-use crate::context::QueryContext;
 use crate::feature::SemanticFeature;
 use crate::handle::GraphHandle;
-use pivote_kg::{EntityId, KnowledgeGraph};
+use pivote_kg::EntityId;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A feature with its ranking-model scores.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,41 +48,18 @@ pub struct RankedEntity {
     pub score: f64,
 }
 
-/// The ranking engine: a [`RankingConfig`] bound to a backend-agnostic
-/// [`GraphHandle`]. Cheap to construct; all memoized state lives in the
-/// handle's context so clones/ablations sharing a handle also share the
-/// caches — and the same ranker code runs over a single graph or a
-/// sharded one.
+/// The ranking engine: a [`RankingConfig`] bound to a [`GraphHandle`].
+/// Cheap to construct; all memoized state lives in the handle's context
+/// so clones/ablations sharing a handle also share the caches.
 pub struct Ranker<'kg> {
     handle: GraphHandle<'kg>,
     config: RankingConfig,
 }
 
 impl<'kg> Ranker<'kg> {
-    /// Create a ranker over `kg` with a fresh private context.
-    pub fn new(kg: &'kg KnowledgeGraph, config: RankingConfig) -> Self {
-        Self::with_context(Arc::new(QueryContext::new(kg)), config)
-    }
-
-    /// Create a ranker sharing an existing single-graph context.
-    pub fn with_context(ctx: Arc<QueryContext<'kg>>, config: RankingConfig) -> Self {
-        Self::with_handle(GraphHandle::Single(ctx), config)
-    }
-
-    /// Create a ranker over any backend handle (single or sharded).
+    /// Create a ranker over a graph handle.
     pub fn with_handle(handle: GraphHandle<'kg>, config: RankingConfig) -> Self {
         Self { handle, config }
-    }
-
-    /// The knowledge graph this ranker reads — single backend only.
-    ///
-    /// # Panics
-    /// When the ranker runs on a sharded backend (there is no single
-    /// graph to borrow); use [`Ranker::handle`] instead.
-    pub fn kg(&self) -> &'kg KnowledgeGraph {
-        self.handle
-            .kg()
-            .expect("Ranker::kg is single-backend only; use Ranker::handle")
     }
 
     /// The active configuration.
@@ -92,22 +67,9 @@ impl<'kg> Ranker<'kg> {
         &self.config
     }
 
-    /// The backend-agnostic graph handle.
+    /// The graph handle this ranker runs on.
     pub fn handle(&self) -> &GraphHandle<'kg> {
         &self.handle
-    }
-
-    /// The shared single-graph execution context.
-    ///
-    /// # Panics
-    /// When the ranker runs on a sharded backend; use [`Ranker::handle`].
-    pub fn context(&self) -> &Arc<QueryContext<'kg>> {
-        match &self.handle {
-            GraphHandle::Single(ctx) => ctx,
-            GraphHandle::Sharded(_) => {
-                panic!("Ranker::context is single-backend only; use Ranker::handle")
-            }
-        }
     }
 
     /// `d(π)`: inverse extent size, the IDF-style discriminability.
@@ -219,7 +181,7 @@ impl<'kg> Ranker<'kg> {
 mod tests {
     use super::*;
     use crate::feature::Direction;
-    use pivote_kg::KgBuilder;
+    use pivote_kg::{KgBuilder, KnowledgeGraph, ShardedGraph};
 
     /// Hand-computable fixture:
     /// films f1,f2,f3; actors A,B; f1,f2 star A and B; f3 stars only B.
@@ -256,7 +218,8 @@ mod tests {
     #[test]
     fn discriminability_is_inverse_extent() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         assert!((r.discriminability(sf_a(&kg)) - 0.5).abs() < 1e-12);
         assert!((r.discriminability(sf_b(&kg)) - 1.0 / 3.0).abs() < 1e-12);
     }
@@ -264,7 +227,11 @@ mod tests {
     #[test]
     fn discriminability_ablation_is_uniform() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default().without_discriminability());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(
+            GraphHandle::new(&sg),
+            RankingConfig::default().without_discriminability(),
+        );
         assert_eq!(r.discriminability(sf_a(&kg)), 1.0);
         assert_eq!(r.discriminability(sf_b(&kg)), 1.0);
     }
@@ -272,7 +239,8 @@ mod tests {
     #[test]
     fn p_feature_exact_match_is_one() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         assert_eq!(r.p_feature_given_entity(sf_a(&kg), f1), 1.0);
     }
@@ -280,7 +248,8 @@ mod tests {
     #[test]
     fn p_feature_smoothed_via_best_category() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let f3 = kg.entity("f3").unwrap();
         // f3 does not star A. Contexts: "films" gives |{f1,f2}∩{f1,f2,f3}|/3 = 2/3.
         let p = r.p_feature_given_entity(sf_a(&kg), f3);
@@ -290,7 +259,11 @@ mod tests {
     #[test]
     fn p_feature_without_tolerance_is_zero() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default().without_error_tolerance());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(
+            GraphHandle::new(&sg),
+            RankingConfig::default().without_error_tolerance(),
+        );
         let f3 = kg.entity("f3").unwrap();
         assert_eq!(r.p_feature_given_entity(sf_a(&kg), f3), 0.0);
     }
@@ -298,7 +271,8 @@ mod tests {
     #[test]
     fn best_context_prefers_denser_category() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         // For f3 the "oscar" category would give 2/2 = 1.0, but f3 is not
         // in it; only "films" (2/3) applies. Check a seed in "oscar":
         // p(sf_a | f2) is an exact match anyway, so probe the internal
@@ -311,7 +285,8 @@ mod tests {
     #[test]
     fn commonality_multiplies_over_seeds() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let f3 = kg.entity("f3").unwrap();
         // c(sf_a, {f1,f3}) = 1 * 2/3
@@ -323,7 +298,8 @@ mod tests {
     #[test]
     fn rank_features_single_seed_hand_computed() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let ranked = r.rank_features(&[f1]);
         assert_eq!(ranked.len(), 2);
@@ -337,7 +313,8 @@ mod tests {
     #[test]
     fn rank_features_top_k_is_a_prefix_of_full_ranking() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let full = r.rank_features(&[f1]);
         for k in 0..=full.len() + 1 {
@@ -349,7 +326,8 @@ mod tests {
     #[test]
     fn rank_entities_hand_computed() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let f2 = kg.entity("f2").unwrap();
         let f3 = kg.entity("f3").unwrap();
@@ -377,7 +355,8 @@ mod tests {
     fn rank_entities_without_smoothing_drops_partial_matches() {
         let kg = kg();
         let cfg = RankingConfig::default().without_error_tolerance();
-        let r = Ranker::new(&kg, cfg);
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), cfg);
         let f1 = kg.entity("f1").unwrap();
         let f3 = kg.entity("f3").unwrap();
         let features = r.rank_features(&[f1]);
@@ -394,7 +373,8 @@ mod tests {
             exclude_seeds: false,
             ..RankingConfig::default()
         };
-        let r = Ranker::new(&kg, cfg);
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), cfg);
         let f1 = kg.entity("f1").unwrap();
         let features = r.rank_features(&[f1]);
         let ranked = r.rank_entities(&[f1], &features);
@@ -408,7 +388,8 @@ mod tests {
             max_extent: 2,
             ..RankingConfig::default()
         };
-        let r = Ranker::new(&kg, cfg);
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), cfg);
         let f1 = kg.entity("f1").unwrap();
         let ranked = r.rank_features(&[f1]);
         // sf_b has extent 3 > 2 and is pruned
@@ -419,7 +400,8 @@ mod tests {
     #[test]
     fn empty_seeds_rank_nothing() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         assert!(r.rank_features(&[]).is_empty());
         assert!(r.rank_entities(&[], &[]).is_empty());
     }
@@ -429,7 +411,8 @@ mod tests {
         // Monotonicity: with seeds {f1} vs {f1, f2} (both match sf_a),
         // sf_a's commonality stays 1; with {f1, f3}, it drops.
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let f2 = kg.entity("f2").unwrap();
         let f3 = kg.entity("f3").unwrap();
@@ -443,7 +426,8 @@ mod tests {
     #[test]
     fn parallel_ranking_matches_sequential() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let features = r.rank_features(&[f1]);
         let seq = r.rank_entities_parallel(&[f1], &features, 1);
@@ -463,7 +447,8 @@ mod tests {
     #[test]
     fn parallel_ranking_zero_threads_clamps() {
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let f1 = kg.entity("f1").unwrap();
         let features = r.rank_features(&[f1]);
         assert!(!r.rank_entities_parallel(&[f1], &features, 0).is_empty());
@@ -472,14 +457,16 @@ mod tests {
     #[test]
     fn rankers_sharing_a_context_agree_with_private_contexts() {
         let kg = kg();
-        let ctx = Arc::new(QueryContext::new(&kg));
-        let shared_full = Ranker::with_context(Arc::clone(&ctx), RankingConfig::default());
-        let shared_hard = Ranker::with_context(
-            Arc::clone(&ctx),
+        let sg = ShardedGraph::from(kg.clone());
+        let shared = GraphHandle::new(&sg);
+        let shared_full = Ranker::with_handle(shared.clone(), RankingConfig::default());
+        let shared_hard =
+            Ranker::with_handle(shared, RankingConfig::default().without_error_tolerance());
+        let private_full = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
+        let private_hard = Ranker::with_handle(
+            GraphHandle::new(&sg),
             RankingConfig::default().without_error_tolerance(),
         );
-        let private_full = Ranker::new(&kg, RankingConfig::default());
-        let private_hard = Ranker::new(&kg, RankingConfig::default().without_error_tolerance());
         let f1 = kg.entity("f1").unwrap();
         assert_eq!(
             shared_full.rank_features(&[f1]),
@@ -496,7 +483,8 @@ mod tests {
         // Seeding with an *actor* must surface FromAnchor features of the
         // films (A is an object of f1/f2).
         let kg = kg();
-        let r = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let r = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let a = kg.entity("A").unwrap();
         let ranked = r.rank_features(&[a]);
         assert!(!ranked.is_empty());

@@ -16,7 +16,7 @@
 //! generation.
 //!
 //! The follower's own mutation generation is deliberately **not** the
-//! sync cursor: a single-layout follower replaying a leader's sharded
+//! sync cursor: a one-shard follower replaying a leader's multi-shard
 //! `Compact` may take the no-op path (no tombstones, no bump), and a
 //! restarted process resets its in-memory generation entirely. The
 //! cursor is [`ReplicaStore::synced_generation`], tracked from the log
@@ -40,7 +40,7 @@
 
 use crate::live::{LiveStore, StoreError};
 use pivote_kg::wal::{WalError, WalEvent, WalReader, WalRecord};
-use pivote_kg::GraphBackend;
+use pivote_kg::ShardedGraph;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -104,10 +104,10 @@ pub struct ReplicaStore {
 impl ReplicaStore {
     /// Open a replica over the log at `path`, starting from `base` —
     /// which must be the exact state the log is based at: its
-    /// [`fingerprint`](GraphBackend::fingerprint) is checked against the
+    /// [`fingerprint`](ShardedGraph::fingerprint) is checked against the
     /// log header and a mismatch is refused.
     pub fn open(
-        base: impl Into<GraphBackend>,
+        base: impl Into<ShardedGraph>,
         threads: usize,
         path: impl AsRef<Path>,
     ) -> Result<ReplicaStore, ReplicaError> {
@@ -222,7 +222,7 @@ pub struct RecoveryReport {
 /// logged but never applied are included — the log is written ahead of
 /// the store, so every logged record is a write the leader accepted.
 pub fn recover(
-    base: impl Into<GraphBackend>,
+    base: impl Into<ShardedGraph>,
     threads: usize,
     path: impl AsRef<Path>,
 ) -> Result<RecoveryReport, ReplicaError> {

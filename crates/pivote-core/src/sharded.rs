@@ -1,35 +1,39 @@
-//! The sharded query-execution layer.
+//! The query context: the one execution substrate of the ranking model.
 //!
-//! [`ShardedContext`] is the multi-graph sibling of
-//! [`QueryContext`](crate::context::QueryContext): one execution substrate
-//! over a [`ShardedGraph`], exposing the same ranking primitives with the
-//! same semantics — and, crucially, **bit-identical results**. Global
-//! model quantities decompose exactly over the range partition
+//! [`ShardedContext`] runs every model quantity — `d(π)`, `c(π,Q)`,
+//! `p(π|c)` smoothing, candidate gathering, scoring and top-k
+//! selection — over a [`ShardedGraph`], whatever its shard count: a
+//! parsed graph wrapped by move is one shard, a partition is many, and
+//! the answers are **bit-identical** either way, because global model
+//! quantities decompose exactly over the range partition
 //! (`pivote_kg::shard` documents the invariants):
 //!
 //! - `‖E(π)‖ = Σᵢ ‖Eᵢ(π) ∩ rangeᵢ‖` — integer sums, so
-//!   `d(π) = 1/‖E(π)‖` is the same `f64` as on the single graph;
+//!   `d(π) = 1/‖E(π)‖` is the same `f64` at every shard count;
 //! - `p(π|c) = (Σᵢ ‖Eᵢ(π) ∩ Eᵢ(c)‖) / (Σᵢ ‖Eᵢ(c)‖)` — per-shard context
 //!   extents are owned-only, so the partial intersections are disjoint
 //!   and the numerator/denominator are the exact global integers;
 //! - `e ⊨ π` is a binary search in `e`'s home shard, which stores every
 //!   triple incident to `e`.
 //!
-//! Entity scoring fans out **per shard** on scoped threads (each shard's
-//! candidates are scored against the shared global probability cache and
-//! reduced to a local bounded top-k heap), and the per-shard heaps are
-//! merged into the global top-k under the same total order
-//! `(score desc, entity-id asc)` — so the merged result equals the
-//! single-graph sort-then-truncate, deterministically, for any shard
-//! count and any `k` (including `k` larger than the candidate count and
-//! shards that own no candidates at all).
+//! Entity scoring fans the candidates out over the context's worker
+//! threads (each candidate is scored in its home shard against the
+//! shared global probability cache) and keeps one bounded top-k under
+//! the total order `(score desc, entity-id asc)` — so the result equals
+//! a global sort-then-truncate, deterministically, for any shard count,
+//! thread count and `k` (including `k` larger than the candidate count
+//! and shards that own no candidates at all).
+//!
+//! Engines hold the context through a [`GraphHandle`](crate::GraphHandle)
+//! (an `Arc` around it), so one context — and its memoized state —
+//! serves every engine and every worker thread of a query session.
 
 use crate::config::RankingConfig;
-use crate::context::{fan_out, par_map_slice, prob_key, top_k_ranked, Ctx, SharedCache};
+use crate::context::{par_map_slice, prob_key, top_k_ranked, Ctx, SharedCache};
 use crate::extent::{intersect_len, union_k};
 use crate::feature::{features_of, SemanticFeature};
 use crate::ranking::{RankedEntity, RankedFeature};
-use pivote_kg::{CategoryId, EntityId, ShardedGraph, TypeId};
+use pivote_kg::{CategoryId, EntityId, KnowledgeGraph, ShardedGraph, TypeId};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A feature resolved against every shard.
@@ -66,8 +70,7 @@ struct ResolvedFeature<'g> {
 ///
 /// Cheap to construct; all interior state is lazily filled and
 /// thread-safe, so one context (behind an [`std::sync::Arc`]) serves
-/// every engine and every concurrent session, exactly like the
-/// single-graph [`QueryContext`](crate::context::QueryContext).
+/// every engine and every concurrent session.
 pub struct ShardedContext<'g> {
     sg: &'g ShardedGraph,
     threads: usize,
@@ -76,10 +79,12 @@ pub struct ShardedContext<'g> {
     /// exact global quantities, independent of shard count and
     /// `RankingConfig`).
     cache: Arc<SharedCache>,
-    /// Cache generation at construction — same seqlock-style staleness
-    /// gate as `QueryContext::born_gen`: once the shared cache moves past
-    /// it, this context computes locally and neither trusts nor writes
-    /// the shared maps.
+    /// Cache generation at construction. While the cache is still at
+    /// this generation its entries are exact for this context's graph
+    /// snapshot; once it moves (an append invalidated behind our back —
+    /// only possible for contexts running off the store lock) this
+    /// context computes locally and neither trusts nor writes the
+    /// shared maps.
     born_gen: u64,
     features: RwLock<FeatureTable<'g>>,
 }
@@ -99,8 +104,9 @@ impl<'g> ShardedContext<'g> {
     }
 
     /// Context on an existing [`SharedCache`] — the live-graph entry
-    /// point, sharing densities across queries, sessions and appends
-    /// exactly like the single-graph `QueryContext::with_cache`.
+    /// point: every density the cache already holds (from earlier
+    /// queries, earlier sessions, or earlier graph generations whose
+    /// extents were not touched since) is a hit for this context.
     pub fn with_cache(sg: &'g ShardedGraph, threads: usize, cache: Arc<SharedCache>) -> Self {
         let born_gen = cache.generation();
         Self {
@@ -203,18 +209,14 @@ impl<'g> ShardedContext<'g> {
     }
 
     /// `‖E(π)‖` — the exact global extent size.
-    pub fn extent_len(&self, sf: SemanticFeature) -> usize {
+    pub fn feature_extent_len(&self, sf: SemanticFeature) -> usize {
         self.entry(self.intern(sf)).global_len
     }
 
-    /// Materialize the global extent `E(π)`, sorted by global entity id:
-    /// per-shard owned prefixes remapped and concatenated in shard order.
-    pub fn extent_global(&self, sf: SemanticFeature) -> Vec<EntityId> {
-        self.extent_global_shared(sf).to_vec()
-    }
-
-    /// [`ShardedContext::extent_global`] as a shared, memoized slice —
-    /// the remap runs at most once per feature *per cache*, not per
+    /// The global extent `E(π)`, sorted by global entity id: per-shard
+    /// owned prefixes remapped and concatenated in shard order. Shared
+    /// and memoized — the remap runs at most once per feature *per
+    /// cache*, not per
     /// context: resolutions are promoted to the [`SharedCache`]'s global
     /// extent registry, so a fresh context over the same logical graph
     /// (a new read guard, a new prepared snapshot) reuses the `Arc`
@@ -222,13 +224,13 @@ impl<'g> ShardedContext<'g> {
     /// invalidated receipt-exactly when a delta touches the feature's
     /// extent and survives compaction (global ids are partition-
     /// independent).
-    fn extent_global_shared(&self, sf: SemanticFeature) -> Arc<[EntityId]> {
+    pub fn feature_extent(&self, sf: SemanticFeature) -> Arc<[EntityId]> {
         let fid = self.intern(sf);
         let entry = self.entry(fid);
         entry
             .global
             .get_or_init(|| {
-                // seqlock-style validity check — see QueryContext::p_by_fid
+                // seqlock-style validity check — see `p_by_fid`
                 if let Some(shared) = self.cache.extent_get(fid) {
                     if self.cache.generation() == self.born_gen {
                         return shared;
@@ -253,7 +255,7 @@ impl<'g> ShardedContext<'g> {
     }
 
     /// Whether `e ⊨ π` — a binary search in `e`'s home shard.
-    pub fn matches(&self, sf: SemanticFeature, e: EntityId) -> bool {
+    pub fn feature_matches(&self, sf: SemanticFeature, e: EntityId) -> bool {
         let entry = self.entry(self.intern(sf));
         let si = self.sg.shard_of(e);
         let local = self.sg.shard(si).to_local(e).expect("owned entity");
@@ -261,8 +263,8 @@ impl<'g> ShardedContext<'g> {
     }
 
     /// All semantic features of `e` (global anchors), sorted — identical
-    /// to `features_of` on the unsharded graph.
-    pub fn features_of_entity(&self, e: EntityId) -> Vec<SemanticFeature> {
+    /// at every shard count.
+    pub fn features_of(&self, e: EntityId) -> Vec<SemanticFeature> {
         let (shard, local) = self.sg.home(e);
         let mut out: Vec<SemanticFeature> = features_of(shard.graph(), local)
             .into_iter()
@@ -286,14 +288,28 @@ impl<'g> ShardedContext<'g> {
     /// [`ShardedContext::p_feature_given_ctx`] by dense feature id — the
     /// hot-loop entry that skips re-hashing the feature into the
     /// interner.
+    #[inline]
     fn p_by_fid(&self, fid: u32, ctx: Ctx) -> f64 {
         let key = prob_key(fid, ctx);
-        // seqlock-style validity check — see QueryContext::p_by_fid
+        // seqlock-style validity: the hit is trustworthy only if the
+        // cache generation still equals this context's birth generation
+        // *after* the read — otherwise an invalidation ran and the value
+        // may belong to a different graph snapshot
         if let Some(p) = self.cache.prob_get(key) {
             if self.cache.generation() == self.born_gen {
                 return p;
             }
         }
+        self.p_fill(fid, ctx, key)
+    }
+
+    /// The miss half of [`ShardedContext::p_by_fid`]: assemble `p(π|c)`
+    /// from the per-shard partial counts and cache it. Kept out of line
+    /// so the hit path stays small enough to inline into the smoothing
+    /// loop, which runs once per (candidate, feature, context).
+    #[cold]
+    #[inline(never)]
+    fn p_fill(&self, fid: u32, ctx: Ctx, key: u64) -> f64 {
         let entry = self.entry(fid);
         let mut num = 0usize;
         let mut den = 0usize;
@@ -335,20 +351,27 @@ impl<'g> ShardedContext<'g> {
         sf: SemanticFeature,
         e: EntityId,
     ) -> f64 {
-        self.p_best_ctx_by_fid(config, self.intern(sf), e)
+        let (shard, local) = self.sg.home(e);
+        self.p_best_ctx_by_fid(config, self.intern(sf), shard.graph(), local)
     }
 
     /// [`ShardedContext::p_feature_given_best_context`] by dense feature
     /// id (the probability cache and the per-shard extent table are both
-    /// fid-indexed, so the smoothing loop never re-interns).
-    fn p_best_ctx_by_fid(&self, config: &RankingConfig, fid: u32, e: EntityId) -> f64 {
-        let (shard, local) = self.sg.home(e);
+    /// fid-indexed, so the smoothing loop never re-interns), for the
+    /// entity `local` of its home shard's graph `home`.
+    fn p_best_ctx_by_fid(
+        &self,
+        config: &RankingConfig,
+        fid: u32,
+        home: &KnowledgeGraph,
+        local: EntityId,
+    ) -> f64 {
         let mut best = 0.0f64;
-        for c in shard.graph().categories_of(local) {
+        for c in home.categories_of(local) {
             best = best.max(self.p_by_fid(fid, Ctx::Cat(c)));
         }
         if config.use_types_as_context {
-            for t in shard.graph().types_of(local) {
+            for t in home.types_of(local) {
                 best = best.max(self.p_by_fid(fid, Ctx::Type(t)));
             }
         }
@@ -363,7 +386,7 @@ impl<'g> ShardedContext<'g> {
         sf: SemanticFeature,
         e: EntityId,
     ) -> f64 {
-        if self.matches(sf, e) {
+        if self.feature_matches(sf, e) {
             return 1.0;
         }
         if !config.error_tolerant {
@@ -373,21 +396,13 @@ impl<'g> ShardedContext<'g> {
     }
 
     // ---- ranking model -------------------------------------------------
-    //
-    // LOCKSTEP: the method bodies below (candidate_features,
-    // rank_features_top_k, commonality, discriminability, score_entity,
-    // candidate_entities cap accounting) mirror QueryContext's in
-    // context.rs line for line, differing only in the extent/membership
-    // primitives. Any edit to the model logic must be made in BOTH files
-    // — the bit-identity contract is enforced by
-    // tests/sharded_equivalence.rs and tests/golden_sharded.rs.
 
     /// `d(π)`: inverse global extent size (or 1 under the A2 ablation).
     pub fn discriminability(&self, config: &RankingConfig, sf: SemanticFeature) -> f64 {
         if !config.use_discriminability {
             return 1.0;
         }
-        let n = self.extent_len(sf);
+        let n = self.feature_extent_len(sf);
         if n == 0 {
             0.0
         } else {
@@ -412,27 +427,27 @@ impl<'g> ShardedContext<'g> {
         c
     }
 
-    /// The candidate feature pool — same construction, same order, same
-    /// extent-size filter as the single-graph context.
+    /// The candidate feature pool: the union of the seeds' own features,
+    /// filtered by extent size.
     pub fn candidate_features(
         &self,
         config: &RankingConfig,
         seeds: &[EntityId],
     ) -> Vec<SemanticFeature> {
-        let mut all: Vec<SemanticFeature> = seeds
-            .iter()
-            .flat_map(|&e| self.features_of_entity(e))
-            .collect();
+        let mut all: Vec<SemanticFeature> =
+            seeds.iter().flat_map(|&e| self.features_of(e)).collect();
         all.sort_unstable();
         all.dedup();
         all.retain(|sf| {
-            let n = self.extent_len(*sf);
+            let n = self.feature_extent_len(*sf);
             n >= config.min_extent.max(1) && n <= config.max_extent
         });
         all
     }
 
-    /// Rank all candidate features of the query.
+    /// Rank all candidate features of the query: `Φ(Q)` scored by
+    /// `r(π, Q)`, descending, zero-scored features dropped. Scoring is
+    /// fanned out over the worker threads.
     pub fn rank_features(&self, config: &RankingConfig, seeds: &[EntityId]) -> Vec<RankedFeature> {
         self.rank_features_top_k(config, seeds, usize::MAX)
     }
@@ -467,8 +482,9 @@ impl<'g> ShardedContext<'g> {
         )
     }
 
-    /// Gather candidate entities — global extents in feature-score order,
-    /// with the same cap accounting as the single-graph context.
+    /// Gather candidate entities: the union of the global extents of the
+    /// top features, in feature-score order, capped at `max_candidates`,
+    /// with seeds removed when configured.
     pub fn candidate_entities(
         &self,
         config: &RankingConfig,
@@ -480,7 +496,7 @@ impl<'g> ShardedContext<'g> {
         let mut picked: Vec<Arc<[EntityId]>> = Vec::with_capacity(top.len());
         let mut total = 0usize;
         for rf in top {
-            let extent = self.extent_global_shared(rf.feature);
+            let extent = self.feature_extent(rf.feature);
             total += extent.len();
             picked.push(extent);
             if total >= cap {
@@ -505,7 +521,7 @@ impl<'g> ShardedContext<'g> {
     ) -> f64 {
         let mut score = 0.0;
         for rf in features {
-            let p = if self.matches(rf.feature, e) {
+            let p = if self.feature_matches(rf.feature, e) {
                 1.0
             } else if config.error_tolerant && config.smooth_candidates {
                 self.p_feature_given_best_context(config, rf.feature, e)
@@ -528,8 +544,8 @@ impl<'g> ShardedContext<'g> {
     }
 
     /// Rank candidate entities with a pre-score filter and bounded top-k
-    /// selection — the sharded twin of the single-graph method, with the
-    /// same guarantees.
+    /// selection. The filter runs *before* scoring, so expensive smoothing
+    /// is never spent on entities a hard query condition already excludes.
     pub fn rank_entities_top_k<F>(
         &self,
         config: &RankingConfig,
@@ -547,16 +563,15 @@ impl<'g> ShardedContext<'g> {
         self.score_and_select(config, candidates, top, k)
     }
 
-    /// Score an explicit candidate set and select the top `k`: candidates
-    /// are routed to their home shards, each shard scores its slice and
-    /// keeps a local bounded top-k heap (on a scoped thread per shard when
-    /// the context is multi-threaded), and the per-shard heaps are merged
+    /// Score an explicit candidate set and select the top `k`: the
+    /// candidates are scored over the context's worker threads (each
+    /// against its home shard) and one bounded top-k keeps the best
     /// under the total order `(score desc, entity asc)`.
     ///
     /// Because the order is total and scores are pure global quantities,
-    /// the merge equals single-graph sort-then-truncate bit-for-bit — for
-    /// empty shards, shards owning no candidates, and `k` exceeding the
-    /// total candidate count alike.
+    /// the result equals a global sort-then-truncate bit-for-bit at every
+    /// shard and thread count — for empty shards, shards owning no
+    /// candidates, and `k` exceeding the candidate count alike.
     pub fn score_and_select(
         &self,
         config: &RankingConfig,
@@ -579,29 +594,16 @@ impl<'g> ShardedContext<'g> {
                 }
             })
             .collect();
-        let n = self.sg.shard_count();
-        let mut by_shard: Vec<(usize, Vec<EntityId>)> = (0..n).map(|i| (i, Vec::new())).collect();
-        for &e in &candidates {
-            by_shard[self.sg.shard_of(e)].1.push(e);
-        }
-        let score_shard = |&(si, ref cands): &(usize, Vec<EntityId>)| -> Vec<RankedEntity> {
-            let shard = self.sg.shard(si);
-            top_k_ranked(
-                cands.iter().map(|&e| {
-                    let local = shard.to_local(e).expect("owned entity");
-                    RankedEntity {
-                        entity: e,
-                        score: self.score_resolved(config, si, local, e, &resolved),
-                    }
-                }),
-                k,
-                |re| re.score,
-                |a, b| a.entity.cmp(&b.entity),
-            )
-        };
-        let shard_tops: Vec<Vec<RankedEntity>> = fan_out(self.threads, &by_shard, score_shard);
+        let scored = par_map_slice(self.threads, &candidates, |&e| {
+            let si = self.sg.shard_of(e);
+            let local = self.sg.shard(si).to_local(e).expect("owned entity");
+            RankedEntity {
+                entity: e,
+                score: self.score_resolved(config, si, local, &resolved),
+            }
+        });
         top_k_ranked(
-            shard_tops.into_iter().flatten(),
+            scored.into_iter(),
             k,
             |re| re.score,
             |a, b| a.entity.cmp(&b.entity),
@@ -617,7 +619,6 @@ impl<'g> ShardedContext<'g> {
         config: &RankingConfig,
         si: usize,
         local: EntityId,
-        e: EntityId,
         features: &[ResolvedFeature<'_>],
     ) -> f64 {
         let mut score = 0.0;
@@ -625,7 +626,7 @@ impl<'g> ShardedContext<'g> {
             let p = if rf.entry.extents[si].binary_search(&local).is_ok() {
                 1.0
             } else if config.error_tolerant && config.smooth_candidates {
-                self.p_best_ctx_by_fid(config, rf.fid, e)
+                self.p_best_ctx_by_fid(config, rf.fid, self.sg.shard(si).graph(), local)
             } else {
                 0.0
             };
@@ -661,11 +662,16 @@ impl<'g> ShardedContext<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::QueryContext;
     use pivote_kg::{generate, DatagenConfig, KnowledgeGraph};
 
     fn fixture() -> KnowledgeGraph {
         generate(&DatagenConfig::tiny())
+    }
+
+    /// The fixture as one shard, wrapped by move: the reference the
+    /// partitions below must reproduce bit for bit.
+    fn one_shard() -> ShardedGraph {
+        ShardedGraph::from(fixture())
     }
 
     fn seeds(kg: &KnowledgeGraph, n: usize) -> Vec<EntityId> {
@@ -681,12 +687,12 @@ mod tests {
         for e in kg.entity_ids().take(60) {
             for sf in features_of(&kg, e) {
                 assert_eq!(
-                    ctx.extent_len(sf),
+                    ctx.feature_extent_len(sf),
                     sf.extent_size(&kg),
                     "extent size of {}",
                     sf.display(&kg)
                 );
-                assert_eq!(ctx.extent_global(sf), sf.extent(&kg).to_vec());
+                assert_eq!(&*ctx.feature_extent(sf), sf.extent(&kg));
             }
         }
     }
@@ -694,16 +700,19 @@ mod tests {
     #[test]
     fn probabilities_match_single_graph_bitwise() {
         let kg = fixture();
+        let one = one_shard();
+        let single = ShardedContext::with_threads(&one, 1);
         let sg = ShardedGraph::from_graph(&kg, 4);
         let sharded = ShardedContext::with_threads(&sg, 1);
-        let single = QueryContext::with_threads(&kg, 1);
         let cfg = RankingConfig::default();
         for e in kg.entity_ids().take(40) {
             for sf in features_of(&kg, e).into_iter().take(6) {
                 for c in kg.categories_of(e) {
-                    assert!(
-                        (single.p_for_category(sf, c) - sharded.p_for_category(sf, c)).abs() == 0.0
-                    );
+                    // p(π|c) straight from the definition on the graph
+                    let ext = kg.category_extent(c);
+                    let want = intersect_len(sf.extent(&kg), ext) as f64 / ext.len() as f64;
+                    assert_eq!(single.p_for_category(sf, c).to_bits(), want.to_bits());
+                    assert_eq!(sharded.p_for_category(sf, c).to_bits(), want.to_bits());
                 }
                 for probe in kg.entity_ids().take(20) {
                     let a = single.p_feature_given_entity(&cfg, sf, probe);
@@ -718,10 +727,12 @@ mod tests {
     fn rankings_match_single_graph_bitwise() {
         let kg = fixture();
         let cfg = RankingConfig::default();
-        let single = QueryContext::with_threads(&kg, 1);
+        let one = one_shard();
+        let single = ShardedContext::with_threads(&one, 1);
         let seeds = seeds(&kg, 2);
         let sf_single = single.rank_features(&cfg, &seeds);
         let re_single = single.rank_entities(&cfg, &seeds, &sf_single);
+        assert!(!re_single.is_empty());
         for n in [1, 2, 3, 4] {
             let sg = ShardedGraph::from_graph(&kg, n);
             for threads in [1, 2] {
@@ -750,7 +761,8 @@ mod tests {
         // candidates; k far beyond the candidate pool
         let sg = ShardedGraph::from_graph(&kg, 4);
         let sharded = ShardedContext::with_threads(&sg, 2);
-        let single = QueryContext::with_threads(&kg, 1);
+        let one = one_shard();
+        let single = ShardedContext::with_threads(&one, 1);
         let cfg = RankingConfig::default();
         let seeds = seeds(&kg, 1);
         let features = single.rank_features(&cfg, &seeds);
@@ -792,12 +804,12 @@ mod tests {
 
         let first = {
             let ctx = ShardedContext::with_cache(&sg, 1, Arc::clone(&cache));
-            ctx.extent_global_shared(sf)
+            ctx.feature_extent(sf)
         };
         assert!(cache.cached_extent_count() > 0, "resolution must register");
         let second = {
             let ctx = ShardedContext::with_cache(&sg, 1, Arc::clone(&cache));
-            ctx.extent_global_shared(sf)
+            ctx.feature_extent(sf)
         };
         assert!(
             Arc::ptr_eq(&first, &second),

@@ -217,9 +217,9 @@ pub fn load_warm_state(
 mod tests {
     use super::*;
     use crate::config::RankingConfig;
-    use crate::context::QueryContext;
+    use crate::handle::GraphHandle;
     use pivote_kg::snapshot::fingerprint;
-    use pivote_kg::{generate, DatagenConfig};
+    use pivote_kg::{generate, DatagenConfig, ShardedGraph};
 
     #[test]
     fn warm_state_roundtrips_exactly() {
@@ -229,8 +229,9 @@ mod tests {
         let cfg = RankingConfig::default();
         let film = kg.type_id("Film").unwrap();
         let seeds = kg.type_extent(film)[..2].to_vec();
+        let sg = ShardedGraph::from(kg);
         {
-            let ctx = QueryContext::with_cache(&kg, 1, Arc::clone(&cache));
+            let ctx = GraphHandle::with_cache(&sg, 1, Arc::clone(&cache));
             let f = ctx.rank_features(&cfg, &seeds);
             let _ = ctx.rank_entities(&cfg, &seeds, &f);
         }

@@ -1,15 +1,10 @@
-//! Concurrency guarantees of the shared QueryContext and its sharded
-//! sibling: parallel and sequential execution produce bit-identical
-//! rankings, concurrent engines hammering one context agree with
-//! isolated engines, and the bounded top-k selection is a true prefix of
-//! the full ranking.
+//! Concurrency guarantees of the shared query context: parallel and
+//! sequential execution produce bit-identical rankings, concurrent
+//! engines hammering one context agree with isolated engines, and the
+//! bounded top-k selection is a true prefix of the full ranking.
 
-use pivote_core::{
-    Expander, GraphHandle, QueryContext, RankedEntity, Ranker, RankingConfig, SfQuery,
-    ShardedContext,
-};
-use pivote_kg::{generate, DatagenConfig, EntityId, KnowledgeGraph};
-use std::sync::Arc;
+use pivote_core::{Expander, GraphHandle, RankedEntity, Ranker, RankingConfig, SfQuery};
+use pivote_kg::{generate, DatagenConfig, EntityId, KnowledgeGraph, ShardedGraph};
 
 fn seeds_of(kg: &KnowledgeGraph, n: usize) -> Vec<EntityId> {
     let film = kg.type_id("Film").expect("Film type");
@@ -35,10 +30,9 @@ fn parallel_and_sequential_rankings_are_bit_identical() {
     // (candidate pools exceed the MIN_PARALLEL_ITEMS threshold)
     let kg = generate(&DatagenConfig::small());
     let seeds = seeds_of(&kg, 3);
-    let sequential = Ranker::with_context(
-        Arc::new(QueryContext::with_threads(&kg, 1)),
-        RankingConfig::default(),
-    );
+    let one = ShardedGraph::from(kg.clone());
+    let sequential =
+        Ranker::with_handle(GraphHandle::with_threads(&one, 1), RankingConfig::default());
     let features = sequential.rank_features(&seeds);
     let baseline = sequential.rank_entities(&seeds, &features);
     assert!(
@@ -46,18 +40,22 @@ fn parallel_and_sequential_rankings_are_bit_identical() {
         "fixture too small to exercise parallelism"
     );
 
-    for threads in [2, 3, 4, 8] {
-        let parallel = Ranker::with_context(
-            Arc::new(QueryContext::with_threads(&kg, threads)),
-            RankingConfig::default(),
-        );
-        let par_features = parallel.rank_features(&seeds);
-        assert_eq!(
-            features, par_features,
-            "feature ranking diverged at {threads} threads"
-        );
-        let ranked = parallel.rank_entities(&seeds, &par_features);
-        assert_same_ranking(&baseline, &ranked, &format!("{threads} threads"));
+    let three = ShardedGraph::from_graph(&kg, 3);
+    for sg in [&one, &three] {
+        for threads in [2, 3, 4, 8] {
+            let parallel = Ranker::with_handle(
+                GraphHandle::with_threads(sg, threads),
+                RankingConfig::default(),
+            );
+            let par_features = parallel.rank_features(&seeds);
+            assert_eq!(
+                features, par_features,
+                "feature ranking diverged at {threads} threads"
+            );
+            let ranked = parallel.rank_entities(&seeds, &par_features);
+            let what = format!("{} shards, {threads} threads", sg.shard_count());
+            assert_same_ranking(&baseline, &ranked, &what);
+        }
     }
 }
 
@@ -65,7 +63,8 @@ fn parallel_and_sequential_rankings_are_bit_identical() {
 fn top_k_is_a_prefix_of_the_full_ranking() {
     let kg = generate(&DatagenConfig::small());
     let seeds = seeds_of(&kg, 2);
-    let ranker = Ranker::new(&kg, RankingConfig::default());
+    let sg = ShardedGraph::from(kg);
+    let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
     let features = ranker.rank_features(&seeds);
     let full = ranker.rank_entities(&seeds, &features);
     for k in [1, 5, 20, 100, full.len(), full.len() + 50] {
@@ -77,20 +76,19 @@ fn top_k_is_a_prefix_of_the_full_ranking() {
 #[test]
 fn concurrent_queries_on_one_context_match_isolated_runs() {
     let kg = generate(&DatagenConfig::small());
-    let ctx = Arc::new(QueryContext::new(&kg));
     let film = kg.type_id("Film").expect("Film type");
     let all_seeds: Vec<Vec<EntityId>> = (0..8)
         .map(|i| kg.type_extent(film)[i..i + 2].to_vec())
         .collect();
+    let sg = ShardedGraph::from(kg);
+    let ctx = GraphHandle::new(&sg);
 
     // expected results from isolated, sequential engines
     let expected: Vec<Vec<RankedEntity>> = all_seeds
         .iter()
         .map(|seeds| {
-            let expander = Expander::with_context(
-                Arc::new(QueryContext::with_threads(&kg, 1)),
-                RankingConfig::default(),
-            );
+            let expander =
+                Expander::with_handle(GraphHandle::with_threads(&sg, 1), RankingConfig::default());
             expander
                 .expand(&SfQuery::from_seeds(seeds.clone()), 25, 10)
                 .entities
@@ -102,9 +100,9 @@ fn concurrent_queries_on_one_context_match_isolated_runs() {
         let handles: Vec<_> = all_seeds
             .iter()
             .map(|seeds| {
-                let ctx = Arc::clone(&ctx);
+                let ctx = ctx.clone();
                 scope.spawn(move || {
-                    let expander = Expander::with_context(ctx, RankingConfig::default());
+                    let expander = Expander::with_handle(ctx, RankingConfig::default());
                     expander
                         .expand(&SfQuery::from_seeds(seeds.clone()), 25, 10)
                         .entities
@@ -128,9 +126,10 @@ fn concurrent_queries_on_one_context_match_isolated_runs() {
 
 #[test]
 fn concurrent_sessions_on_one_sharded_context_match_sequential_runs() {
-    // Many "sessions" (expansion queries) hammering ONE ShardedContext
-    // concurrently must produce exactly what isolated sequential
-    // single-graph runs produce — the shared global probability cache,
+    // Many "sessions" (expansion queries) hammering ONE context over a
+    // partition concurrently must produce exactly what isolated
+    // sequential one-shard runs produce — the shared global probability
+    // cache,
     // the per-shard feature tables and the heap merge are all exercised
     // under contention.
     let kg = generate(&DatagenConfig::small());
@@ -139,14 +138,13 @@ fn concurrent_sessions_on_one_sharded_context_match_sequential_runs() {
         .map(|i| kg.type_extent(film)[i..i + 2].to_vec())
         .collect();
 
-    // expected results from isolated, sequential single-graph engines
+    // expected results from isolated, sequential one-shard engines
+    let one = ShardedGraph::from(kg.clone());
     let expected: Vec<Vec<RankedEntity>> = all_seeds
         .iter()
         .map(|seeds| {
-            let expander = Expander::with_context(
-                Arc::new(QueryContext::with_threads(&kg, 1)),
-                RankingConfig::default(),
-            );
+            let expander =
+                Expander::with_handle(GraphHandle::with_threads(&one, 1), RankingConfig::default());
             expander
                 .expand(&SfQuery::from_seeds(seeds.clone()), 25, 10)
                 .entities
@@ -154,13 +152,13 @@ fn concurrent_sessions_on_one_sharded_context_match_sequential_runs() {
         .collect();
 
     for shards in [2, 3, 4] {
-        let sg = pivote_kg::ShardedGraph::from_graph(&kg, shards);
-        let ctx = Arc::new(ShardedContext::new(&sg));
+        let sg = ShardedGraph::from_graph(&kg, shards);
+        let ctx = GraphHandle::new(&sg);
         let got: Vec<Vec<RankedEntity>> = std::thread::scope(|scope| {
             let handles: Vec<_> = all_seeds
                 .iter()
                 .map(|seeds| {
-                    let handle = GraphHandle::Sharded(Arc::clone(&ctx));
+                    let handle = ctx.clone();
                     scope.spawn(move || {
                         let expander = Expander::with_handle(handle, RankingConfig::default());
                         expander

@@ -5,12 +5,12 @@
 //!   `p(π|c)` entries whose feature extent or context extent changed —
 //!   observable through the [`SharedCache`] probe API and its generation
 //!   counter — and every untouched density survives;
-//! - the same precision holds for the sharded backend's shared cache;
+//! - the same precision holds for a multi-shard partition's cache;
 //! - appends racing queries on one shared [`LiveStore`] never produce a
 //!   torn read: at quiescence the rankings equal a from-scratch rebuild
 //!   of the union.
 
-use pivote_core::{LiveStore, QueryContext, RankingConfig, SemanticFeature, ShardedContext};
+use pivote_core::{GraphHandle, LiveStore, RankingConfig, SemanticFeature, ShardedContext};
 use pivote_kg::{generate, DatagenConfig, DeltaBatch, EntityId, KnowledgeGraph, ShardedGraph};
 use std::sync::Arc;
 
@@ -35,10 +35,10 @@ fn fixture(kg: &KnowledgeGraph) -> (SemanticFeature, SemanticFeature) {
 
 #[test]
 fn append_drops_exactly_the_touched_densities() {
-    let live = LiveStore::with_threads(base(), 1);
+    let kg = &base();
+    let live = LiveStore::with_threads(kg.clone(), 1);
     let (touched_sf, untouched_sf, cat_touched, cat_untouched, anchor_name) = {
         let reader = live.read();
-        let kg = reader.kg();
         let (sf_star, sf_dir) = fixture(kg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
@@ -70,10 +70,7 @@ fn append_drops_exactly_the_touched_densities() {
 
     // append one triple into the touched feature's extent (new film
     // starring the anchor) and one category assertion into cat_touched
-    let cat_name = {
-        let reader = live.read();
-        reader.kg().category_name(cat_touched).to_owned()
-    };
+    let cat_name = kg.category_name(cat_touched).to_owned();
     let mut delta = DeltaBatch::new();
     delta
         .triple("Freshly_Appended_Film", "starring", &anchor_name)
@@ -106,7 +103,8 @@ fn append_drops_exactly_the_touched_densities() {
     let survived = cache.probe_category(untouched_sf, cat_untouched).unwrap();
     let mut union = base();
     union.apply(&delta);
-    let fresh = QueryContext::with_threads(&union, 1);
+    let union = ShardedGraph::from(union);
+    let fresh = GraphHandle::with_threads(&union, 1);
     assert!((fresh.p_for_category(untouched_sf, cat_untouched) - survived).abs() == 0.0);
     // and the dropped one recomputes to the new truth through the cache
     let reader = live.read();
@@ -147,17 +145,17 @@ fn sharded_cache_invalidates_with_the_same_precision() {
     let got = ctx.p_for_category(sf_star, cat);
     let mut union = base();
     union.apply(&delta);
-    let fresh = QueryContext::with_threads(&union, 1);
+    let union = ShardedGraph::from(union);
+    let fresh = GraphHandle::with_threads(&union, 1);
     assert!((fresh.p_for_category(sf_star, cat) - got).abs() == 0.0);
 }
 
 #[test]
 fn appends_racing_queries_converge_to_the_union() {
     let cfg = RankingConfig::default();
-    let live = Arc::new(LiveStore::with_threads(base(), 1));
+    let kg = &base();
+    let live = Arc::new(LiveStore::with_threads(kg.clone(), 1));
     let (seeds, star_names) = {
-        let reader = live.read();
-        let kg = reader.kg();
         let film = kg.type_id("Film").unwrap();
         let seeds: Vec<EntityId> = kg.type_extent(film)[..2].to_vec();
         let actor = kg.type_id("Actor").unwrap();
@@ -217,7 +215,8 @@ fn appends_racing_queries_converge_to_the_union() {
     for d in &deltas {
         union.apply(d);
     }
-    let fresh = QueryContext::with_threads(&union, 1);
+    let union = ShardedGraph::from(union);
+    let fresh = GraphHandle::with_threads(&union, 1);
     let want_f = fresh.rank_features(&cfg, &seeds);
     let want_e = fresh.rank_entities(&cfg, &seeds, &want_f);
     let reader = live.read();

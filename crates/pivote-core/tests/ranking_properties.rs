@@ -2,8 +2,8 @@
 //! knowledge graphs: the probabilistic quantities must stay in range and
 //! the documented invariants must hold for *any* graph shape.
 
-use pivote_core::{features_of, RankedEntity, Ranker, RankingConfig};
-use pivote_kg::{KgBuilder, KnowledgeGraph};
+use pivote_core::{features_of, GraphHandle, RankedEntity, Ranker, RankingConfig};
+use pivote_kg::{KgBuilder, KnowledgeGraph, ShardedGraph};
 use proptest::prelude::*;
 
 /// A random small KG: entities e0..e11, predicates p0..p3, a random edge
@@ -50,8 +50,9 @@ proptest! {
     #[test]
     fn prop_probability_bounds(kg in random_kg(), seed in 0u8..12) {
         let e = kg.entity(&format!("e{seed}")).unwrap();
+        let sg = ShardedGraph::from(kg.clone());
         for config in configs() {
-            let ranker = Ranker::new(&kg, config);
+            let ranker = Ranker::with_handle(GraphHandle::new(&sg), config);
             for sf in features_of(&kg, e) {
                 let p = ranker.p_feature_given_entity(sf, e);
                 prop_assert!((p - 1.0).abs() < 1e-12, "own feature must have p=1");
@@ -69,8 +70,9 @@ proptest! {
     #[test]
     fn prop_feature_ranking_invariants(kg in random_kg(), seed in 0u8..12) {
         let e = kg.entity(&format!("e{seed}")).unwrap();
+        let sg = ShardedGraph::from(kg.clone());
         for config in configs() {
-            let ranker = Ranker::new(&kg, config);
+            let ranker = Ranker::with_handle(GraphHandle::new(&sg), config);
             let ranked = ranker.rank_features(&[e]);
             prop_assert!(ranked.windows(2).all(|w| w[0].score >= w[1].score));
             for rf in &ranked {
@@ -86,7 +88,8 @@ proptest! {
     #[test]
     fn prop_entity_ranking_invariants(kg in random_kg(), seed in 0u8..12) {
         let e = kg.entity(&format!("e{seed}")).unwrap();
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let features = ranker.rank_features(&[e]);
         let ranked = ranker.rank_entities(&[e], &features);
         prop_assert!(ranked.windows(2).all(|w| w[0].score >= w[1].score));
@@ -113,8 +116,9 @@ proptest! {
     #[test]
     fn prop_error_tolerance_only_adds_mass(kg in random_kg(), seed in 0u8..12) {
         let e = kg.entity(&format!("e{seed}")).unwrap();
-        let full = Ranker::new(&kg, RankingConfig::default());
-        let hard = Ranker::new(&kg, RankingConfig::default().without_error_tolerance());
+        let sg = ShardedGraph::from(kg.clone());
+        let full = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
+        let hard = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default().without_error_tolerance());
         // shared feature set: the full model's (scores differ only in c)
         let features = full.rank_features(&[e]);
         for re in hard.rank_entities(&[e], &features) {

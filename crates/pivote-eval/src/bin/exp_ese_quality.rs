@@ -11,7 +11,7 @@ use pivote_baselines::{
     EntityExpansion, FreqOverlapExpansion, JaccardExpansion, PivotEExpansion, PprExpansion,
 };
 use pivote_eval::{render_ese_table, run_ese_eval, EseEvalConfig};
-use pivote_kg::DatagenConfig;
+use pivote_kg::{DatagenConfig, ShardedGraph};
 
 fn main() {
     let films: usize = std::env::args()
@@ -36,7 +36,7 @@ fn main() {
     let methods: Vec<&dyn EntityExpansion> = vec![&pivote, &no_et, &no_d, &jaccard, &ppr, &freq];
 
     let cfg = EseEvalConfig::default();
-    let results = run_ese_eval(&kg, &methods, &cfg);
+    let results = run_ese_eval(&ShardedGraph::from(kg), &methods, &cfg);
     println!("== Q1/A1/A2: entity set expansion quality (k={}) ==", cfg.k);
     println!("{}", render_ese_table(&results));
     println!(

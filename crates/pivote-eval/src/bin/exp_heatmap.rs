@@ -9,17 +9,17 @@
 //! Usage: `cargo run --release -p pivote-eval --bin exp_heatmap [films]`
 
 use pivote_eval::run_heatmap_report;
-use pivote_kg::DatagenConfig;
+use pivote_kg::{DatagenConfig, ShardedGraph};
 
 fn main() {
     let films: usize = std::env::args()
         .nth(1)
         .and_then(|v| v.parse().ok())
         .unwrap_or(2_000);
-    let kg = pivote_kg::generate(&DatagenConfig::scaled(films, 7));
-    let film = kg.type_id("Film").expect("Film type");
-    let seeds = &kg.type_extent(film)[..2];
-    let report = run_heatmap_report(&kg, seeds, 20, 15);
+    let sg = ShardedGraph::from(pivote_kg::generate(&DatagenConfig::scaled(films, 7)));
+    let film = sg.type_id("Film").expect("Film type");
+    let seeds = &sg.type_extent(film)[..2];
+    let report = run_heatmap_report(&sg, seeds, 20, 15);
 
     println!(
         "== Q4: heat-map structure (matrix {}x{}) ==",

@@ -7,7 +7,7 @@
 //! Search ground truth pairs a query string (label, alias, or
 //! label+context) with the entity it should retrieve.
 
-use pivote_kg::{EntityId, KnowledgeGraph};
+use pivote_kg::{CategoryId, EntityId, KnowledgeGraph, ShardedGraph};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -31,21 +31,17 @@ pub struct EseClass {
 /// narrow path-shaped ones ("Films directed by X") — matching the
 /// entity-list style of the underlying ESE evaluations \[1\]\[6\].
 pub fn ese_classes(
-    kg: &KnowledgeGraph,
+    sg: &ShardedGraph,
     min_size: usize,
     max_size: usize,
     limit: usize,
 ) -> Vec<EseClass> {
-    let mut classes: Vec<EseClass> = kg
-        .category_ids()
-        .filter_map(|c| {
-            let members = kg.category_extent(c);
-            (min_size..=max_size)
-                .contains(&members.len())
-                .then(|| EseClass {
-                    name: kg.category_name(c).to_owned(),
-                    members: members.to_vec(),
-                })
+    let mut classes: Vec<EseClass> = (0..sg.category_count() as u32)
+        .map(CategoryId::new)
+        .filter(|&c| (min_size..=max_size).contains(&sg.category_extent_len(c)))
+        .map(|c| EseClass {
+            name: sg.category_name(c).to_owned(),
+            members: sg.category_extent(c),
         })
         .collect();
     classes.sort_by(|a, b| {
@@ -161,8 +157,8 @@ mod tests {
 
     #[test]
     fn classes_respect_size_bounds_and_limit() {
-        let kg = generate(&DatagenConfig::small());
-        let classes = ese_classes(&kg, 10, 200, 8);
+        let sg = ShardedGraph::from(generate(&DatagenConfig::small()));
+        let classes = ese_classes(&sg, 10, 200, 8);
         assert!(!classes.is_empty());
         assert!(classes.len() <= 8);
         for c in &classes {
@@ -177,8 +173,8 @@ mod tests {
 
     #[test]
     fn seed_trials_are_deterministic_and_within_class() {
-        let kg = generate(&DatagenConfig::small());
-        let classes = ese_classes(&kg, 10, 200, 1);
+        let sg = ShardedGraph::from(generate(&DatagenConfig::small()));
+        let classes = ese_classes(&sg, 10, 200, 1);
         let class = &classes[0];
         let a = seed_trials(class, 3, 4, 7);
         let b = seed_trials(class, 3, 4, 7);

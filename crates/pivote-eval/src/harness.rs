@@ -7,7 +7,7 @@ use pivote_baselines::EntityExpansion;
 use pivote_core::{
     explain_cell, CellExplanation, Expander, GraphHandle, HeatMap, RankingConfig, SfQuery,
 };
-use pivote_kg::{EntityId, KnowledgeGraph, TypeCouplingStats};
+use pivote_kg::{EntityId, KnowledgeGraph, ShardedGraph, TypeCouplingStats};
 use pivote_search::{Scorer, SearchEngine};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -62,18 +62,18 @@ pub struct EseResult {
 }
 
 /// Run the entity-set-expansion evaluation for every method on a fresh
-/// single-graph context.
+/// context over `sg`.
 ///
 /// All methods (and all PivotE ablations) execute on one shared
 /// [`GraphHandle`]: the `p(π|c)` densities memoized by the first trial
 /// are cache hits for every later trial, method and seed-set size.
 pub fn run_ese_eval(
-    kg: &KnowledgeGraph,
+    sg: &ShardedGraph,
     methods: &[&dyn EntityExpansion],
     cfg: &EseEvalConfig,
 ) -> Vec<EseResult> {
-    let handle = &GraphHandle::single(kg);
-    let classes = ese_classes(kg, cfg.class_size.0, cfg.class_size.1, cfg.max_classes);
+    let handle = &GraphHandle::new(sg);
+    let classes = ese_classes(sg, cfg.class_size.0, cfg.class_size.1, cfg.max_classes);
     let mut out = Vec::new();
     for method in methods {
         for &m in &cfg.seed_sizes {
@@ -252,19 +252,19 @@ pub struct HeatmapReport {
     pub dims: (usize, usize),
 }
 
-/// Compute the heat-map report for a seed query on a fresh single-graph
-/// context.
+/// Compute the heat-map report for a seed query on a fresh context over
+/// `sg`.
 ///
 /// Expansion, heat-map computation and the per-cell explanations all run
 /// on one handle, so the explanation pass below is pure cache hits over
 /// the densities the heat map already computed.
 pub fn run_heatmap_report(
-    kg: &KnowledgeGraph,
+    sg: &ShardedGraph,
     seeds: &[EntityId],
     k_entities: usize,
     k_features: usize,
 ) -> HeatmapReport {
-    let expander = Expander::with_handle(GraphHandle::single(kg), RankingConfig::default());
+    let expander = Expander::new(sg, RankingConfig::default());
     let res = expander.expand(&SfQuery::from_seeds(seeds.to_vec()), k_entities, k_features);
     let entities: Vec<EntityId> = res.entities.iter().map(|re| re.entity).collect();
     let hm = HeatMap::compute(expander.ranker(), &entities, &res.features);
@@ -381,7 +381,7 @@ mod tests {
             trials_per_class: 1,
             ..EseEvalConfig::default()
         };
-        let results = run_ese_eval(&kg, &methods, &cfg);
+        let results = run_ese_eval(&ShardedGraph::from(kg), &methods, &cfg);
         assert_eq!(results.len(), 4);
         assert!(results.iter().all(|r| r.queries > 0));
         assert!(results.iter().all(|r| (0.0..=1.0).contains(&r.map)));
@@ -404,7 +404,7 @@ mod tests {
             trials_per_class: 2,
             ..EseEvalConfig::default()
         };
-        let results = run_ese_eval(&kg, &methods, &cfg);
+        let results = run_ese_eval(&ShardedGraph::from(kg), &methods, &cfg);
         let map_of = |name: &str| {
             results
                 .iter()
@@ -457,10 +457,10 @@ mod tests {
 
     #[test]
     fn heatmap_report_is_consistent() {
-        let kg = kg();
-        let film = kg.type_id("Film").unwrap();
-        let seeds = &kg.type_extent(film)[..2];
-        let rep = run_heatmap_report(&kg, seeds, 10, 8);
+        let sg = ShardedGraph::from(kg());
+        let film = sg.type_id("Film").unwrap();
+        let seeds = &sg.type_extent(film)[..2];
+        let rep = run_heatmap_report(&sg, seeds, 10, 8);
         assert_eq!(rep.histogram.iter().sum::<usize>(), rep.dims.0 * rep.dims.1);
         // level 6 cells should be direct matches far more often than level 1
         assert!(rep

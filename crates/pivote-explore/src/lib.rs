@@ -8,12 +8,13 @@
 //!
 //! ```
 //! use pivote_explore::Session;
-//! use pivote_kg::{generate, DatagenConfig};
+//! use pivote_kg::{generate, DatagenConfig, ShardedGraph};
 //!
 //! let kg = generate(&DatagenConfig::tiny());
-//! let mut session = Session::with_defaults(&kg);
 //! let film = kg.type_id("Film").unwrap();
 //! let seed = kg.type_extent(film)[0];
+//! let sg = ShardedGraph::from(kg);
+//! let mut session = Session::with_defaults(&sg);
 //! let view = session.click_entity(seed);        // investigation
 //! assert!(!view.features.is_empty());
 //! ```
@@ -34,10 +35,7 @@ pub use live::{LiveEvent, LiveLog, LiveSearchCache, LiveSession, SearchWarmer};
 pub use path::{ExplorationPath, NodeKind, PathEdge, PathNode};
 pub use profile::{build_profile, EntityProfile};
 pub use query::ExplorationQuery;
-pub use replay::{
-    replay, replay_live, replay_with_context, replay_with_handle, session_stats, ActionLog,
-    SessionStats,
-};
+pub use replay::{replay, replay_live, replay_with_handle, session_stats, ActionLog, SessionStats};
 pub use session::{
     merge_corpus_stats, search_backend_hits, SearchBackend, Session, SessionConfig, SessionState,
     ViewState,

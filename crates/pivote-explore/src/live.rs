@@ -1,8 +1,8 @@
 //! Live exploration sessions: explore a store that grows mid-session.
 //!
 //! A [`LiveSession`] drives the full [`Session`] interaction loop over a
-//! [`LiveStore`] — single **or** sharded layout, one implementation:
-//! every user action runs against a consistent read-locked snapshot, and
+//! [`LiveStore`]: every user action runs against a consistent
+//! read-locked snapshot, and
 //! [`LiveSession::append`] grows the store *between* actions — the
 //! paper's fixed-snapshot exploration model extended to a store serving
 //! live traffic. The session's durable state (timeline, exploratory
@@ -13,19 +13,17 @@
 //! [`SharedCache`](pivote_core::SharedCache), so untouched `p(π|c)`
 //! densities stay warm across generations.
 //!
-//! The keyword-search index is cached per layout: one engine tagged with
-//! the graph generation on the single layout; one engine **per shard**
-//! on the sharded layout, each tagged with its shard's local generation
-//! and all tagged with the store's compaction epoch — after an append
-//! only the delta-touched shards (plus the appended tail) re-index, and
-//! a compaction starts a new epoch that re-indexes the fresh partition
-//! wholesale.
+//! The keyword-search index is cached as one engine **per shard**, each
+//! tagged with its shard's local generation and all tagged with the
+//! store's compaction epoch — after an append only the delta-touched
+//! shards (plus the appended tail) re-index, and a compaction starts a
+//! new epoch that re-indexes the fresh partition wholesale.
 //!
 //! Everything a live session does — actions, appends *and* compactions —
 //! is recorded in a [`LiveLog`], so
 //! [`replay_live`](crate::replay::replay_live) can reproduce an entire
 //! live exploration (growth and re-partitioning included) from the same
-//! base store, on either layout.
+//! base store, at any shard count.
 
 use crate::events::UserAction;
 use crate::path::ExplorationPath;
@@ -36,7 +34,7 @@ use crate::session::{
 };
 use crate::timeline::Timeline;
 use pivote_core::{LiveStore, PreparedSnapshot, StoreError};
-use pivote_kg::{AppliedDelta, CompactionReceipt, DeltaBatch, EntityId, GraphBackend};
+use pivote_kg::{AppliedDelta, CompactionReceipt, DeltaBatch, EntityId, ShardedGraph};
 use pivote_search::{CorpusStats, Hit, SearchConfig, SearchEngine};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
@@ -51,8 +49,8 @@ pub enum LiveEvent {
     Append(DeltaBatch),
     /// A re-partition of the backing store to `target_shards` fresh
     /// range shards. Compaction is answer-preserving, so replaying it
-    /// reproduces the exact rankings; on a single-layout replay target
-    /// it is a no-op (a single graph is always one partition).
+    /// reproduces the exact rankings; on an idle one-shard replay
+    /// target (no trailing shards, no tombstones) it is a no-op.
     Compact {
         /// The shard count the store was re-partitioned to.
         target_shards: usize,
@@ -127,118 +125,84 @@ fn drive_transient(
     search
 }
 
-/// The cached keyword-search component, per layout, tagged with the
-/// store version it was indexed at. Cloning is cheap — the engines and
-/// corpus statistics are `Arc`-shared.
+/// The cached keyword-search component, tagged with the store version
+/// it was indexed at: one engine per shard, each tagged with the local
+/// graph generation it was built at, all tagged with the compaction
+/// epoch. Within one epoch shards are only ever appended, so position
+/// `i` still names the same shard and an engine is stale exactly when
+/// its shard's local generation moved; across epochs the shard list was
+/// rebuilt wholesale and nothing is reusable. Cloning is cheap — the
+/// engines and corpus statistics are `Arc`-shared.
 #[derive(Clone)]
-enum SearchCache {
-    /// One engine over the single graph, tagged with the generation it
-    /// was built at; re-indexed lazily after an append.
-    Single {
-        /// Graph generation at indexing time.
-        generation: u64,
-        /// The prebuilt engine (`Arc`-shared with every search still
-        /// running on it, like [`SearchBackend::Single`]).
-        engine: Arc<SearchEngine>,
-    },
-    /// One engine per shard, each tagged with the local graph generation
-    /// it was built at, all tagged with the compaction epoch. Within one
-    /// epoch shards are only ever appended, so position `i` still names
-    /// the same shard and an engine is stale exactly when its shard's
-    /// local generation moved; across epochs the shard list was rebuilt
-    /// wholesale and nothing is reusable.
-    Sharded {
-        /// Compaction epoch at indexing time.
-        epoch: u64,
-        /// `(local generation, engine)` per shard, in shard order.
-        engines: Vec<(u64, Arc<SearchEngine>)>,
-        /// The globally-merged corpus statistics the engines score
-        /// against; recomputed whenever any engine is rebuilt.
-        corpus: Arc<CorpusStats>,
-    },
+struct SearchCache {
+    /// Compaction epoch at indexing time.
+    epoch: u64,
+    /// `(local generation, engine)` per shard, in shard order.
+    engines: Vec<(u64, Arc<SearchEngine>)>,
+    /// The globally-merged corpus statistics the engines score against;
+    /// recomputed whenever any engine is rebuilt.
+    corpus: Arc<CorpusStats>,
 }
 
 /// Build — or reuse from `cache`, when the version tags still match the
-/// snapshot — the search backend for `backend`, returning it together
-/// with the tags to cache it under. Shared by [`LiveSession::apply`] and
+/// snapshot — the search backend for `sg`, returning it together with
+/// the tags to cache it under. Shared by [`LiveSession::apply`] and
 /// [`LiveSearchCache::search`].
 fn refresh_search(
     cache: Option<SearchCache>,
-    backend: &GraphBackend,
+    sg: &ShardedGraph,
     config: SearchConfig,
 ) -> (SearchBackend, SearchTags) {
-    match backend {
-        GraphBackend::Single(kg) => {
-            let generation = kg.generation();
-            let engine = match cache {
-                Some(SearchCache::Single {
-                    generation: built_at,
-                    engine,
-                }) if built_at == generation => engine,
-                _ => Arc::new(SearchEngine::build(kg, config)),
-            };
-            (
-                SearchBackend::Single(engine),
-                SearchTags::Single { generation },
-            )
-        }
-        GraphBackend::Sharded(sg) => {
-            let epoch = sg.compaction_epoch();
-            let (cached, cached_corpus) = match cache {
-                Some(SearchCache::Sharded {
-                    epoch: built_epoch,
-                    engines,
-                    corpus,
-                }) if built_epoch == epoch => (engines, Some(corpus)),
-                _ => (Vec::new(), None),
-            };
-            let n_cached = cached.len();
-            let mut reused = 0usize;
-            let mut cached = cached.into_iter();
-            let mut shard_generations = Vec::with_capacity(sg.shard_count());
-            let engines: Vec<Arc<SearchEngine>> = sg
-                .shards()
-                .iter()
-                .map(|s| {
-                    let generation = s.graph().generation();
-                    shard_generations.push(generation);
-                    match cached.next() {
-                        Some((built_at, engine)) if built_at == generation => {
-                            reused += 1;
-                            engine
-                        }
-                        _ => Arc::new(SearchEngine::build_keyed(s.graph(), config, |local| {
-                            s.to_global(local).raw()
-                        })),
-                    }
-                })
-                .collect();
-            // the corpus merges owned documents of EVERY shard, so a
-            // rebuild of any one engine stales it — but when the only
-            // change is appended trailing shards (the common shape of a
-            // live write), absorbing just the new engines into the
-            // cached merge is O(delta) instead of O(partition)
-            let prefix_reused = reused == n_cached;
-            let corpus = match cached_corpus {
-                Some(c) if prefix_reused && n_cached == sg.shard_count() => c,
-                Some(c) if prefix_reused && n_cached < sg.shard_count() => {
-                    let mut merged = (*c).clone();
-                    for (engine, shard) in engines.iter().zip(sg.shards()).skip(n_cached) {
-                        merged.absorb(engine.index(), |d| shard.is_owned(EntityId::new(d)));
-                    }
-                    Arc::new(merged)
+    let epoch = sg.compaction_epoch();
+    let (cached, cached_corpus) = match cache {
+        Some(c) if c.epoch == epoch => (c.engines, Some(c.corpus)),
+        _ => (Vec::new(), None),
+    };
+    let n_cached = cached.len();
+    let mut reused = 0usize;
+    let mut cached = cached.into_iter();
+    let mut shard_generations = Vec::with_capacity(sg.shard_count());
+    let engines: Vec<Arc<SearchEngine>> = sg
+        .shards()
+        .iter()
+        .map(|s| {
+            let generation = s.graph().generation();
+            shard_generations.push(generation);
+            match cached.next() {
+                Some((built_at, engine)) if built_at == generation => {
+                    reused += 1;
+                    engine
                 }
-                _ => Arc::new(merge_corpus_stats(&engines, sg)),
-            };
-            (
-                SearchBackend::Sharded { engines, corpus },
-                SearchTags::Sharded {
-                    epoch,
-                    shard_generations,
-                },
-            )
+                _ => Arc::new(SearchEngine::build_keyed(s.graph(), config, |local| {
+                    s.to_global(local).raw()
+                })),
+            }
+        })
+        .collect();
+    // the corpus merges owned documents of EVERY shard, so a rebuild of
+    // any one engine stales it — but when the only change is appended
+    // trailing shards (the common shape of a live write), absorbing just
+    // the new engines into the cached merge is O(delta) instead of
+    // O(partition)
+    let prefix_reused = reused == n_cached;
+    let corpus = match cached_corpus {
+        Some(c) if prefix_reused && n_cached == sg.shard_count() => c,
+        Some(c) if prefix_reused && n_cached < sg.shard_count() => {
+            let mut merged = (*c).clone();
+            for (engine, shard) in engines.iter().zip(sg.shards()).skip(n_cached) {
+                merged.absorb(engine.index(), |d| shard.is_owned(EntityId::new(d)));
+            }
+            Arc::new(merged)
         }
-    }
+        _ => Arc::new(merge_corpus_stats(&engines, sg)),
+    };
+    (
+        SearchBackend { engines, corpus },
+        SearchTags {
+            epoch,
+            shard_generations,
+        },
+    )
 }
 
 impl SearchCache {
@@ -253,64 +217,36 @@ impl SearchCache {
     /// well-ordered.
     fn at_least_as_fresh(&self, other: Option<&SearchCache>) -> bool {
         let Some(other) = other else { return true };
-        match (self, other) {
-            (
-                SearchCache::Single { generation: a, .. },
-                SearchCache::Single { generation: b, .. },
-            ) => a >= b,
-            (
-                SearchCache::Sharded {
-                    epoch: ea,
-                    engines: xa,
-                    ..
-                },
-                SearchCache::Sharded {
-                    epoch: eb,
-                    engines: xb,
-                    ..
-                },
-            ) => {
-                if ea != eb {
-                    return ea > eb;
-                }
-                if xa.len() != xb.len() {
-                    return xa.len() > xb.len();
-                }
-                xa.iter().zip(xb).all(|((ga, _), (gb, _))| ga >= gb)
-            }
-            // the layout changed under the cache: the store was rebuilt
-            // wholesale, nothing in the stash is reusable either way
-            _ => true,
+        if self.epoch != other.epoch {
+            return self.epoch > other.epoch;
         }
+        if self.engines.len() != other.engines.len() {
+            return self.engines.len() > other.engines.len();
+        }
+        self.engines
+            .iter()
+            .zip(&other.engines)
+            .all(|((ga, _), (gb, _))| ga >= gb)
     }
 }
 
 /// Re-tag a dissolved [`SearchBackend`] for the cache.
 fn stash_search(search: SearchBackend, tags: SearchTags) -> SearchCache {
-    match (search, tags) {
-        (SearchBackend::Single(engine), SearchTags::Single { generation }) => {
-            SearchCache::Single { generation, engine }
-        }
-        (
-            SearchBackend::Sharded { engines, corpus },
-            SearchTags::Sharded {
-                epoch,
-                shard_generations,
-            },
-        ) => SearchCache::Sharded {
-            epoch,
-            engines: shard_generations.into_iter().zip(engines).collect(),
-            corpus,
-        },
-        _ => unreachable!("the search backend variant follows the store layout"),
+    SearchCache {
+        epoch: tags.epoch,
+        engines: tags
+            .shard_generations
+            .into_iter()
+            .zip(search.engines)
+            .collect(),
+        corpus: search.corpus,
     }
 }
 
 /// A self-contained, thread-safe keyword-search component over a
 /// [`LiveStore`] — the serving layer's search path. It keeps the same
 /// lazily re-indexed engine cache a [`LiveSession`] maintains (per
-/// generation on the single layout; per shard-generation within a
-/// compaction epoch on the sharded layout, scored against globally
+/// shard-generation within a compaction epoch, scored against globally
 /// merged corpus statistics) but carries **no** session state, so many
 /// connections can share one instance behind an `Arc`.
 ///
@@ -344,7 +280,7 @@ impl LiveSearchCache {
     /// write back the stash only, never across an index build — on the
     /// hot path (tags match) that is a couple of integer compares and
     /// `Arc` bumps.
-    fn refreshed(&self, backend: &GraphBackend) -> SearchBackend {
+    fn refreshed(&self, backend: &ShardedGraph) -> SearchBackend {
         // snapshot the stash (cheap `Arc` clones), then build OUTSIDE
         // the lock: a slow re-index must not head-of-line-block every
         // other thread's refresh behind the mutex
@@ -363,13 +299,12 @@ impl LiveSearchCache {
 
     /// Top-`k` keyword hits against the store's current snapshot.
     /// Re-indexes lazily when the store moved since the last call;
-    /// sharded stores answer bit-identically to a single-graph engine
-    /// over the same data.
+    /// answers are bit-identical at every shard count.
     pub fn search(&self, live: &LiveStore, query: &str, k: usize) -> Vec<Hit> {
         let reader = live.read();
         let backend = reader.backend();
         let search = self.refreshed(backend);
-        search_backend_hits(&search, backend.as_sharded(), query, k)
+        search_backend_hits(&search, backend, query, k)
     }
 
     /// Top-`k` keyword hits against a prepared snapshot — the serving
@@ -380,7 +315,7 @@ impl LiveSearchCache {
     /// generation** no matter how many requests land on it.
     pub fn search_prepared(&self, snap: &PreparedSnapshot, query: &str, k: usize) -> Vec<Hit> {
         let search = self.prepare(snap);
-        search_backend_hits(&search, snap.backend().as_sharded(), query, k)
+        search_backend_hits(&search, snap.backend(), query, k)
     }
 
     /// Ensure `snap` carries a ready search backend and return it — the
@@ -484,7 +419,7 @@ impl Drop for SearchWarmer {
 }
 
 /// An exploration session over a [`LiveStore`] that may grow *and be
-/// re-partitioned* mid-session — one implementation for both layouts.
+/// re-partitioned* mid-session.
 pub struct LiveSession<'g> {
     live: &'g LiveStore,
     config: SessionConfig,
@@ -580,9 +515,9 @@ impl<'g> LiveSession<'g> {
     /// runs off the write lock, so other sessions' queries never block
     /// behind it. The session's durable state is untouched; the next
     /// action re-indexes search against the fresh partition and answers
-    /// exactly what the uncompacted store would have answered. On a
-    /// single-layout store this is the identity (still recorded, so the
-    /// log replays onto sharded deployments).
+    /// exactly what the uncompacted store would have answered. On an
+    /// idle one-shard store this is the identity (still recorded, so the
+    /// log replays onto partitioned deployments).
     pub fn compact(&mut self, target_shards: usize) -> Result<CompactionReceipt, StoreError> {
         let receipt = self.live.compact_concurrent(target_shards)?;
         self.events
@@ -602,37 +537,24 @@ impl<'g> LiveSession<'g> {
     }
 
     /// Test/diagnostic view of the search cache's version tags: the
-    /// single-layout generation, or the sharded-layout epoch and
-    /// per-shard local generations.
+    /// compaction epoch and per-shard local generations.
     #[cfg(test)]
     fn search_tags(&self) -> Option<SearchTags> {
-        self.search.as_ref().map(|s| match s {
-            SearchCache::Single { generation, .. } => SearchTags::Single {
-                generation: *generation,
-            },
-            SearchCache::Sharded { epoch, engines, .. } => SearchTags::Sharded {
-                epoch: *epoch,
-                shard_generations: engines.iter().map(|&(g, _)| g).collect(),
-            },
+        self.search.as_ref().map(|s| SearchTags {
+            epoch: s.epoch,
+            shard_generations: s.engines.iter().map(|&(g, _)| g).collect(),
         })
     }
 }
 
-/// The version tags a rebuilt search component will be cached under.
+/// The version tags a rebuilt search component will be cached under:
+/// the compaction epoch and the per-shard local generations.
 #[derive(Debug, PartialEq, Eq)]
-enum SearchTags {
-    /// Single layout: the graph generation.
-    Single {
-        /// Graph generation at indexing time.
-        generation: u64,
-    },
-    /// Sharded layout: compaction epoch + per-shard local generations.
-    Sharded {
-        /// Compaction epoch at indexing time.
-        epoch: u64,
-        /// Local generation per shard, in shard order.
-        shard_generations: Vec<u64>,
-    },
+struct SearchTags {
+    /// Compaction epoch at indexing time.
+    epoch: u64,
+    /// Local generation per shard, in shard order.
+    shard_generations: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -693,7 +615,8 @@ mod tests {
 
         let mut union = base();
         union.apply(&delta);
-        let mut fresh = Session::with_defaults(&union);
+        let one = ShardedGraph::from(union.clone());
+        let mut fresh = Session::with_defaults(&one);
         fresh.click_entity(seed);
         let want: Vec<EntityId> = fresh.view().entities.iter().map(|re| re.entity).collect();
         assert_eq!(after, want, "post-append view must match the rebuilt union");
@@ -769,7 +692,6 @@ mod tests {
 
     #[test]
     fn sharded_session_survives_a_mid_session_compaction() {
-        use pivote_kg::ShardedGraph;
         let kg = base();
         let seed = film_seed(&kg);
         let delta = delta_for(&kg, seed);
@@ -804,7 +726,7 @@ mod tests {
         let mut union = base();
         union.apply(&delta);
         let usg = ShardedGraph::from_graph(&union, 2);
-        let mut fresh = Session::sharded(&usg, SessionConfig::default());
+        let mut fresh = Session::with_defaults(&usg);
         fresh.click_entity(seed);
         let want: Vec<(EntityId, f64)> = fresh
             .view()
@@ -823,7 +745,6 @@ mod tests {
 
     #[test]
     fn replay_live_reproduces_growth_and_compaction_on_both_layouts() {
-        use pivote_kg::ShardedGraph;
         let kg = base();
         let seed = film_seed(&kg);
         let live = LiveStore::with_threads(ShardedGraph::from_graph(&base(), 3), 1);
@@ -865,11 +786,13 @@ mod tests {
             "sharded live replay must reproduce rankings bit-identically"
         );
 
-        // the same log replays onto a *single-layout* store too: Compact
-        // is the identity there and rankings still land bit-identically
+        // the same log replays onto a one-shard store too: the append
+        // grows the shard in place, Compact is the identity there, and
+        // rankings still land bit-identically
         let live3 = LiveStore::with_threads(base(), 1);
         let on_single = crate::replay::replay_live(&live3, SessionConfig::default(), &log);
         assert_eq!(live3.generation(), 1, "only the append applies");
+        assert_eq!(live3.shard_count(), 1);
         assert_eq!(
             on_single
                 .view()
@@ -883,19 +806,18 @@ mod tests {
                 .iter()
                 .map(|re| (re.entity, re.score))
                 .collect::<Vec<_>>(),
-            "a compaction-bearing log must replay identically on the single layout"
+            "a compaction-bearing log must replay identically on one shard"
         );
     }
 
     #[test]
     fn sharded_search_reindexes_touched_and_appended_shards_lazily() {
-        use pivote_kg::ShardedGraph;
         let kg = base();
         let seed = film_seed(&kg);
         let live = LiveStore::with_threads(ShardedGraph::from_graph(&base(), 3), 1);
         let mut s = LiveSession::new(&live, SessionConfig::default());
         s.submit_keywords(&kg.display_name(seed));
-        let Some(SearchTags::Sharded {
+        let Some(SearchTags {
             epoch,
             shard_generations,
         }) = s.search_tags()
@@ -923,13 +845,13 @@ mod tests {
         let view = s.submit_keywords("Zanzibar Premiere");
         let fresh = {
             let reader = live.read();
-            reader.graph().entity("Fresh_Search_Film").unwrap()
+            reader.backend().entity("Fresh_Search_Film").unwrap()
         };
         assert!(
             view.entities.iter().any(|re| re.entity == fresh),
             "appended film must be searchable at the next action"
         );
-        let Some(SearchTags::Sharded {
+        let Some(SearchTags {
             epoch,
             shard_generations,
         }) = s.search_tags()
@@ -944,7 +866,7 @@ mod tests {
         );
         {
             let reader = live.read();
-            for (i, shard) in reader.graph().shards().iter().enumerate() {
+            for (i, shard) in reader.backend().shards().iter().enumerate() {
                 assert_eq!(
                     shard_generations[i],
                     shard.graph().generation(),
@@ -963,7 +885,7 @@ mod tests {
         s.compact(2).expect("store healthy");
         let view = s.submit_keywords("Zanzibar Premiere");
         assert!(view.entities.iter().any(|re| re.entity == fresh));
-        let Some(SearchTags::Sharded {
+        let Some(SearchTags {
             epoch,
             shard_generations,
         }) = s.search_tags()
@@ -986,8 +908,16 @@ mod tests {
         assert_eq!(s.state().timeline.len(), 2, "search + investigate");
         assert_eq!(s.action_log().len(), 2);
         assert_eq!(s.events().len(), 3, "two actions + one append");
-        // the search index was rebuilt exactly once for the new generation
-        assert_eq!(s.search_tags(), Some(SearchTags::Single { generation: 1 }));
+        // the search index is tagged with the store's current version
+        let want = {
+            let reader = live.read();
+            let sg = reader.backend();
+            SearchTags {
+                epoch: sg.compaction_epoch(),
+                shard_generations: sg.shards().iter().map(|s| s.graph().generation()).collect(),
+            }
+        };
+        assert_eq!(s.search_tags(), Some(want));
     }
 
     /// The prepared-snapshot search path answers bit-identically to the
@@ -1001,7 +931,7 @@ mod tests {
             let live = if shards == 1 {
                 LiveStore::with_threads(kg.clone(), 1)
             } else {
-                LiveStore::with_threads(pivote_kg::ShardedGraph::from_graph(&kg, shards), 1)
+                LiveStore::with_threads(ShardedGraph::from_graph(&kg, shards), 1)
             };
             live.enable_snapshots();
             let cache = LiveSearchCache::new(SearchConfig::default());
@@ -1017,19 +947,9 @@ mod tests {
             // the backends share the same engine allocation
             let a = cache.prepare(&snap);
             let b = cache.prepare(&snap);
-            match (&a, &b) {
-                (SearchBackend::Single(x), SearchBackend::Single(y)) => {
-                    assert!(Arc::ptr_eq(x, y));
-                }
-                (
-                    SearchBackend::Sharded { engines: x, .. },
-                    SearchBackend::Sharded { engines: y, .. },
-                ) => {
-                    for (ex, ey) in x.iter().zip(y) {
-                        assert!(Arc::ptr_eq(ex, ey));
-                    }
-                }
-                _ => panic!("layout changed between prepares"),
+            assert_eq!(a.engines.len(), b.engines.len());
+            for (ex, ey) in a.engines.iter().zip(&b.engines) {
+                assert!(Arc::ptr_eq(ex, ey));
             }
 
             // after an append the fresh snapshot starts unattached and

@@ -36,7 +36,7 @@ pub struct EntityProfile {
 
 /// Build the profile of `e`, keeping the `k_features` most discriminative
 /// features. Runs through the ranker's [`pivote_core::GraphHandle`], so
-/// profiles work identically on single and sharded backends.
+/// profiles are identical at every shard count.
 pub fn build_profile(ranker: &Ranker<'_>, e: EntityId, k_features: usize) -> EntityProfile {
     let handle = ranker.handle();
     let mut feats: Vec<(String, f64)> = handle
@@ -53,24 +53,29 @@ pub fn build_profile(ranker: &Ranker<'_>, e: EntityId, k_features: usize) -> Ent
     EntityProfile {
         entity: e,
         name: handle.entity_name(e).to_owned(),
-        label: handle.display_name(e),
+        label: handle.graph().display_name(e),
         types: handle
+            .graph()
             .types_of(e)
-            .into_iter()
-            .map(|t| handle.type_name(t).to_owned())
+            .map(|t| handle.graph().type_name(t).to_owned())
             .collect(),
         categories: handle
+            .graph()
             .categories_of(e)
-            .into_iter()
-            .map(|c| handle.category_name(c).to_owned())
+            .map(|c| handle.graph().category_name(c).to_owned())
             .collect(),
         attributes: handle
+            .graph()
             .literals(e)
-            .into_iter()
-            .map(|(p, l)| (handle.predicate_name(p).to_owned(), l.lexical.clone()))
+            .map(|(p, l)| {
+                (
+                    handle.graph().predicate_name(p).to_owned(),
+                    l.lexical.clone(),
+                )
+            })
             .collect(),
         top_features: feats,
-        aliases: handle.aliases(e).to_vec(),
+        aliases: handle.graph().aliases(e).to_vec(),
         wikipedia_url: format!("https://en.wikipedia.org/wiki/{}", handle.entity_name(e)),
     }
 }
@@ -105,8 +110,8 @@ impl EntityProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pivote_core::RankingConfig;
-    use pivote_kg::{KgBuilder, KnowledgeGraph, Literal};
+    use pivote_core::{GraphHandle, RankingConfig};
+    use pivote_kg::{KgBuilder, KnowledgeGraph, Literal, ShardedGraph};
 
     fn ranker_kg() -> KnowledgeGraph {
         let mut b = KgBuilder::new();
@@ -130,7 +135,8 @@ mod tests {
     #[test]
     fn profile_collects_everything() {
         let kg = ranker_kg();
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let gump = kg.entity("Forrest_Gump").unwrap();
         let p = build_profile(&ranker, gump, 10);
         assert_eq!(p.label, "Forrest Gump");
@@ -147,7 +153,8 @@ mod tests {
     #[test]
     fn k_features_truncates() {
         let kg = ranker_kg();
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let gump = kg.entity("Forrest_Gump").unwrap();
         assert_eq!(build_profile(&ranker, gump, 1).top_features.len(), 1);
     }
@@ -155,7 +162,8 @@ mod tests {
     #[test]
     fn render_mentions_key_facts() {
         let kg = ranker_kg();
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         let gump = kg.entity("Forrest_Gump").unwrap();
         let text = build_profile(&ranker, gump, 5).render();
         for needle in [

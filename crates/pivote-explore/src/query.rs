@@ -75,13 +75,14 @@ impl ExplorationQuery {
         )
     }
 
-    /// [`ExplorationQuery::summary`] over a backend-agnostic
-    /// [`GraphHandle`](pivote_core::GraphHandle) — identical output on single and sharded backends.
+    /// [`ExplorationQuery::summary`] over a
+    /// [`GraphHandle`](pivote_core::GraphHandle) — identical output at
+    /// every shard count.
     pub fn summary_with(&self, handle: &pivote_core::GraphHandle<'_>) -> String {
         self.summary_impl(
-            |e| handle.display_name(e),
+            |e| handle.graph().display_name(e),
             |sf| handle.feature_display(*sf),
-            |t| handle.type_name(t).to_owned(),
+            |t| handle.graph().type_name(t).to_owned(),
         )
     }
 

@@ -4,7 +4,6 @@
 
 use crate::events::UserAction;
 use crate::session::Session;
-use pivote_kg::KnowledgeGraph;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -56,49 +55,35 @@ pub fn replay(session: &mut Session<'_>, log: &ActionLog) -> usize {
     log.actions.len()
 }
 
-/// Replay a log onto a *fresh* session that shares an existing
-/// [`QueryContext`](pivote_core::QueryContext) — every `p(π|c)` density
-/// the original session memoized is a cache hit during the replay, which
-/// is what makes reproducing demo scenarios and "revisit historical
-/// queries" cheap.
-pub fn replay_with_context<'kg>(
-    ctx: &std::sync::Arc<pivote_core::QueryContext<'kg>>,
-    config: crate::session::SessionConfig,
-    log: &ActionLog,
-) -> Session<'kg> {
-    let mut session = Session::with_context(std::sync::Arc::clone(ctx), config);
-    replay(&mut session, log);
-    session
-}
-
-/// [`replay_with_context`] over any backend handle — the mechanism that
-/// lets a recorded session be reproduced against a sharded deployment of
-/// the same graph (rankings replay bit-identically on both backends).
+/// Replay a log onto a *fresh* session over `handle`. Sharing the
+/// original session's handle makes every `p(π|c)` density it memoized a
+/// cache hit during the replay — what makes reproducing demo scenarios
+/// and "revisit historical queries" cheap — and a handle over another
+/// partition of the same graph reproduces the session there
+/// bit-identically.
 pub fn replay_with_handle<'kg>(
     handle: &pivote_core::GraphHandle<'kg>,
     config: crate::session::SessionConfig,
     log: &ActionLog,
 ) -> Session<'kg> {
-    let mut session = Session::with_handle(handle.clone(), config);
+    let mut session = Session::new(handle.clone(), config);
     replay(&mut session, log);
     session
 }
 
 /// Replay a [`LiveLog`](crate::live::LiveLog) — user actions, store
 /// appends **and compactions**, in their original order — onto a fresh
-/// [`LiveSession`](crate::live::LiveSession) over `live`, whichever
-/// layout it holds. Starting from the same base store this reproduces
+/// [`LiveSession`](crate::live::LiveSession) over `live`, whatever its
+/// shard count. Starting from the same base store this reproduces
 /// the entire live exploration — growth and re-partitioning included —
 /// with bit-identical rankings, heat maps and profiles: appends are
 /// deterministic splices, compaction is an answer-preserving offline
 /// rebuild, and actions are deterministic queries.
 ///
-/// [`LiveEvent::Compact`](crate::live::LiveEvent::Compact) events are
-/// the identity on a single-layout store (a single graph is always one
-/// partition, and compaction changes no answer), so a log recorded
-/// against a sharded deployment still replays to bit-identical rankings
-/// on a single one — the live twin of [`replay_with_handle`]'s
-/// single-vs-sharded guarantee.
+/// [`LiveEvent::Compact`](crate::live::LiveEvent::Compact) events change
+/// no answer (and are the identity on an idle one-shard store), so a log
+/// recorded against one partitioning replays to bit-identical rankings
+/// on any other — the live twin of [`replay_with_handle`]'s guarantee.
 pub fn replay_live<'g>(
     live: &'g pivote_core::LiveStore,
     config: crate::session::SessionConfig,
@@ -138,7 +123,7 @@ pub struct SessionStats {
 }
 
 /// Compute statistics for a session.
-pub fn session_stats(kg: &KnowledgeGraph, session: &Session<'_>) -> SessionStats {
+pub fn session_stats(session: &Session<'_>) -> SessionStats {
     let mut actions_by_verb: BTreeMap<String, usize> = BTreeMap::new();
     for action in &session.action_log().actions {
         *actions_by_verb.entry(action.verb().to_owned()).or_default() += 1;
@@ -147,7 +132,7 @@ pub fn session_stats(kg: &KnowledgeGraph, session: &Session<'_>) -> SessionStats
         .timeline()
         .iter()
         .filter_map(|entry| entry.query.sf.type_filter)
-        .map(|t| kg.type_name(t).to_owned())
+        .map(|t| session.handle().graph().type_name(t).to_owned())
         .collect();
     domains.dedup();
     let lookups = actions_by_verb.get("lookup").copied().unwrap_or(0);
@@ -163,9 +148,13 @@ pub fn session_stats(kg: &KnowledgeGraph, session: &Session<'_>) -> SessionStats
 mod tests {
     use super::*;
     use pivote_core::{Direction, SemanticFeature};
-    use pivote_kg::{generate, DatagenConfig};
+    use pivote_kg::{generate, DatagenConfig, ShardedGraph};
 
-    fn scripted(kg: &KnowledgeGraph) -> Session<'_> {
+    fn tiny() -> ShardedGraph {
+        ShardedGraph::from(generate(&DatagenConfig::tiny()))
+    }
+
+    fn scripted(kg: &ShardedGraph) -> Session<'_> {
         let mut s = Session::with_defaults(kg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
@@ -183,7 +172,7 @@ mod tests {
 
     #[test]
     fn sessions_record_their_actions() {
-        let kg = generate(&DatagenConfig::tiny());
+        let kg = tiny();
         let s = scripted(&kg);
         assert_eq!(s.action_log().len(), 4);
         let verbs: Vec<&str> = s.action_log().actions.iter().map(|a| a.verb()).collect();
@@ -192,7 +181,7 @@ mod tests {
 
     #[test]
     fn replay_reproduces_the_session() {
-        let kg = generate(&DatagenConfig::tiny());
+        let kg = tiny();
         let original = scripted(&kg);
         let log = original.action_log().clone();
 
@@ -219,10 +208,10 @@ mod tests {
 
     #[test]
     fn replay_on_shared_context_reproduces_the_session() {
-        let kg = generate(&DatagenConfig::tiny());
+        let kg = tiny();
         let original = scripted(&kg);
-        let replayed = super::replay_with_context(
-            original.query_context(),
+        let replayed = super::replay_with_handle(
+            original.handle(),
             crate::session::SessionConfig::default(),
             original.action_log(),
         );
@@ -247,7 +236,7 @@ mod tests {
 
     #[test]
     fn replay_through_json_roundtrip() {
-        let kg = generate(&DatagenConfig::tiny());
+        let kg = tiny();
         let original = scripted(&kg);
         let json = original.action_log().to_json();
         let log = ActionLog::from_json(&json).unwrap();
@@ -258,9 +247,9 @@ mod tests {
 
     #[test]
     fn stats_summarize_the_session() {
-        let kg = generate(&DatagenConfig::tiny());
+        let kg = tiny();
         let s = scripted(&kg);
-        let stats = session_stats(&kg, &s);
+        let stats = session_stats(&s);
         assert_eq!(stats.query_states, 3); // search, investigate, pivot
         assert_eq!(stats.lookups, 1);
         assert_eq!(stats.actions_by_verb.get("pivot"), Some(&1));

@@ -13,10 +13,10 @@ use crate::profile::{build_profile, EntityProfile};
 use crate::query::ExplorationQuery;
 use crate::timeline::Timeline;
 use pivote_core::{
-    Expander, GraphHandle, HeatMap, QueryContext, RankedEntity, RankedFeature, RankingConfig,
-    SemanticFeature, SfQuery,
+    Expander, GraphHandle, HeatMap, RankedEntity, RankedFeature, RankingConfig, SemanticFeature,
+    SfQuery,
 };
-use pivote_kg::{EntityId, KnowledgeGraph, ShardedGraph, TypeId};
+use pivote_kg::{EntityId, ShardedGraph, TypeId};
 use pivote_search::{CorpusStats, Hit, Scorer, SearchConfig, SearchEngine};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -105,11 +105,16 @@ pub struct SessionState {
     pub query: ExplorationQuery,
 }
 
-/// The keyword-search component, per backend: one index over the single
-/// graph, or one index per shard with an owned-entity merge. Public so
-/// the live-session layer can carry prebuilt engines across graph
-/// generations (and across compactions, which change the shard count)
-/// without re-indexing when nothing changed.
+/// The keyword-search component: one index per shard (indexed over the
+/// shard-local graph, with related-names neighbours selected in
+/// global-id order) plus the globally-merged corpus statistics every
+/// shard scores against. Hits are filtered to owned entities (ghosts are
+/// re-indexed by their home shard), remapped to global ids and merged by
+/// `(score desc, id asc)` — the same scores and order at every shard
+/// count, bit for bit. Public so the live-session layer can carry
+/// prebuilt engines across graph generations (and across compactions,
+/// which change the shard count) without re-indexing when nothing
+/// changed.
 ///
 /// Engines are `Arc`-held, so the backend is `Clone` at pointer cost:
 /// the live search cache hands each concurrent search its own cheap
@@ -117,24 +122,28 @@ pub struct SessionState {
 /// the cache's mutex guards only the refresh bookkeeping, never a
 /// query.
 #[derive(Clone)]
-pub enum SearchBackend {
-    /// One engine over the whole graph (`Arc`: shared, not copied, by
-    /// every concurrent search and every prepared snapshot it is
-    /// attached to).
-    Single(Arc<SearchEngine>),
-    /// One engine per shard (indexed over the shard-local graph, with
-    /// related-names neighbours selected in global-id order) plus the
-    /// globally-merged corpus statistics every shard scores against.
-    /// Hits are filtered to owned entities (ghosts are re-indexed by
-    /// their home shard), remapped to global ids and merged by
-    /// `(score desc, id asc)` — the same scores and order as the
-    /// single-graph engine, bit for bit.
-    Sharded {
-        /// One engine per shard, in shard order.
-        engines: Vec<Arc<SearchEngine>>,
-        /// Merged owned-document statistics across all shards.
-        corpus: Arc<CorpusStats>,
-    },
+pub struct SearchBackend {
+    /// One engine per shard, in shard order.
+    pub engines: Vec<Arc<SearchEngine>>,
+    /// Merged owned-document statistics across all shards.
+    pub corpus: Arc<CorpusStats>,
+}
+
+impl SearchBackend {
+    /// Index every shard of `sg` and merge the corpus statistics.
+    pub fn build(sg: &ShardedGraph, config: SearchConfig) -> Self {
+        let engines: Vec<Arc<SearchEngine>> = sg
+            .shards()
+            .iter()
+            .map(|s| {
+                Arc::new(SearchEngine::build_keyed(s.graph(), config, |local| {
+                    s.to_global(local).raw()
+                }))
+            })
+            .collect();
+        let corpus = Arc::new(merge_corpus_stats(&engines, sg));
+        Self { engines, corpus }
+    }
 }
 
 /// Merge per-shard indexes into the global corpus statistics, counting
@@ -148,55 +157,46 @@ pub fn merge_corpus_stats(engines: &[Arc<SearchEngine>], sg: &ShardedGraph) -> C
     corpus
 }
 
-/// Top-`k` keyword hits of a [`SearchBackend`] — the merge logic shared
-/// by [`Session::search_hits`] and the serving layer (which queries the
-/// backend directly, without building a session).
-///
-/// # Panics
-/// When the backend is sharded and `sharded` is `None`.
+/// Top-`k` keyword hits of a [`SearchBackend`] built over `sg` — the
+/// merge logic shared by [`Session::search_hits`] and the serving layer
+/// (which queries the backend directly, without building a session).
 pub fn search_backend_hits(
     search: &SearchBackend,
-    sharded: Option<&ShardedGraph>,
+    sg: &ShardedGraph,
     query: &str,
     k: usize,
 ) -> Vec<Hit> {
-    match search {
-        SearchBackend::Single(engine) => engine.search(query, k),
-        SearchBackend::Sharded { engines, corpus } => {
-            let sg = sharded.expect("sharded search backend needs its sharded graph");
-            let mut hits: Vec<Hit> = engines
-                .iter()
-                .zip(sg.shards())
-                .flat_map(|(engine, shard)| {
-                    // fetch ALL of the shard's matches, not the top k:
-                    // ghost hits are dropped below, and truncating
-                    // before the ghost filter could starve owned
-                    // matches ranked behind k ghosts
-                    engine
-                        .search_in(query, usize::MAX, Scorer::MixtureLm, corpus.as_ref())
-                        .into_iter()
-                        // drop ghost hits: the home shard re-indexes them
-                        .filter(|h| shard.is_owned(h.entity))
-                        .map(|h| Hit {
-                            entity: shard.to_global(h.entity),
-                            score: h.score,
-                        })
+    let mut hits: Vec<Hit> = search
+        .engines
+        .iter()
+        .zip(sg.shards())
+        .flat_map(|(engine, shard)| {
+            // fetch ALL of the shard's matches, not the top k: ghost hits
+            // are dropped below, and truncating before the ghost filter
+            // could starve owned matches ranked behind k ghosts
+            engine
+                .search_in(query, usize::MAX, Scorer::MixtureLm, search.corpus.as_ref())
+                .into_iter()
+                // drop ghost hits: the home shard re-indexes them
+                .filter(|h| shard.is_owned(h.entity))
+                .map(|h| Hit {
+                    entity: shard.to_global(h.entity),
+                    score: h.score,
                 })
-                .collect();
-            hits.sort_unstable_by(|a, b| {
-                b.score
-                    .partial_cmp(&a.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.entity.cmp(&b.entity))
-            });
-            hits.truncate(k);
-            hits
-        }
-    }
+        })
+        .collect();
+    hits.sort_unstable_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.entity.cmp(&b.entity))
+    });
+    hits.truncate(k);
+    hits
 }
 
-/// An interactive exploration session over one knowledge graph — single
-/// or sharded backend, behind one [`GraphHandle`].
+/// An interactive exploration session over one knowledge graph, behind
+/// one [`GraphHandle`].
 pub struct Session<'kg> {
     handle: GraphHandle<'kg>,
     search: SearchBackend,
@@ -209,105 +209,38 @@ pub struct Session<'kg> {
 }
 
 impl<'kg> Session<'kg> {
-    /// Build a session (indexes the graph for search) with a fresh
-    /// [`QueryContext`] shared by every engine the session drives.
-    pub fn new(kg: &'kg KnowledgeGraph, config: SessionConfig) -> Self {
-        Self::with_context(Arc::new(QueryContext::new(kg)), config)
+    /// Build a session on `handle` (indexes the graph for search) — every
+    /// query path (search, expansion, heat map, profiles, replay) runs
+    /// through it, and sessions sharing a handle share its memoized
+    /// state.
+    pub fn new(handle: GraphHandle<'kg>, config: SessionConfig) -> Self {
+        let search = SearchBackend::build(handle.graph(), config.search);
+        Self::with_search(handle, config, search)
     }
 
-    /// Build a session on an existing execution context — replayed or
-    /// concurrent sessions over one graph share its memoized state.
-    pub fn with_context(ctx: Arc<QueryContext<'kg>>, config: SessionConfig) -> Self {
-        Self::with_handle(GraphHandle::Single(ctx), config)
+    /// Session with default configuration over a fresh context on `sg`.
+    pub fn with_defaults(sg: &'kg ShardedGraph) -> Self {
+        Self::new(GraphHandle::new(sg), SessionConfig::default())
     }
 
-    /// Build a session over a sharded graph with a fresh sharded context.
-    pub fn sharded(sg: &'kg ShardedGraph, config: SessionConfig) -> Self {
-        Self::with_handle(GraphHandle::sharded(sg), config)
-    }
-
-    /// Build a session on any backend handle — every query path (search,
-    /// expansion, heat map, profiles, replay) runs through it unchanged.
-    pub fn with_handle(handle: GraphHandle<'kg>, config: SessionConfig) -> Self {
-        let search = match &handle {
-            GraphHandle::Single(ctx) => {
-                SearchBackend::Single(Arc::new(SearchEngine::build(ctx.kg(), config.search)))
-            }
-            GraphHandle::Sharded(ctx) => {
-                let sg = ctx.graph();
-                let engines: Vec<Arc<SearchEngine>> = sg
-                    .shards()
-                    .iter()
-                    .map(|s| {
-                        Arc::new(SearchEngine::build_keyed(
-                            s.graph(),
-                            config.search,
-                            |local| s.to_global(local).raw(),
-                        ))
-                    })
-                    .collect();
-                let corpus = Arc::new(merge_corpus_stats(&engines, sg));
-                SearchBackend::Sharded { engines, corpus }
-            }
-        };
-        Self {
-            search,
-            expander: Expander::with_handle(handle.clone(), config.ranking),
-            handle,
-            config,
-            timeline: Timeline::new(),
-            path: ExplorationPath::new(),
-            view: ViewState::empty(),
-            log: crate::replay::ActionLog::new(),
-        }
-    }
-
-    /// Session with default configuration.
-    pub fn with_defaults(kg: &'kg KnowledgeGraph) -> Self {
-        Self::new(kg, SessionConfig::default())
-    }
-
-    /// Build a single-backend session around a **prebuilt** search
-    /// engine, skipping the (expensive) indexing pass — how the
-    /// live-session layer re-homes a session onto a fresh graph snapshot
-    /// without re-indexing when the graph generation hasn't changed.
+    /// Build a session around a **prebuilt** [`SearchBackend`], skipping
+    /// the (expensive) indexing pass — how the live-session layer
+    /// re-homes a session onto a fresh graph snapshot without
+    /// re-indexing shards whose generation hasn't changed.
     ///
     /// # Panics
-    /// When `handle` is sharded (sharded search is a per-shard engine
-    /// set; use [`Session::with_search`]).
-    pub fn with_single_engine(
-        handle: GraphHandle<'kg>,
-        config: SessionConfig,
-        engine: SearchEngine,
-    ) -> Self {
-        Self::with_search(handle, config, SearchBackend::Single(Arc::new(engine)))
-    }
-
-    /// Build a session around a **prebuilt** [`SearchBackend`] — the
-    /// generalization of [`Session::with_single_engine`] that also serves
-    /// the sharded live path, where the engine set is one index per
-    /// shard.
-    ///
-    /// # Panics
-    /// When the backend variant does not match the handle, or a sharded
-    /// engine set's length does not match the graph's shard count (a
-    /// stale set from before an append or a compaction).
+    /// When the engine set's length does not match the graph's shard
+    /// count (a stale set from before an append or a compaction).
     pub fn with_search(
         handle: GraphHandle<'kg>,
         config: SessionConfig,
         search: SearchBackend,
     ) -> Self {
-        match (&handle, &search) {
-            (GraphHandle::Single(_), SearchBackend::Single(_)) => {}
-            (GraphHandle::Sharded(ctx), SearchBackend::Sharded { engines, .. }) => {
-                assert_eq!(
-                    engines.len(),
-                    ctx.graph().shard_count(),
-                    "per-shard engine set must match the shard count"
-                );
-            }
-            _ => panic!("search backend variant must match the graph handle"),
-        }
+        assert_eq!(
+            search.engines.len(),
+            handle.graph().shard_count(),
+            "per-shard engine set must match the shard count"
+        );
         Self {
             search,
             expander: Expander::with_handle(handle.clone(), config.ranking),
@@ -359,17 +292,7 @@ impl<'kg> Session<'kg> {
         (state, self.log, self.view, self.search)
     }
 
-    /// The shared query-execution context (probability caches, worker
-    /// pool) every engine of this session runs on.
-    ///
-    /// # Panics
-    /// When the session runs on a sharded backend; use
-    /// [`Session::handle`].
-    pub fn query_context(&self) -> &Arc<QueryContext<'kg>> {
-        self.expander.context()
-    }
-
-    /// The backend-agnostic graph handle this session runs on.
+    /// The graph handle this session runs on.
     pub fn handle(&self) -> &GraphHandle<'kg> {
         &self.handle
     }
@@ -389,34 +312,9 @@ impl<'kg> Session<'kg> {
         &self.path
     }
 
-    /// The knowledge graph under exploration — single backend only.
-    ///
-    /// # Panics
-    /// When the session runs on a sharded backend; use
-    /// [`Session::handle`].
-    pub fn kg(&self) -> &'kg KnowledgeGraph {
-        self.handle
-            .kg()
-            .expect("Session::kg is single-backend only; use Session::handle")
-    }
-
-    /// The search engine component — single backend only.
-    ///
-    /// # Panics
-    /// When the session runs on a sharded backend (search is then a
-    /// per-shard engine set merged by [`Session::search_hits`]).
-    pub fn search_engine(&self) -> &SearchEngine {
-        match &self.search {
-            SearchBackend::Single(engine) => engine,
-            SearchBackend::Sharded { .. } => {
-                panic!("Session::search_engine is single-backend only")
-            }
-        }
-    }
-
-    /// Top-`k` keyword hits on whichever search backend this session has.
+    /// Top-`k` keyword hits.
     pub fn search_hits(&self, query: &str, k: usize) -> Vec<Hit> {
-        search_backend_hits(&self.search, self.handle.sharded_graph(), query, k)
+        search_backend_hits(&self.search, self.handle.graph(), query, k)
     }
 
     /// The recommendation engine component.
@@ -490,7 +388,7 @@ impl<'kg> Session<'kg> {
                 ));
                 self.path.branch(
                     NodeKind::Entity,
-                    self.handle.display_name(entity),
+                    self.handle.graph().display_name(entity),
                     action.verb(),
                 );
             }
@@ -605,16 +503,16 @@ impl<'kg> Session<'kg> {
             // as pseudo-seeds, with a single-seed fallback.
             let pseudo: Vec<EntityId> = match hits.first() {
                 Some(top) => {
-                    let top_types: Vec<TypeId> = self.handle.types_of(top.entity);
+                    let top_types: Vec<TypeId> = self.handle.graph().types_of(top.entity).collect();
                     hits.iter()
                         .map(|h| h.entity)
                         .filter(|&e| {
                             e == top.entity
                                 || self
                                     .handle
+                                    .graph()
                                     .types_of(e)
-                                    .iter()
-                                    .any(|t| top_types.contains(t))
+                                    .any(|t| top_types.contains(&t))
                         })
                         .take(self.config.pseudo_seeds_from_search)
                         .collect()
@@ -644,14 +542,14 @@ impl<'kg> Session<'kg> {
     fn common_specific_type(&self, seeds: &[EntityId]) -> Option<TypeId> {
         let mut iter = seeds.iter();
         let first = iter.next()?;
-        let mut shared: Vec<TypeId> = self.handle.types_of(*first);
+        let mut shared: Vec<TypeId> = self.handle.graph().types_of(*first).collect();
         for &e in iter {
-            let types: Vec<TypeId> = self.handle.types_of(e);
+            let types: Vec<TypeId> = self.handle.graph().types_of(e).collect();
             shared.retain(|t| types.contains(t));
         }
         shared
             .into_iter()
-            .min_by_key(|&t| self.handle.type_extent_len(t))
+            .min_by_key(|&t| self.handle.graph().type_extent_len(t))
     }
 
     /// The dominant type of a feature's extent — where a pivot lands.
@@ -659,7 +557,7 @@ impl<'kg> Session<'kg> {
         let extent = self.handle.feature_extent(feature);
         let mut counts: std::collections::HashMap<TypeId, usize> = std::collections::HashMap::new();
         for &e in extent.as_ref() {
-            for t in self.handle.types_of(e) {
+            for t in self.handle.graph().types_of(e) {
                 *counts.entry(t).or_default() += 1;
             }
         }
@@ -670,8 +568,9 @@ impl<'kg> Session<'kg> {
                     // tie: prefer the more specific (smaller) type
                     .then_with(|| {
                         self.handle
+                            .graph()
                             .type_extent_len(b.0)
-                            .cmp(&self.handle.type_extent_len(a.0))
+                            .cmp(&self.handle.graph().type_extent_len(a.0))
                     })
                     .then_with(|| b.0.cmp(&a.0))
             })
@@ -683,7 +582,7 @@ impl<'kg> Session<'kg> {
 mod tests {
     use super::*;
     use pivote_core::Direction;
-    use pivote_kg::{generate, DatagenConfig};
+    use pivote_kg::{generate, DatagenConfig, KnowledgeGraph};
 
     fn session_kg() -> KnowledgeGraph {
         generate(&DatagenConfig::tiny())
@@ -692,7 +591,8 @@ mod tests {
     #[test]
     fn keyword_search_fills_view() {
         let kg = session_kg();
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
         let label = kg.display_name(f);
@@ -708,7 +608,8 @@ mod tests {
     #[test]
     fn click_entity_starts_investigation_with_type_filter() {
         let kg = session_kg();
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
         let view = s.click_entity(f);
@@ -723,7 +624,8 @@ mod tests {
     #[test]
     fn duplicate_click_is_ignored() {
         let kg = session_kg();
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
         s.click_entity(f);
@@ -735,7 +637,8 @@ mod tests {
     #[test]
     fn select_feature_filters_results() {
         let kg = session_kg();
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let starring = kg.predicate("starring").unwrap();
         let actor = kg.type_id("Actor").unwrap();
         // most popular actor
@@ -755,7 +658,8 @@ mod tests {
     #[test]
     fn pivot_switches_domain() {
         let kg = session_kg();
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         let actor = kg.type_id("Actor").unwrap();
         let f = kg.type_extent(film)[0];
@@ -781,7 +685,8 @@ mod tests {
     #[test]
     fn lookup_fills_focus_without_changing_query() {
         let kg = session_kg();
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
         s.click_entity(f);
@@ -798,7 +703,8 @@ mod tests {
     #[test]
     fn revisit_restores_query() {
         let kg = session_kg();
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         let f0 = kg.type_extent(film)[0];
         let f1 = kg.type_extent(film)[1];
@@ -815,7 +721,8 @@ mod tests {
     #[test]
     fn remove_seed_reverts_results() {
         let kg = session_kg();
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         let f0 = kg.type_extent(film)[0];
         s.click_entity(f0);
@@ -827,7 +734,8 @@ mod tests {
     #[test]
     fn clear_resets_everything_but_history() {
         let kg = session_kg();
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         s.submit_keywords("film");
         s.apply(UserAction::ClearQuery);
         assert!(s.view().query.is_empty());
@@ -839,7 +747,8 @@ mod tests {
     fn feature_axis_covers_multiple_aspects() {
         // Fig. 3-e mixes predicates; the diversified y-axis must too.
         let kg = generate(&DatagenConfig::small());
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         let f = *kg
             .type_extent(film)
@@ -862,15 +771,16 @@ mod tests {
 
     #[test]
     fn sharded_session_matches_single_session_rankings() {
-        // the same clicks against a sharded backend must produce
+        // the same clicks against three shards must produce
         // bit-identical recommendation areas and heat maps
         let kg = session_kg();
-        let sg = pivote_kg::ShardedGraph::from_graph(&kg, 3);
+        let sg = ShardedGraph::from_graph(&kg, 3);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
 
-        let mut single = Session::with_defaults(&kg);
-        let mut sharded = Session::sharded(&sg, SessionConfig::default());
+        let one = ShardedGraph::from(kg.clone());
+        let mut single = Session::with_defaults(&one);
+        let mut sharded = Session::with_defaults(&sg);
         single.click_entity(f);
         sharded.click_entity(f);
 
@@ -900,7 +810,7 @@ mod tests {
         assert_eq!(profile.label, kg.display_name(f));
 
         // keyword search merges per-shard hits scored against the global
-        // corpus statistics — bit-identical to the single-graph engine
+        // corpus statistics — bit-identical at every shard count
         for query in [kg.display_name(f), "the film".to_owned()] {
             let sh = sharded.search_hits(&query, 10);
             let si = single.search_hits(&query, 10);
@@ -918,17 +828,20 @@ mod tests {
 
     #[test]
     fn sharded_search_is_bit_identical_at_every_shard_count() {
+        // the reference is one search engine over the whole graph
         let kg = session_kg();
-        let single = Session::with_defaults(&kg);
+        let single = SearchEngine::build(&kg, SessionConfig::default().search);
         let film = kg.type_id("Film").unwrap();
         let label = kg.display_name(kg.type_extent(film)[0]);
         let queries = [label.as_str(), "the film", "american work"];
-        for shards in 1..=4 {
-            let sg = pivote_kg::ShardedGraph::from_graph(&kg, shards);
-            let sharded = Session::sharded(&sg, SessionConfig::default());
+        let mut partitions = vec![ShardedGraph::from(kg.clone())];
+        partitions.extend((1..=4).map(|n| ShardedGraph::from_graph(&kg, n)));
+        for sg in &partitions {
+            let shards = sg.shard_count();
+            let sharded = Session::with_defaults(sg);
             for query in queries {
                 let sh = sharded.search_hits(query, 25);
-                let si = single.search_hits(query, 25);
+                let si = single.search(query, 25);
                 assert_eq!(sh.len(), si.len(), "{shards} shards, {query:?}");
                 for (x, y) in sh.iter().zip(&si) {
                     assert_eq!(x.entity, y.entity, "{shards} shards, {query:?}");
@@ -945,13 +858,14 @@ mod tests {
     #[test]
     fn replay_onto_sharded_backend_reproduces_rankings() {
         let kg = session_kg();
-        let sg = pivote_kg::ShardedGraph::from_graph(&kg, 2);
+        let sg = ShardedGraph::from_graph(&kg, 2);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
-        let mut original = Session::with_defaults(&kg);
+        let one = ShardedGraph::from(kg.clone());
+        let mut original = Session::with_defaults(&one);
         original.click_entity(f);
         let replayed = crate::replay::replay_with_handle(
-            &pivote_core::GraphHandle::sharded(&sg),
+            &GraphHandle::new(&sg),
             SessionConfig::default(),
             original.action_log(),
         );
@@ -968,19 +882,21 @@ mod tests {
                 .iter()
                 .map(|re| re.entity)
                 .collect::<Vec<_>>(),
-            "single-backend session must replay identically on shards"
+            "a one-shard session must replay identically on two shards"
         );
     }
 
     #[test]
     fn state_export_import_roundtrip() {
         let kg = session_kg();
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         s.click_entity(kg.type_extent(film)[0]);
         let json = s.export_json();
         let state: SessionState = serde_json::from_str(&json).unwrap();
-        let mut s2 = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s2 = Session::with_defaults(&sg);
         s2.restore_state(state.clone());
         assert_eq!(s2.view().query, s.view().query);
         assert_eq!(s2.timeline(), s.timeline());
@@ -993,7 +909,8 @@ mod tests {
     fn full_scenario_investigate_then_pivot_builds_path() {
         // The Fig. 4 shape: search → investigate → pivot, with a lookup.
         let kg = session_kg();
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
         s.submit_keywords(&kg.display_name(f));

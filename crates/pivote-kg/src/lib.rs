@@ -13,8 +13,11 @@
 //! - a deterministic synthetic DBpedia-like generator that substitutes for
 //!   the paper's DBpedia corpus ([`datagen`]);
 //! - entity-id-range sharding — [`ShardedGraph`]/[`ShardRouter`] with a
-//!   shard-local id remap whose invariants make sharded rankings
-//!   bit-identical to single-graph rankings ([`shard`]);
+//!   shard-local id remap whose invariants make rankings bit-identical
+//!   at every shard count ([`shard`]). A [`ShardedGraph`] is the one
+//!   store every live layer holds; a parsed or generated
+//!   [`KnowledgeGraph`] becomes a one-shard store by move
+//!   (`ShardedGraph::from(kg)`);
 //! - type-coupling statistics backing the paper's Fig. 1-b type view and
 //!   the pivot operation ([`stats`]).
 //!

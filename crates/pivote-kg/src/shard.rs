@@ -94,6 +94,12 @@ impl ShardRouter {
         let last = *self.cuts.last().expect("router has cut points");
         self.cuts.push(last + additional);
     }
+
+    /// Grow the last shard's range by `additional` global ids — how a
+    /// one-shard store absorbs entities created by a delta in place.
+    fn extend_last(&mut self, additional: u32) {
+        *self.cuts.last_mut().expect("router has cut points") += additional;
+    }
 }
 
 /// One shard: a self-contained [`KnowledgeGraph`] over the owned entity
@@ -212,6 +218,32 @@ pub struct ShardedGraph {
     /// per-shard derived state (e.g. search indexes) be reused
     /// positionally across appends but never across a re-partition.
     compaction_epoch: u64,
+}
+
+impl From<KnowledgeGraph> for ShardedGraph {
+    /// One shard owning every entity, built **by move**: the graph
+    /// becomes the shard's graph as it is — identity remap, no ghosts,
+    /// no rebuild — so wrapping a freshly parsed dump costs one small
+    /// id table. Equal to [`ShardedGraph::from_graph`]`(&kg, 1)` in
+    /// every answer, receipt and serialization, at generation 0.
+    fn from(kg: KnowledgeGraph) -> Self {
+        let n = kg.entity_count();
+        Self {
+            router: ShardRouter::uniform(n, 1),
+            relation_count: kg.relation_count(),
+            triple_count: kg.triple_count(),
+            shards: vec![GraphShard {
+                local_to_global: (0..n as u32).map(EntityId::new).collect(),
+                ghost_lookup: Vec::new(),
+                base: 0,
+                owned_count: n,
+                graph: std::sync::Arc::new(kg),
+            }],
+            generation: 0,
+            base_shards: 1,
+            compaction_epoch: 0,
+        }
+    }
 }
 
 impl ShardedGraph {
@@ -374,6 +406,21 @@ impl ShardedGraph {
         b.finish()
     }
 
+    /// [`snapshot::fingerprint`](crate::snapshot::fingerprint) of the
+    /// logical graph: the restart-stable hash of its exact snapshot
+    /// bytes, independent of partitioning and mutation generation. Two
+    /// stores with equal fingerprints serve bit-identical answers — the
+    /// equality the delta-log replication contract is stated in. Linear
+    /// in graph size (on a partition, a union rebuild first); call at
+    /// durability points, not per query.
+    pub fn fingerprint(&self) -> u64 {
+        match self.shards.as_slice() {
+            // one shard's graph is the logical graph, ids and all
+            [one] => crate::snapshot::fingerprint(one.graph()),
+            _ => crate::snapshot::fingerprint(&self.to_graph()),
+        }
+    }
+
     /// Re-partition into `target_shards` fresh entity-id-range shards —
     /// the offline compaction pass for a graph whose trailing shards have
     /// accumulated. An offline union rebuild ([`ShardedGraph::to_graph`])
@@ -421,11 +468,14 @@ impl ShardedGraph {
     /// a *global-id* [`AppliedDelta`] equivalent to the one the
     /// single-graph apply of the same batch returns.
     ///
-    /// Note: every batch that introduces entities appends one shard, so
-    /// a long sequence of tiny deltas grows the shard count (and the
-    /// per-query shard iteration) linearly — re-partition via
-    /// [`ShardedGraph::compact`] when [`CompactionPolicy`] judges the
-    /// tail degenerate.
+    /// A **one-shard** store is the exception: it owns every entity and
+    /// holds no ghosts, so the whole batch splices into its graph in
+    /// place ([`KnowledgeGraph::apply`]) and new entities extend its
+    /// owned range — it never grows a tail. On a partition every batch
+    /// that introduces entities appends one shard, so a long sequence of
+    /// tiny deltas grows the shard count (and the per-query shard
+    /// iteration) linearly — re-partition via [`ShardedGraph::compact`]
+    /// when [`CompactionPolicy`] judges the tail degenerate.
     ///
     /// Retract ops are routed to the shard(s) storing the statement —
     /// the subject's *and* object's home shards for a triple (cross-shard
@@ -436,6 +486,9 @@ impl ShardedGraph {
     /// Like the single-graph apply, the batch is split into maximal
     /// same-polarity runs and the generation is bumped exactly once.
     pub fn apply(&mut self, delta: &DeltaBatch) -> AppliedDelta {
+        if self.shards.len() == 1 {
+            return self.apply_in_place(delta);
+        }
         let mut acc = DeltaAcc::new(self.router.entity_count() as u32);
         for (retract, run) in polarity_runs(delta.ops()) {
             if retract {
@@ -446,6 +499,26 @@ impl ShardedGraph {
         }
         self.generation += 1;
         acc.finish(self.generation, self.router.entity_count() as u32)
+    }
+
+    /// [`ShardedGraph::apply`] on a one-shard store: local ids are
+    /// global ids, so the graph's own receipt is the global receipt and
+    /// new entities simply join the owned range.
+    fn apply_in_place(&mut self, delta: &DeltaBatch) -> AppliedDelta {
+        let shard = &mut self.shards[0];
+        let graph = std::sync::Arc::make_mut(&mut shard.graph);
+        let mut applied = graph.apply(delta);
+        let minted = applied.new_entities.len();
+        shard
+            .local_to_global
+            .extend(applied.new_entities.clone().map(EntityId::new));
+        shard.owned_count += minted;
+        self.relation_count = graph.relation_count();
+        self.triple_count = graph.triple_count();
+        self.router.extend_last(minted as u32);
+        self.generation += 1;
+        applied.generation = self.generation;
+        applied
     }
 
     /// One maximal insert-polarity run of [`ShardedGraph::apply`].
@@ -1338,9 +1411,8 @@ impl CompactionPolicy {
     }
 
     /// Whether `tombstones` dead rows against `live` surviving rows trip
-    /// the tombstone-mass axis. Shared with the single-layout backend so
-    /// both layouts compact under the same retraction pressure.
-    pub fn tombstones_trip(&self, tombstones: usize, live: usize) -> bool {
+    /// the tombstone-mass axis.
+    fn tombstones_trip(&self, tombstones: usize, live: usize) -> bool {
         tombstones > 0
             && (tombstones as f64) / ((live + tombstones) as f64) > self.max_tombstone_fraction
     }
@@ -1695,6 +1767,9 @@ mod tests {
                 let base = generate(&DatagenConfig::tiny());
                 let mut sg = ShardedGraph::from_graph(&base, n);
                 let receipt = sg.apply(&d);
+                // one shard splices in place; a partition appends one
+                // trailing shard for the minted entities
+                assert_eq!(sg.trailing_shard_count(), usize::from(n > 1), "n={n}");
 
                 // identical receipts (modulo the work counter)
                 assert_eq!(receipt.new_entities, receipt_single.new_entities, "n={n}");

@@ -52,22 +52,20 @@ const MAX_PAYLOAD: u32 = 1 << 28;
 /// One logged store mutation.
 ///
 /// The two event kinds mirror the two ways a leader's generation
-/// advances: [`GraphBackend::apply`](crate::GraphBackend::apply) and a
-/// compaction that swaps the rebuilt store in. Single-layout compactions
-/// that are pure no-ops (no tombstones) don't bump the generation and
-/// are never logged.
+/// advances: [`ShardedGraph::apply`](crate::ShardedGraph::apply) and a
+/// compaction that swaps the rebuilt store in. Compactions of a
+/// one-shard store without tombstones are no-ops: they don't bump the
+/// generation and are never logged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WalEvent {
     /// A [`DeltaBatch`] applied through the write path.
     Delta(DeltaBatch),
-    /// A compaction/reclaim that swapped the store (sharded
-    /// re-partition to `target_shards`, or a single-layout tombstone
-    /// reclaim).
+    /// A compaction that swapped the store: a re-partition to
+    /// `target_shards`, which also reclaims tombstones.
     Compact {
-        /// The shard count the leader compacted to. Followers on the
-        /// sharded layout re-partition to the same target; single-layout
-        /// followers reclaim tombstones (the logical graph is identical
-        /// either way).
+        /// The shard count the leader compacted to. Followers
+        /// re-partition to the same target (the logical graph is
+        /// identical at any shard count).
         target_shards: usize,
     },
 }
@@ -78,7 +76,7 @@ pub enum WalEvent {
 /// synced generation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WalRecord {
-    /// The leader's [`generation`](crate::GraphBackend::generation)
+    /// The leader's [`generation`](crate::ShardedGraph::generation)
     /// *after* applying this event.
     pub generation: u64,
     /// What was applied.

@@ -19,7 +19,7 @@
 //! exclusive.
 
 use pivote_core::{ReplicaHandle, ReplicaStore};
-use pivote_kg::{generate, DatagenConfig, GraphBackend, ShardedGraph};
+use pivote_kg::{generate, DatagenConfig, ShardedGraph};
 use pivote_serve::{store_with_warm_state, ServeConfig, Server};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -102,10 +102,11 @@ fn main() -> ExitCode {
         }
         None => generate(&DatagenConfig::tiny()),
     };
-    let backend: GraphBackend = if args.shards > 1 {
-        ShardedGraph::from_graph(&kg, args.shards).into()
+    // one shard wraps the parsed graph by move; more partition it
+    let backend = if args.shards > 1 {
+        ShardedGraph::from_graph(&kg, args.shards)
     } else {
-        kg.into()
+        ShardedGraph::from(kg)
     };
 
     let threads = std::thread::available_parallelism()

@@ -23,8 +23,10 @@
 //!
 //! All connections share **one** store and **one** density cache, so
 //! the memoization and invalidation guarantees of the library hold
-//! across clients. A serving leader does not compact: the trailing
-//! shards its writes open stay for the life of the store. See [`server`]
+//! across clients. A serving leader does not compact: at `--shards 1`
+//! (the default) writes splice into the one shard in place, and on a
+//! partition the trailing shards its writes open stay for the life of
+//! the store. See [`server`]
 //! for the shutdown/warm-restart semantics and [`protocol`] for the wire
 //! format.
 //!

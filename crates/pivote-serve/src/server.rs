@@ -20,7 +20,7 @@
 
 use crate::service::Service;
 use pivote_core::{load_warm_state, save_warm_state, LiveStore, WarmStateError};
-use pivote_kg::GraphBackend;
+use pivote_kg::ShardedGraph;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -79,7 +79,7 @@ pub struct ShutdownReport {
 /// (missing file, stale fingerprint, corrupt bytes) silently starts
 /// cold — the sidecar is a latency artifact, never a correctness input.
 pub fn store_with_warm_state(
-    backend: impl Into<GraphBackend>,
+    backend: impl Into<ShardedGraph>,
     threads: usize,
     warm_path: &Path,
 ) -> (Arc<LiveStore>, bool) {

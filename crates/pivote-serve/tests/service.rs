@@ -11,7 +11,7 @@ use pivote_core::{
     Expander, GraphHandle, HeatMap, LiveStore, RankedEntity, RankingConfig, SfQuery,
 };
 use pivote_explore::{Session, SessionConfig};
-use pivote_kg::{GraphBackend, KnowledgeGraph, ShardedGraph};
+use pivote_kg::{KnowledgeGraph, ShardedGraph};
 use pivote_serve::protocol::scored_names;
 use pivote_serve::{num_field, response_ok, Reply, Request, Service};
 use serde::Value;
@@ -23,7 +23,7 @@ fn sample() -> KnowledgeGraph {
     pivote_kg::parse(&nt).expect("sample parses")
 }
 
-fn serve(backend: impl Into<GraphBackend>) -> Service {
+fn serve(backend: impl Into<ShardedGraph>) -> Service {
     Service::new(Arc::new(LiveStore::new(backend)), false)
 }
 
@@ -32,20 +32,21 @@ fn parsed(response: &str) -> Value {
 }
 
 /// Scores cross the wire as shortest-round-trip doubles, so equal bytes
-/// are equal bits. Checked on the single layout and on two shards
-/// against one single-graph reference (sharded ≡ single bit for bit, as
+/// are equal bits. Checked on one shard and on two shards against one
+/// one-shard reference (equal bit for bit at every shard count, as
 /// `golden_sharded` pins).
 #[test]
 fn compute_matches_the_engines_bit_for_bit() {
     let kg = sample();
-    let handle = GraphHandle::single_with_threads(&kg, 1);
+    let one = ShardedGraph::from(kg.clone());
+    let handle = GraphHandle::with_threads(&one, 1);
     let gump = handle.entity("Forrest_Gump").expect("Forrest_Gump");
     let expander = Expander::with_handle(handle.clone(), RankingConfig::default());
     let res = expander.expand(&SfQuery::from_seeds(vec![gump]), 10, 10);
     assert!(!res.entities.is_empty());
     let axis: Vec<_> = res.entities.iter().map(|re| re.entity).collect();
     let hm = HeatMap::compute(expander.ranker(), &axis, &res.features);
-    let session = Session::with_handle(handle.clone(), SessionConfig::default());
+    let session = Session::new(handle.clone(), SessionConfig::default());
 
     let name = |e| handle.entity_name(e).to_owned();
     let entities =
@@ -99,7 +100,8 @@ fn compute_matches_the_engines_bit_for_bit() {
     // every similar film is a Film and none is an Actor: the filter keeps
     // all or nothing, so a dropped filter fails one of the two
     for ty in ["Film", "Actor"] {
-        let typed = SfQuery::from_seeds(vec![gump]).with_type(handle.type_id(ty).expect(ty));
+        let typed =
+            SfQuery::from_seeds(vec![gump]).with_type(handle.graph().type_id(ty).expect(ty));
         want.push((
             format!(r#"{{"op":"expand","seeds":["Forrest_Gump"],"type":"{ty}","k":5}}"#),
             at0().with(

@@ -119,13 +119,14 @@ pub fn heatmap_html(kg: &KnowledgeGraph, hm: &HeatMap) -> String {
 mod tests {
     use super::*;
     use pivote_core::{Expander, HeatMap, RankingConfig, SfQuery};
-    use pivote_kg::{generate, DatagenConfig};
+    use pivote_kg::{generate, DatagenConfig, ShardedGraph};
 
     fn heatmap() -> (pivote_kg::KnowledgeGraph, HeatMap) {
         let kg = generate(&DatagenConfig::tiny());
         let film = kg.type_id("Film").unwrap();
         let seed = kg.type_extent(film)[0];
-        let ex = Expander::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ex = Expander::new(&sg, RankingConfig::default());
         let res = ex.expand(&SfQuery::from_seeds(vec![seed]), 6, 5);
         let entities: Vec<_> = res.entities.iter().map(|re| re.entity).collect();
         let hm = HeatMap::compute(ex.ranker(), &entities, &res.features);
@@ -185,7 +186,8 @@ mod tests {
         let kg = generate(&DatagenConfig::tiny());
         let actor = kg.type_id("Actor").unwrap();
         let seed = kg.type_extent(actor)[0];
-        let ex = Expander::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ex = Expander::new(&sg, RankingConfig::default());
         let res = ex.expand(&SfQuery::from_seeds(vec![seed]), 6, 5);
         let entities: Vec<_> = res.entities.iter().map(|re| re.entity).collect();
         let hm = HeatMap::compute(ex.ranker(), &entities, &res.features);

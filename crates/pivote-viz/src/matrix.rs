@@ -72,12 +72,13 @@ pub fn heatmap_tsv(kg: &KnowledgeGraph, hm: &HeatMap) -> String {
 mod tests {
     use super::*;
     use pivote_explore::Session;
-    use pivote_kg::{generate, DatagenConfig};
+    use pivote_kg::{generate, DatagenConfig, ShardedGraph};
 
     #[test]
     fn render_view_shows_all_areas() {
         let kg = generate(&DatagenConfig::tiny());
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
         s.click_entity(f);
@@ -97,7 +98,8 @@ mod tests {
     #[test]
     fn tsv_has_header_plus_cells() {
         let kg = generate(&DatagenConfig::tiny());
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         let film = kg.type_id("Film").unwrap();
         s.click_entity(kg.type_extent(film)[0]);
         let hm = &s.view().heatmap;

@@ -9,7 +9,8 @@ use pivote_core::Direction;
 
 fn main() {
     let kg = generate(&DatagenConfig::medium());
-    let mut session = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut session = Session::with_defaults(&sg);
 
     // Fig. 1-b: which domains are coupled to Film, and through what?
     let stats = TypeCouplingStats::compute(&kg);

@@ -41,7 +41,8 @@ fn main() {
         "== Fig. 1-a: local semantic features of {} ==",
         kg.display_name(flagship)
     );
-    let expander = Expander::new(&kg, RankingConfig::default());
+    let sg = ShardedGraph::from(kg.clone());
+    let expander = Expander::new(&sg, RankingConfig::default());
     let mut features = features_of(&kg, flagship);
     features.sort_by(|a, b| {
         expander
@@ -70,7 +71,8 @@ fn main() {
         "== Fig. 3: the matrix interface for seed {} ==",
         kg.display_name(flagship)
     );
-    let mut session = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut session = Session::with_defaults(&sg);
     session.click_entity(flagship);
     session.lookup(flagship);
     println!("{}", render_view(&kg, session.view()));

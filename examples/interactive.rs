@@ -23,7 +23,8 @@ use std::io::{self, BufRead, Write};
 fn main() {
     println!("building knowledge graph…");
     let kg = generate(&DatagenConfig::medium());
-    let mut session = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut session = Session::with_defaults(&sg);
     println!(
         "ready: {} entities, {} triples. Type `help` for commands.",
         kg.entity_count(),
@@ -103,7 +104,7 @@ fn main() {
                 Err(e) => println!("{e}"),
             },
             "stats" => {
-                let stats = pivote::pivote_explore::session_stats(&kg, &session);
+                let stats = pivote::pivote_explore::session_stats(&session);
                 println!(
                     "{}",
                     serde_json::to_string_pretty(&stats).expect("stats serialize")

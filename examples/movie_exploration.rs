@@ -8,7 +8,8 @@ use pivote::prelude::*;
 
 fn main() {
     let kg = generate(&DatagenConfig::medium());
-    let mut session = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut session = Session::with_defaults(&sg);
 
     // Pick the most connected film as our "Forrest Gump".
     let film = kg.type_id("Film").expect("Film type");

@@ -26,7 +26,8 @@ fn main() {
     }
 
     // 3. Investigation: expand a seed film into similar films + features.
-    let expander = Expander::new(&kg, RankingConfig::default());
+    let sg = ShardedGraph::from(kg.clone());
+    let expander = Expander::new(&sg, RankingConfig::default());
     let result = expander.expand(&SfQuery::from_seeds(vec![flagship]).with_type(film), 8, 6);
     println!("\nfilms similar to {:?}:", kg.display_name(flagship));
     for re in &result.entities {

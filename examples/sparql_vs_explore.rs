@@ -38,7 +38,8 @@ fn main() {
     // ---- the exploratory way ------------------------------------------
     // The user types a name and clicks twice. No schema knowledge.
     println!("\n== PivotE (the user clicks) ==");
-    let mut session = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut session = Session::with_defaults(&sg);
     session.submit_keywords(&kg.display_name(seed)); // type the name
     session.click_entity(seed); // click the film
     println!("after one click — similar films:");

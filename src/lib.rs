@@ -24,9 +24,11 @@
 //!
 //! // Build a DBpedia-like graph, start a session, investigate a film.
 //! let kg = generate(&DatagenConfig::tiny());
-//! let mut session = Session::with_defaults(&kg);
 //! let film = kg.type_id("Film").unwrap();
-//! let view = session.click_entity(kg.type_extent(film)[0]);
+//! let seed = kg.type_extent(film)[0];
+//! let sg = ShardedGraph::from(kg); // one shard, by move
+//! let mut session = Session::with_defaults(&sg);
+//! let view = session.click_entity(seed);
 //! assert!(!view.entities.is_empty() || !view.features.is_empty());
 //! ```
 
@@ -46,8 +48,8 @@ pub use pivote_viz;
 /// The types most applications need, re-exported flat.
 pub mod prelude {
     pub use pivote_core::{
-        explain_cell, explain_pair, features_of, Direction, Expander, ExpansionResult, HeatMap,
-        RankedEntity, RankedFeature, Ranker, RankingConfig, SemanticFeature, SfQuery,
+        explain_cell, explain_pair, features_of, Direction, Expander, ExpansionResult, GraphHandle,
+        HeatMap, RankedEntity, RankedFeature, Ranker, RankingConfig, SemanticFeature, SfQuery,
     };
     pub use pivote_explore::{
         build_profile, EntityProfile, ExplorationPath, ExplorationQuery, Session, SessionConfig,
@@ -55,7 +57,7 @@ pub mod prelude {
     };
     pub use pivote_kg::{
         generate, DatagenConfig, EntityId, KgBuilder, KnowledgeGraph, Literal, PredicateId,
-        TypeCouplingStats, TypeId,
+        ShardedGraph, TypeCouplingStats, TypeId,
     };
     pub use pivote_search::{Field, FiveFieldRepr, Scorer, SearchConfig, SearchEngine};
     pub use pivote_viz::{heatmap_ascii, heatmap_svg, path_ascii, render_view, typeview_ascii};

@@ -11,7 +11,8 @@ fn kg() -> KnowledgeGraph {
 #[test]
 fn search_engine_feeds_recommendation_engine() {
     let kg = kg();
-    let mut session = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut session = Session::with_defaults(&sg);
 
     // UI -> search engine: keyword query.
     let film = kg.type_id("Film").unwrap();
@@ -43,7 +44,8 @@ fn search_engine_feeds_recommendation_engine() {
 #[test]
 fn every_ui_area_of_fig3_is_populated() {
     let kg = kg();
-    let mut session = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut session = Session::with_defaults(&sg);
     let film = kg.type_id("Film").unwrap();
     let seed = kg.type_extent(film)[0];
     session.click_entity(seed);
@@ -118,7 +120,7 @@ fn warm_state_sidecar_survives_a_restart_with_bit_identical_rankings() {
     // persisted context warm-state: serialize the p(π|c) cache next to
     // the snapshot, reload both, and the warm rankings must be *byte*
     // identical to the cold ones — with zero densities recomputed
-    use pivote_core::QueryContext;
+    use pivote_core::GraphHandle;
     use std::sync::Arc;
 
     let kg = generate(&DatagenConfig::tiny());
@@ -135,7 +137,8 @@ fn warm_state_sidecar_survives_a_restart_with_bit_identical_rankings() {
     // stamped with the snapshot's content fingerprint
     let cache = Arc::new(pivote_core::SharedCache::new());
     let (cold_f, cold_e) = {
-        let ctx = QueryContext::with_cache(&kg, 1, Arc::clone(&cache));
+        let ctx_sg = ShardedGraph::from(kg.clone());
+        let ctx = GraphHandle::with_cache(&ctx_sg, 1, Arc::clone(&cache));
         let f = ctx.rank_features(&cfg, &seeds);
         let e = ctx.rank_entities(&cfg, &seeds, &f);
         (f, e)
@@ -156,7 +159,8 @@ fn warm_state_sidecar_survives_a_restart_with_bit_identical_rankings() {
         filled,
         "every persisted density must survive the roundtrip"
     );
-    let ctx = QueryContext::with_cache(&kg2, 1, Arc::clone(&warm));
+    let ctx_sg = ShardedGraph::from(kg2.clone());
+    let ctx = GraphHandle::with_cache(&ctx_sg, 1, Arc::clone(&warm));
     let warm_f = ctx.rank_features(&cfg, &seeds);
     assert_eq!(warm_f, cold_f, "warm features must equal cold features");
     let warm_e = ctx.rank_entities(&cfg, &seeds, &warm_f);
@@ -195,8 +199,10 @@ fn recommendations_are_deterministic_across_sessions() {
     let film = kg.type_id("Film").unwrap();
     let seed = kg.type_extent(film)[0];
 
-    let mut s1 = Session::with_defaults(&kg);
-    let mut s2 = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut s1 = Session::with_defaults(&sg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut s2 = Session::with_defaults(&sg);
     let v1 = s1.click_entity(seed).clone();
     let v2 = s2.click_entity(seed).clone();
     assert_eq!(

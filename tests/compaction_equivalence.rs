@@ -208,10 +208,11 @@ proptest! {
             s.dedup();
             s
         };
-        let h1 = GraphHandle::single_with_threads(&union1, 1);
+        let (union1, union2) = (ShardedGraph::from(union1), ShardedGraph::from(union2));
+        let h1 = GraphHandle::with_threads(&union1, 1);
         let probes1 = probes_of(&h1, &seeds);
         let want1 = snapshot(&h1, &seeds, &probes1);
-        let h2 = GraphHandle::single_with_threads(&union2, 1);
+        let h2 = GraphHandle::with_threads(&union2, 1);
         let probes2 = probes_of(&h2, &seeds);
         let want2 = snapshot(&h2, &seeds, &probes2);
 
@@ -220,7 +221,7 @@ proptest! {
             // first interleaving point
             let mut sg = ShardedGraph::from_graph(&base_builder(&base).finish(), 2);
             sg.apply(&delta1);
-            let pre = snapshot(&GraphHandle::sharded_with_threads(&sg, 1), &seeds, &probes1);
+            let pre = snapshot(&GraphHandle::with_threads(&sg, 1), &seeds, &probes1);
             assert_snapshots_equal(&pre, &want1, &format!("pre-compact (target={target})"));
 
             let mut sg = sg.compact(target);
@@ -229,7 +230,7 @@ proptest! {
             prop_assert_eq!(sg.generation(), 2, "apply + compact");
             for threads in [1usize, 2] {
                 let got = snapshot(
-                    &GraphHandle::sharded_with_threads(&sg, threads),
+                    &GraphHandle::with_threads(&sg, threads),
                     &seeds,
                     &probes1,
                 );
@@ -244,7 +245,7 @@ proptest! {
             sg.apply(&delta2);
             for threads in [1usize, 2] {
                 let got = snapshot(
-                    &GraphHandle::sharded_with_threads(&sg, threads),
+                    &GraphHandle::with_threads(&sg, threads),
                     &seeds,
                     &probes2,
                 );
@@ -259,7 +260,7 @@ proptest! {
             let target2 = target % 4 + 1;
             let sg = sg.compact(target2);
             prop_assert_eq!(sg.generation(), 4);
-            let got = snapshot(&GraphHandle::sharded_with_threads(&sg, 1), &seeds, &probes2);
+            let got = snapshot(&GraphHandle::with_threads(&sg, 1), &seeds, &probes2);
             assert_snapshots_equal(
                 &got,
                 &want2,

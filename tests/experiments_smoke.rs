@@ -45,7 +45,7 @@ fn q1_pivote_wins_map_against_all_baselines() {
         trials_per_class: 2,
         ..EseEvalConfig::default()
     };
-    let results = run_ese_eval(&kg, &methods, &cfg);
+    let results = run_ese_eval(&ShardedGraph::from(kg), &methods, &cfg);
     let map_of = |name: &str| {
         results
             .iter()
@@ -77,7 +77,7 @@ fn a1_error_tolerance_helps_and_a2_discriminability_is_not_catastrophic() {
         trials_per_class: 2,
         ..EseEvalConfig::default()
     };
-    let results = run_ese_eval(&kg, &methods, &cfg);
+    let results = run_ese_eval(&ShardedGraph::from(kg), &methods, &cfg);
     let map_of = |name: &str| results.iter().find(|r| r.method == name).unwrap().map;
     // A1: the error-tolerant estimate is the paper's key trick; dropping
     // it must hurt.
@@ -142,10 +142,10 @@ fn q2_multifield_lm_beats_names_only_on_alias_queries() {
 
 #[test]
 fn q4_darker_heatmap_levels_are_more_direct() {
-    let kg = kg();
-    let film = kg.type_id("Film").unwrap();
-    let seeds = &kg.type_extent(film)[..2];
-    let rep = run_heatmap_report(&kg, seeds, 15, 10);
+    let sg = ShardedGraph::from(kg());
+    let film = sg.type_id("Film").unwrap();
+    let seeds = &sg.type_extent(film)[..2];
+    let rep = run_heatmap_report(&sg, seeds, 15, 10);
     assert_eq!(rep.histogram.iter().sum::<usize>(), rep.dims.0 * rep.dims.1);
     // the strongest populated level must have a higher direct-match rate
     // than the weakest populated nonzero level

@@ -48,7 +48,8 @@ fn graph_without_categories_still_ranks() {
     b.triple(f1, p, a);
     b.triple(f2, p, a);
     let kg = b.finish();
-    let ex = Expander::new(&kg, RankingConfig::default());
+    let sg = ShardedGraph::from(kg.clone());
+    let ex = Expander::new(&sg, RankingConfig::default());
     let res = ex.expand(&SfQuery::from_seeds(vec![f1]), 5, 5);
     assert_eq!(res.entities.len(), 1);
     assert_eq!(res.entities[0].entity, f2);
@@ -57,13 +58,15 @@ fn graph_without_categories_still_ranks() {
 #[test]
 fn singleton_and_empty_graphs() {
     let empty = KgBuilder::new().finish();
-    let ex = Expander::new(&empty, RankingConfig::default());
+    let empty_sg = ShardedGraph::from(empty.clone());
+    let ex = Expander::new(&empty_sg, RankingConfig::default());
     assert!(ex.expand(&SfQuery::default(), 5, 5).entities.is_empty());
 
     let mut b = KgBuilder::new();
     let lone = b.entity("lonely");
     let kg = b.finish();
-    let ex = Expander::new(&kg, RankingConfig::default());
+    let sg = ShardedGraph::from(kg.clone());
+    let ex = Expander::new(&sg, RankingConfig::default());
     let res = ex.expand(&SfQuery::from_seeds(vec![lone]), 5, 5);
     assert!(res.entities.is_empty());
     assert!(res.features.is_empty());
@@ -84,7 +87,8 @@ fn feature_with_empty_extent_scores_zero() {
         direction: Direction::FromAnchor,
     };
     if sf.extent(&kg).is_empty() {
-        let ranker = Ranker::new(&kg, RankingConfig::default());
+        let sg = ShardedGraph::from(kg.clone());
+        let ranker = Ranker::with_handle(GraphHandle::new(&sg), RankingConfig::default());
         assert_eq!(ranker.discriminability(sf), 0.0);
     }
     // a conjunctive query with disjoint extents returns nothing
@@ -96,14 +100,16 @@ fn feature_with_empty_extent_scores_zero() {
         SemanticFeature::to_anchor(d1, director),
         SemanticFeature::to_anchor(f, director), // nothing has a film as director
     ]);
-    let ex = Expander::new(&kg, RankingConfig::default());
+    let sg = ShardedGraph::from(kg.clone());
+    let ex = Expander::new(&sg, RankingConfig::default());
     assert!(ex.expand(&impossible, 5, 5).entities.is_empty());
 }
 
 #[test]
 fn session_survives_nonsense_actions() {
     let kg = generate(&DatagenConfig::tiny());
-    let mut s = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut s = Session::with_defaults(&sg);
     // revisit before any history
     s.apply(UserAction::RevisitQuery { index: 5 });
     assert!(s.view().query.is_empty());
@@ -157,7 +163,8 @@ fn compaction_racing_queries_never_tears() {
     for d in &deltas {
         union.apply(d);
     }
-    let fresh = pivote_core::QueryContext::with_threads(&union, 1);
+    let fresh_sg = ShardedGraph::from(union.clone());
+    let fresh = GraphHandle::with_threads(&fresh_sg, 1);
     let want_f = fresh.rank_features(&cfg, &seeds);
     let want_e = fresh.rank_entities(&cfg, &seeds, &want_f);
     let assert_matches = |entities: &[RankedEntity], what: &str| {
@@ -243,7 +250,8 @@ fn race_rankings(
     seeds: &[EntityId],
 ) -> (Vec<RankedFeature>, Vec<RankedEntity>) {
     let cfg = RankingConfig::default();
-    let ctx = pivote_core::QueryContext::with_threads(kg, 1);
+    let ctx_sg = ShardedGraph::from(kg.clone());
+    let ctx = GraphHandle::with_threads(&ctx_sg, 1);
     let f = ctx.rank_features(&cfg, seeds);
     let e = ctx.rank_entities(&cfg, seeds, &f);
     (f, e)

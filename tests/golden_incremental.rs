@@ -88,7 +88,10 @@ fn golden_rankings_reproduce_through_the_append_path() {
         let nt = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/data/sample.nt"))
             .expect("bundled sample exists");
         let kg = pivote_kg::parse(&nt).expect("sample parses");
-        let full = snapshot(&GraphHandle::single_with_threads(&kg, 1));
+        let full = snapshot(&GraphHandle::with_threads(
+            &ShardedGraph::from(kg.clone()),
+            1,
+        ));
         std::fs::write(
             GOLDEN_PATH,
             serde_json::to_string_pretty(&full).expect("golden serializes"),
@@ -104,7 +107,10 @@ fn golden_rankings_reproduce_through_the_append_path() {
     let receipt = kg.apply(&delta);
     assert_eq!(kg.generation(), 1);
     assert!(receipt.added_relations > 0, "the second half adds triples");
-    let got = snapshot(&GraphHandle::single_with_threads(&kg, 1));
+    let got = snapshot(&GraphHandle::with_threads(
+        &ShardedGraph::from(kg.clone()),
+        1,
+    ));
     assert_eq!(
         got, golden,
         "appending sample.nt's second half drifted from the golden rankings"
@@ -116,7 +122,7 @@ fn golden_rankings_reproduce_through_the_append_path() {
         let mut sg = ShardedGraph::from_graph(&base, shards);
         sg.apply(&delta);
         for threads in [1, 2] {
-            let got = snapshot(&GraphHandle::sharded_with_threads(&sg, threads));
+            let got = snapshot(&GraphHandle::with_threads(&sg, threads));
             assert_eq!(
                 got, golden,
                 "sharded append path (shards={shards}, threads={threads}) \

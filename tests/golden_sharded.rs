@@ -72,7 +72,10 @@ fn snapshot(handle: &GraphHandle<'_>) -> Golden {
 #[test]
 fn golden_sample_rankings_reproduce_on_every_backend() {
     let kg = sample();
-    let single = snapshot(&GraphHandle::single_with_threads(&kg, 1));
+    let single = snapshot(&GraphHandle::with_threads(
+        &ShardedGraph::from(kg.clone()),
+        1,
+    ));
 
     if std::env::var("PIVOTE_GOLDEN_WRITE").is_ok() {
         std::fs::write(
@@ -88,13 +91,13 @@ fn golden_sample_rankings_reproduce_on_every_backend() {
 
     assert_eq!(
         single, golden,
-        "single-graph backend drifted from the golden rankings"
+        "the one-shard store drifted from the golden rankings"
     );
 
     for shards in [1, 2, 3, 4] {
         let sg = ShardedGraph::from_graph(&kg, shards);
         for threads in [1, 2] {
-            let got = snapshot(&GraphHandle::sharded_with_threads(&sg, threads));
+            let got = snapshot(&GraphHandle::with_threads(&sg, threads));
             assert_eq!(
                 got, golden,
                 "sharded backend (shards={shards}, threads={threads}) \
@@ -120,7 +123,7 @@ struct SearchGolden {
 
 fn search_snapshot(handle: &GraphHandle<'_>) -> SearchGolden {
     use pivote_explore::{Session, SessionConfig};
-    let session = Session::with_handle(handle.clone(), SessionConfig::default());
+    let session = Session::new(handle.clone(), SessionConfig::default());
     let queries = ["forrest gump", "tom hanks", "film", "american hollywood"];
     SearchGolden {
         queries: queries
@@ -140,7 +143,10 @@ fn search_snapshot(handle: &GraphHandle<'_>) -> SearchGolden {
 #[test]
 fn golden_search_rankings_reproduce_on_every_backend() {
     let kg = sample();
-    let single = search_snapshot(&GraphHandle::single_with_threads(&kg, 1));
+    let single = search_snapshot(&GraphHandle::with_threads(
+        &ShardedGraph::from(kg.clone()),
+        1,
+    ));
 
     if std::env::var("PIVOTE_GOLDEN_WRITE").is_ok() {
         std::fs::write(
@@ -164,7 +170,7 @@ fn golden_search_rankings_reproduce_on_every_backend() {
 
     for shards in [1, 2, 3, 4] {
         let sg = ShardedGraph::from_graph(&kg, shards);
-        let got = search_snapshot(&GraphHandle::sharded(&sg));
+        let got = search_snapshot(&GraphHandle::new(&sg));
         assert_eq!(
             got, golden,
             "sharded search (shards={shards}) drifted from the golden rankings"

@@ -2,8 +2,8 @@
 //! base graph and **any** random delta sequence, the graph after appends
 //! is bit-identical — feature rankings, entity rankings, heat maps and
 //! entity profiles — to a from-scratch rebuild of the union, on the
-//! single-graph backend and on the sharded backend across shard counts
-//! 1–4 × worker threads 1–2.
+//! graph itself and on the store across shard counts 1–4 × worker
+//! threads 1–2.
 //!
 //! This is the regression net for the whole append path: the per-row
 //! extent splice, the op-ordered dictionary interning, the sharded delta
@@ -13,7 +13,7 @@
 
 use pivote_core::{Expander, GraphHandle, HeatMap, RankingConfig, SfQuery};
 use pivote_explore::{build_profile, EntityProfile};
-use pivote_kg::{DeltaBatch, EntityId, KgBuilder, Literal};
+use pivote_kg::{DeltaBatch, EntityId, KgBuilder, Literal, ShardedGraph};
 use proptest::prelude::*;
 
 /// Base graph spec: edges over e0..e9 × p0..p3, categories c0..c2,
@@ -199,7 +199,7 @@ proptest! {
             .copied()
             .chain((10..16u8).filter_map(|i| union.entity(&format!("e{i}"))))
             .collect();
-        let want = snapshot(&GraphHandle::single_with_threads(&union, 1), &seeds, &probes);
+        let want = snapshot(&GraphHandle::with_threads(&ShardedGraph::from(union.clone()), 1), &seeds, &probes);
 
         // incremental single-graph: base + apply + apply
         let mut inc = base_builder(&base).finish();
@@ -207,7 +207,7 @@ proptest! {
         let r2 = inc.apply(&delta2);
         prop_assert_eq!(inc.generation(), 2);
         prop_assert!(r2.generation > r1.generation);
-        let got = snapshot(&GraphHandle::single_with_threads(&inc, 1), &seeds, &probes);
+        let got = snapshot(&GraphHandle::with_threads(&ShardedGraph::from(inc.clone()), 1), &seeds, &probes);
         assert_snapshots_equal(&got, &want, "single incremental");
 
         // incremental sharded: partition the base, then apply the same
@@ -221,7 +221,7 @@ proptest! {
             sg.apply(&delta2);
             for threads in [1usize, 2] {
                 let got = snapshot(
-                    &GraphHandle::sharded_with_threads(&sg, threads),
+                    &GraphHandle::with_threads(&sg, threads),
                     &seeds,
                     &probes,
                 );

@@ -27,8 +27,10 @@ fn rankings_survive_the_roundtrip() {
     let seed_name = kg.entity_name(seed).to_owned();
     let seed2 = kg2.entity(&seed_name).expect("seed survives");
 
-    let ex1 = Expander::new(&kg, RankingConfig::default());
-    let ex2 = Expander::new(&kg2, RankingConfig::default());
+    let sg = ShardedGraph::from(kg.clone());
+    let ex1 = Expander::new(&sg, RankingConfig::default());
+    let kg2_sg = ShardedGraph::from(kg2.clone());
+    let ex2 = Expander::new(&kg2_sg, RankingConfig::default());
     let r1 = ex1.expand(&SfQuery::from_seeds(vec![seed]), 10, 10);
     let r2 = ex2.expand(&SfQuery::from_seeds(vec![seed2]), 10, 10);
 

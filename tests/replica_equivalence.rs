@@ -3,9 +3,9 @@
 //! follower tailing the leader's delta log is **fingerprint-equal** to
 //! the leader at *every* synced generation — across shard counts 1–4,
 //! across leader compactions, and across a leader crash + recovery in
-//! the middle of the script. The follower always runs the single layout
-//! while the leader may be sharded, so every comparison also re-proves
-//! the cross-layout fingerprint contract.
+//! the middle of the script. The follower always runs one shard while
+//! the leader may be partitioned, so every comparison also re-proves
+//! that the fingerprint is independent of the partition.
 //!
 //! Plus the failure-injection legs the log format must survive:
 //!
@@ -20,8 +20,7 @@
 use pivote_core::{recover, LiveStore, ReplicaStore};
 use pivote_kg::wal::WalEvent;
 use pivote_kg::{
-    read_records, DeltaBatch, GraphBackend, KgBuilder, KnowledgeGraph, Literal, ShardedGraph,
-    WalWriter,
+    read_records, DeltaBatch, KgBuilder, KnowledgeGraph, Literal, ShardedGraph, WalWriter,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -148,10 +147,10 @@ fn run_script(shards: usize, base: &BaseSpec, steps: Vec<Step>, tag: &str) {
     let _ = std::fs::remove_file(&wal_path);
 
     let base_kg = base_graph(base);
-    let backend: GraphBackend = if shards > 1 {
-        ShardedGraph::from_graph(&base_kg, shards).into()
+    let backend = if shards > 1 {
+        ShardedGraph::from_graph(&base_kg, shards)
     } else {
-        base_kg.clone().into()
+        ShardedGraph::from(base_kg.clone())
     };
 
     let leader = Arc::new(LiveStore::with_threads(backend.clone(), 1));
@@ -166,7 +165,7 @@ fn run_script(shards: usize, base: &BaseSpec, steps: Vec<Step>, tag: &str) {
 /// asserting fingerprint equality after every step.
 fn drive(
     mut leader: Arc<LiveStore>,
-    backend: &GraphBackend,
+    backend: &ShardedGraph,
     wal_path: &PathBuf,
     steps: Vec<Step>,
     follower: &mut ReplicaStore,

@@ -2,9 +2,9 @@
 //! graph and **any** random mixed insert/retract sequence, the graph
 //! after applying the sequence is bit-identical — feature rankings,
 //! entity rankings, heat maps and entity profiles — to a from-scratch
-//! rebuild of the *surviving* statements, on the single-graph backend
-//! and on the sharded backend across shard counts 1–4 × worker threads
-//! 1–2. And compaction (single-layout `reclaim`, sharded `compact`)
+//! rebuild of the *surviving* statements, on the graph itself and on
+//! the store across shard counts 1–4 × worker threads 1–2. And
+//! compaction (the graph's `reclaim`, the store's `compact`)
 //! reclaims every tombstone without moving a single score.
 //!
 //! Ground truth is a shadow statement store with the library's exact
@@ -15,7 +15,7 @@
 //! interns names in insert-op order only.
 
 use pivote_core::{GraphHandle, RankingConfig, SfQuery};
-use pivote_kg::{DeltaBatch, EntityId, KgBuilder, KnowledgeGraph, Literal};
+use pivote_kg::{DeltaBatch, EntityId, KgBuilder, KnowledgeGraph, Literal, ShardedGraph};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -429,7 +429,7 @@ proptest! {
             .copied()
             .chain((10..16u8).filter_map(|i| truth.entity(&format!("e{i}"))))
             .collect();
-        let want = snapshot(&GraphHandle::single_with_threads(&truth, 1), &seeds, &probes);
+        let want = snapshot(&GraphHandle::with_threads(&ShardedGraph::from(truth.clone()), 1), &seeds, &probes);
 
         // single graph: apply the mixed batches, compare, then reclaim
         // the tombstones and compare again
@@ -437,12 +437,12 @@ proptest! {
         inc.apply(&d1);
         inc.apply(&d2);
         prop_assert_eq!(inc.generation(), 2);
-        let got = snapshot(&GraphHandle::single_with_threads(&inc, 1), &seeds, &probes);
+        let got = snapshot(&GraphHandle::with_threads(&ShardedGraph::from(inc.clone()), 1), &seeds, &probes);
         assert_snapshots_equal(&got, &want, "single mixed");
 
         let reclaimed = inc.reclaim();
         prop_assert_eq!(reclaimed.tombstone_count(), 0);
-        let got = snapshot(&GraphHandle::single_with_threads(&reclaimed, 1), &seeds, &probes);
+        let got = snapshot(&GraphHandle::with_threads(&ShardedGraph::from(reclaimed.clone()), 1), &seeds, &probes);
         assert_snapshots_equal(&got, &want, "single reclaimed");
 
         // sharded: route the same batches, compare across shard counts ×
@@ -456,7 +456,7 @@ proptest! {
             sg.apply(&d2);
             for threads in [1usize, 2] {
                 let got = snapshot(
-                    &GraphHandle::sharded_with_threads(&sg, threads),
+                    &GraphHandle::with_threads(&sg, threads),
                     &seeds,
                     &probes,
                 );
@@ -469,7 +469,7 @@ proptest! {
             let compacted = sg.compact(2);
             prop_assert_eq!(compacted.tombstone_count(), 0);
             let got = snapshot(
-                &GraphHandle::sharded_with_threads(&compacted, 1),
+                &GraphHandle::with_threads(&compacted, 1),
                 &seeds,
                 &probes,
             );
@@ -531,11 +531,15 @@ fn golden_mixed_workload_is_exact() {
     let seeds = vec![truth.entity("e0").unwrap()];
     let probes = vec![truth.entity("e0").unwrap(), truth.entity("e6").unwrap()];
     let want = snapshot(
-        &GraphHandle::single_with_threads(&truth, 1),
+        &GraphHandle::with_threads(&ShardedGraph::from(truth.clone()), 1),
         &seeds,
         &probes,
     );
-    let got = snapshot(&GraphHandle::single_with_threads(&inc, 1), &seeds, &probes);
+    let got = snapshot(
+        &GraphHandle::with_threads(&ShardedGraph::from(inc.clone()), 1),
+        &seeds,
+        &probes,
+    );
     assert_snapshots_equal(&got, &want, "golden mixed");
 
     // reclaim drops the tombstones and the serialized survivors are

@@ -44,7 +44,8 @@ fn paper_explanation_example_verbatim() {
     // Apollo_13_(film) is that both of them are performed by Tom_Hanks
     // and Gary_Sinise".
     let kg = sample();
-    let expander = Expander::new(&kg, RankingConfig::default());
+    let sg = ShardedGraph::from(kg.clone());
+    let expander = Expander::new(&sg, RankingConfig::default());
     let gump = kg.entity("Forrest_Gump").unwrap();
     let apollo = kg.entity("Apollo_13_(film)").unwrap();
     let exp = explain_pair(expander.ranker(), gump, apollo, 5);
@@ -64,7 +65,8 @@ fn find_films_starring_tom_hanks_three_ways() {
     let starring = kg.predicate("starring").unwrap();
 
     // 1. the exploratory way: a required semantic feature
-    let expander = Expander::new(&kg, RankingConfig::default());
+    let sg = ShardedGraph::from(kg.clone());
+    let expander = Expander::new(&sg, RankingConfig::default());
     let sf = SemanticFeature::to_anchor(hanks, starring);
     let via_feature: Vec<EntityId> = expander
         .expand(&SfQuery::from_features(vec![sf]), 10, 5)
@@ -115,7 +117,8 @@ fn investigation_on_sample_recommends_apollo_over_cast_away() {
     // Apollo 13 shares two cast members with Forrest Gump, Cast Away one
     // — the heat-map example of §3.2 implies this ordering.
     let kg = sample();
-    let expander = Expander::new(&kg, RankingConfig::default());
+    let sg = ShardedGraph::from(kg.clone());
+    let expander = Expander::new(&sg, RankingConfig::default());
     let gump = kg.entity("Forrest_Gump").unwrap();
     let res = expander.expand(&SfQuery::from_seeds(vec![gump]), 10, 10);
     let order: Vec<&str> = res

@@ -212,7 +212,7 @@ fn retract_over_tcp_matches_the_library_and_refuses_missing_triples() {
     replay.apply(&pivote_kg::parse_removed_into_delta(nt).expect("parses"));
     let reader = server.store().read();
     assert_eq!(
-        pivote_kg::serialize(&reader.backend().to_single()),
+        pivote_kg::serialize(&reader.backend().to_graph()),
         pivote_kg::serialize(&replay),
         "retract over TCP must equal the library-side retract"
     );
@@ -418,7 +418,7 @@ fn concurrent_appends_and_reads_observe_one_serial_order() {
     // line-set equality: the appends commute, so the interleaving only
     // permutes entity insertion order, never the triple set
     let mut got: Vec<&str> = Vec::new();
-    let got_nt = pivote_kg::serialize(&reader.backend().to_single());
+    let got_nt = pivote_kg::serialize(&reader.backend().to_graph());
     got.extend(got_nt.lines());
     got.sort_unstable();
     let want_nt = pivote_kg::serialize(&replay);

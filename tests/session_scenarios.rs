@@ -14,7 +14,8 @@ fn kg() -> KnowledgeGraph {
 #[test]
 fn scenario_entity_investigation() {
     let kg = kg();
-    let mut s = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut s = Session::with_defaults(&sg);
     let film = kg.type_id("Film").unwrap();
     let gump = *kg
         .type_extent(film)
@@ -61,7 +62,8 @@ fn scenario_entity_investigation() {
 #[test]
 fn scenario_search_domain_exploration() {
     let kg = kg();
-    let mut s = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut s = Session::with_defaults(&sg);
     let film = kg.type_id("Film").unwrap();
     let actor = kg.type_id("Actor").unwrap();
     let seed = *kg
@@ -118,7 +120,8 @@ fn session_state_persists_across_process_boundaries() {
 
     // session 1: do work, save
     let json = {
-        let mut s = Session::with_defaults(&kg);
+        let sg = ShardedGraph::from(kg.clone());
+        let mut s = Session::with_defaults(&sg);
         s.submit_keywords(&kg.display_name(seed));
         s.click_entity(seed);
         s.export_json()
@@ -126,7 +129,8 @@ fn session_state_persists_across_process_boundaries() {
 
     // session 2 (fresh engines): load, continue
     let state: SessionState = serde_json::from_str(&json).unwrap();
-    let mut s = Session::with_defaults(&kg);
+    let sg = ShardedGraph::from(kg.clone());
+    let mut s = Session::with_defaults(&sg);
     s.restore_state(state);
     assert_eq!(s.timeline().len(), 2);
     assert_eq!(s.view().query.sf.seeds, vec![seed]);

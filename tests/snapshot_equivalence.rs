@@ -11,9 +11,7 @@
 //! pinned socket-free in `crates/pivote-serve/tests/service.rs`.
 
 use pivote_core::{GraphHandle, LiveStore, PreparedSnapshot, RankingConfig};
-use pivote_kg::{
-    DeltaBatch, EntityId, GraphBackend, KgBuilder, KnowledgeGraph, Literal, ShardedGraph,
-};
+use pivote_kg::{DeltaBatch, EntityId, KgBuilder, KnowledgeGraph, Literal, ShardedGraph};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -117,12 +115,9 @@ enum Step {
 }
 
 /// A genuinely independent lock-path context over the snapshot's pinned
-/// backend: fresh caches, no shared state with the prepared context.
-fn fresh_handle(backend: &GraphBackend, threads: usize) -> GraphHandle<'_> {
-    match backend {
-        GraphBackend::Single(kg) => GraphHandle::single_with_threads(kg, threads),
-        GraphBackend::Sharded(sg) => GraphHandle::sharded_with_threads(sg, threads),
-    }
+/// graph: fresh caches, no shared state with the prepared context.
+fn fresh_handle(backend: &ShardedGraph, threads: usize) -> GraphHandle<'_> {
+    GraphHandle::with_threads(backend, threads)
 }
 
 /// The contract itself: the prepared context and a fresh context over
@@ -145,10 +140,10 @@ fn assert_bit_identical(snap: &PreparedSnapshot, threads: usize, tag: &str) {
 
 fn run_script(shards: usize, threads: usize, base: &BaseSpec, steps: Vec<Step>) {
     let base_kg = base_graph(base);
-    let backend: GraphBackend = if shards > 1 {
-        ShardedGraph::from_graph(&base_kg, shards).into()
+    let backend = if shards > 1 {
+        ShardedGraph::from_graph(&base_kg, shards)
     } else {
-        base_kg.into()
+        ShardedGraph::from(base_kg)
     };
     let store = LiveStore::with_threads(backend, threads);
     store.enable_snapshots();

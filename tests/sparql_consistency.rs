@@ -76,7 +76,8 @@ fn conjunctive_pattern_equals_feature_query() {
     );
     let via_sparql = entities_of(&pivote_sparql::query(&kg, &sparql).unwrap(), 0);
 
-    let expander = Expander::new(&kg, RankingConfig::default());
+    let sg = ShardedGraph::from(kg.clone());
+    let expander = Expander::new(&sg, RankingConfig::default());
     let q = SfQuery::from_features(vec![
         SemanticFeature::to_anchor(a, starring),
         SemanticFeature::to_anchor(d, director_p),

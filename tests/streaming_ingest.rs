@@ -194,14 +194,14 @@ proptest! {
             want_kg.entity("e0").unwrap(),
             want_kg.entity("e5").unwrap(),
         ];
-        let want = rankings(&GraphHandle::single_with_threads(&want_kg, 1), &seeds);
+        let want = rankings(&GraphHandle::with_threads(&ShardedGraph::from(want_kg.clone()), 1), &seeds);
 
         // streamed batches onto a single graph
         let mut got_kg = base_graph();
         for b in &batches {
             got_kg.apply(b);
         }
-        let got = rankings(&GraphHandle::single_with_threads(&got_kg, 1), &seeds);
+        let got = rankings(&GraphHandle::with_threads(&ShardedGraph::from(got_kg.clone()), 1), &seeds);
         prop_assert_eq!(&got, &want, "single-backend streamed apply");
 
         // streamed batches through the router, shards 1..=4
@@ -210,7 +210,7 @@ proptest! {
             for b in &batches {
                 sg.apply(b);
             }
-            let got = rankings(&GraphHandle::sharded_with_threads(&sg, 1), &seeds);
+            let got = rankings(&GraphHandle::with_threads(&sg, 1), &seeds);
             prop_assert_eq!(&got, &want, "sharded streamed apply (shards={})", shards);
         }
     }
@@ -258,7 +258,7 @@ fn scale_stream_of_100k_triples_equals_bulk_parse_under_maintenance() {
             if batches.is_multiple_of(4) {
                 let reader = store.read();
                 let handle = reader.handle();
-                if handle.entity_count() > 0 {
+                if handle.graph().entity_count() > 0 {
                     let _ = rankings(&handle, &[EntityId::new(0)]);
                     sampled_queries += 1;
                 }
@@ -287,7 +287,7 @@ fn scale_stream_of_100k_triples_equals_bulk_parse_under_maintenance() {
         .ok()
         .expect("maintenance joined — no other owners")
         .into_inner()
-        .into_single();
+        .to_graph();
     assert_eq!(got.entity_count(), want.entity_count());
     assert_eq!(got.relation_count(), want.relation_count());
     assert_eq!(got.type_count(), want.type_count());
