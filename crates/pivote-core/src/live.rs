@@ -154,12 +154,20 @@ impl LiveStore {
     /// The cost is one shard-list clone per write (shard graphs are
     /// shared, not copied); leave it off for bulk ingest and turn it on
     /// when the store starts serving.
+    ///
+    /// Idempotent: on a store that already publishes this is a no-op, so
+    /// the published snapshot keeps the search engines and the prepared
+    /// context attached to it.
     pub fn enable_snapshots(&self) {
-        self.publish.store(true, Ordering::SeqCst);
         // a read guard excludes writers, so the state published here is
-        // current; a writer admitted later republishes on its own
+        // current; a writer admitted later republishes on its own. The
+        // slot lock is held across the flag swap, so a racing second
+        // call returns only once the first has published.
         let store = self.read_store();
-        self.republish(&store);
+        let mut slot = self.published.write().unwrap_or_else(|p| p.into_inner());
+        if !self.publish.swap(true, Ordering::SeqCst) {
+            *slot = Some(self.prepare(&store));
+        }
     }
 
     /// Whether snapshot publication is on.
@@ -187,13 +195,18 @@ impl LiveStore {
         if !self.publish.load(Ordering::SeqCst) {
             return;
         }
-        let snap = PreparedSnapshot::prepare(
+        let snap = self.prepare(store);
+        *self.published.write().unwrap_or_else(|p| p.into_inner()) = Some(snap);
+    }
+
+    /// A prepared snapshot of `store` on this store's cache and threads.
+    fn prepare(&self, store: &ShardedGraph) -> Arc<PreparedSnapshot> {
+        PreparedSnapshot::prepare(
             Arc::new(store.clone()),
             store.generation(),
             self.threads,
             Arc::clone(&self.cache),
-        );
-        *self.published.write().unwrap_or_else(|p| p.into_inner()) = Some(snap);
+        )
     }
 
     /// The WAL mutex, recovering from a poisoned lock: the log file is
@@ -1086,6 +1099,11 @@ mod tests {
         let snap = live.snapshot().expect("enabling publishes current state");
         assert_eq!(snap.generation(), 1);
         assert!(snap.backend().entity("Unpublished_Entity").is_some());
+
+        // a second call keeps the published snapshot (and whatever is
+        // attached to it) instead of preparing a fresh one
+        live.enable_snapshots();
+        assert!(Arc::ptr_eq(&snap, &live.snapshot().unwrap()));
     }
 
     /// Every write path republishes: the published snapshot tracks the

@@ -1,138 +1,95 @@
-//! Live exploration sessions: explore a store that grows mid-session.
+//! Keyword search over a live store: one set of search engines per
+//! published generation, shared by every reader of that generation.
 //!
-//! A [`LiveSession`] drives the full [`Session`] interaction loop over a
-//! [`LiveStore`]: every user action runs against a consistent
-//! read-locked snapshot, and
-//! [`LiveSession::append`] grows the store *between* actions — the
-//! paper's fixed-snapshot exploration model extended to a store serving
-//! live traffic. The session's durable state (timeline, exploratory
-//! path, current query, action log) survives appends **and compactions**
-//! untouched, because compaction changes no global id and no answer; the
-//! per-snapshot machinery (query context, extent handles) is rebuilt per
-//! action from the live store's
-//! [`SharedCache`](pivote_core::SharedCache), so untouched `p(π|c)`
-//! densities stay warm across generations.
-//!
-//! The keyword-search index is cached as one engine **per shard**, each
-//! tagged with its shard's local generation and all tagged with the
-//! store's compaction epoch — after an append only the delta-touched
-//! shards (plus the appended tail) re-index, and a compaction starts a
-//! new epoch that re-indexes the fresh partition wholesale.
-//!
-//! Everything a live session does — actions, appends *and* compactions —
-//! is recorded in a [`LiveLog`], so
-//! [`replay_live`](crate::replay::replay_live) can reproduce an entire
-//! live exploration (growth and re-partitioning included) from the same
-//! base store, at any shard count.
+//! A [`LiveSearchCache`] answers keyword queries against a
+//! [`PreparedSnapshot`] and attaches the engines it builds to the
+//! snapshot, so the serving layer, its background [`SearchWarmer`] and
+//! every [`Session`](crate::Session) pinned to the same generation share
+//! one index. Across generations the cache keeps one engine **per
+//! shard**, each tagged with its shard's local generation and all tagged
+//! with the store's compaction epoch: after an append only the
+//! delta-touched shards (plus the appended tail) re-index, and a
+//! compaction starts a new epoch that re-indexes the fresh partition
+//! wholesale.
 
-use crate::events::UserAction;
-use crate::path::ExplorationPath;
-use crate::replay::ActionLog;
-use crate::session::{
-    merge_corpus_stats, search_backend_hits, SearchBackend, Session, SessionConfig, SessionState,
-    ViewState,
-};
-use crate::timeline::Timeline;
-use pivote_core::{LiveStore, PreparedSnapshot, StoreError};
-use pivote_kg::{AppliedDelta, CompactionReceipt, DeltaBatch, EntityId, ShardedGraph};
-use pivote_search::{CorpusStats, Hit, SearchConfig, SearchEngine};
-use serde::{Deserialize, Serialize};
+use pivote_core::{LiveStore, PreparedSnapshot};
+use pivote_kg::{EntityId, ShardedGraph};
+use pivote_search::{CorpusStats, Hit, Scorer, SearchConfig, SearchEngine};
 use std::sync::{Arc, Mutex};
 
-/// One event of a live session: a user action, a store append, or a
-/// compaction of the backing partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LiveEvent {
-    /// A user action applied to the session.
-    Action(UserAction),
-    /// A delta batch appended to the live store.
-    Append(DeltaBatch),
-    /// A re-partition of the backing store to `target_shards` fresh
-    /// range shards. Compaction is answer-preserving, so replaying it
-    /// reproduces the exact rankings; on an idle one-shard replay
-    /// target (no trailing shards, no tombstones) it is a no-op.
-    Compact {
-        /// The shard count the store was re-partitioned to.
-        target_shards: usize,
-    },
+/// The keyword-search component of one graph generation: one index per
+/// shard (indexed over the shard-local graph, with related-names
+/// neighbours selected in global-id order) plus the globally-merged
+/// corpus statistics every shard scores against. Hits are filtered to
+/// owned entities (ghosts are re-indexed by their home shard), remapped
+/// to global ids and merged by `(score desc, id asc)` — the same scores
+/// and order at every shard count, bit for bit.
+///
+/// Engines are `Arc`-held, so the backend is `Clone` at pointer cost:
+/// N searches index-share while running **concurrently**.
+#[derive(Clone)]
+pub struct SearchBackend {
+    /// One engine per shard, in shard order.
+    pub engines: Vec<Arc<SearchEngine>>,
+    /// Merged owned-document statistics across all shards.
+    pub corpus: Arc<CorpusStats>,
 }
 
-/// The ordered record of everything a live session did — the replayable
-/// artifact of an exploration over a growing store.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct LiveLog {
-    /// Events in application order.
-    pub events: Vec<LiveEvent>,
+/// Merge per-shard indexes into the global corpus statistics, counting
+/// each owned document once (ghost copies are skipped — their home shard
+/// re-indexes them).
+fn merge_corpus_stats(engines: &[(u64, Arc<SearchEngine>)], sg: &ShardedGraph) -> CorpusStats {
+    let mut corpus = CorpusStats::new();
+    for ((_, engine), shard) in engines.iter().zip(sg.shards()) {
+        corpus.absorb(engine.index(), |d| shard.is_owned(EntityId::new(d)));
+    }
+    corpus
 }
 
-impl LiveLog {
-    /// Empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Serialize as pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("live log serializes")
-    }
-
-    /// Parse from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
+/// Top-`k` keyword hits of a [`SearchBackend`] built over `sg`.
+fn search_backend_hits(
+    search: &SearchBackend,
+    sg: &ShardedGraph,
+    query: &str,
+    k: usize,
+) -> Vec<Hit> {
+    let mut hits: Vec<Hit> = search
+        .engines
+        .iter()
+        .zip(sg.shards())
+        .flat_map(|(engine, shard)| {
+            // fetch ALL of the shard's matches, not the top k: ghost hits
+            // are dropped below, and truncating before the ghost filter
+            // could starve owned matches ranked behind k ghosts
+            engine
+                .search_in(query, usize::MAX, Scorer::MixtureLm, search.corpus.as_ref())
+                .into_iter()
+                // drop ghost hits: the home shard re-indexes them
+                .filter(|h| shard.is_owned(h.entity))
+                .map(|h| Hit {
+                    entity: shard.to_global(h.entity),
+                    score: h.score,
+                })
+        })
+        .collect();
+    hits.sort_unstable_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.entity.cmp(&b.entity))
+    });
+    hits.truncate(k);
+    hits
 }
 
-/// Run one action on a transient [`Session`] over a read-guard handle,
-/// moving the durable state (timeline/path/query/log) and the rendered
-/// view in and back out without copies. Returns the dissolved
-/// [`SearchBackend`] so the caller can stash its engine(s) for the next
-/// action.
-fn drive_transient(
-    state: &mut SessionState,
-    log: &mut ActionLog,
-    view: &mut ViewState,
-    mut session: Session<'_>,
-    action: UserAction,
-) -> SearchBackend {
-    let state_in = std::mem::replace(
-        state,
-        SessionState {
-            timeline: Timeline::new(),
-            path: ExplorationPath::new(),
-            query: Default::default(),
-        },
-    );
-    session.import_state(
-        state_in,
-        std::mem::take(log),
-        std::mem::replace(view, ViewState::empty()),
-    );
-    session.apply(action);
-    let (state_out, log_out, view_out, search) = session.dissolve();
-    *state = state_out;
-    *log = log_out;
-    *view = view_out;
-    search
-}
-
-/// The cached keyword-search component, tagged with the store version
-/// it was indexed at: one engine per shard, each tagged with the local
-/// graph generation it was built at, all tagged with the compaction
-/// epoch. Within one epoch shards are only ever appended, so position
-/// `i` still names the same shard and an engine is stale exactly when
-/// its shard's local generation moved; across epochs the shard list was
-/// rebuilt wholesale and nothing is reusable. Cloning is cheap — the
-/// engines and corpus statistics are `Arc`-shared.
+/// The cached engines, tagged with the store version they were indexed
+/// at: one engine per shard, each tagged with the local graph generation
+/// it was built at, all tagged with the compaction epoch. Within one
+/// epoch shards are only ever appended, so position `i` still names the
+/// same shard and an engine is stale exactly when its shard's local
+/// generation moved; across epochs the shard list was rebuilt wholesale
+/// and nothing is reusable. Cloning is cheap — the engines and corpus
+/// statistics are `Arc`-shared.
 #[derive(Clone)]
 struct SearchCache {
     /// Compaction epoch at indexing time.
@@ -144,68 +101,67 @@ struct SearchCache {
     corpus: Arc<CorpusStats>,
 }
 
-/// Build — or reuse from `cache`, when the version tags still match the
-/// snapshot — the search backend for `sg`, returning it together with
-/// the tags to cache it under. Shared by [`LiveSession::apply`] and
-/// [`LiveSearchCache::search`].
-fn refresh_search(
-    cache: Option<SearchCache>,
-    sg: &ShardedGraph,
-    config: SearchConfig,
-) -> (SearchBackend, SearchTags) {
-    let epoch = sg.compaction_epoch();
-    let (cached, cached_corpus) = match cache {
-        Some(c) if c.epoch == epoch => (c.engines, Some(c.corpus)),
-        _ => (Vec::new(), None),
-    };
-    let n_cached = cached.len();
-    let mut reused = 0usize;
-    let mut cached = cached.into_iter();
-    let mut shard_generations = Vec::with_capacity(sg.shard_count());
-    let engines: Vec<Arc<SearchEngine>> = sg
-        .shards()
-        .iter()
-        .map(|s| {
-            let generation = s.graph().generation();
-            shard_generations.push(generation);
-            match cached.next() {
-                Some((built_at, engine)) if built_at == generation => {
-                    reused += 1;
-                    engine
-                }
-                _ => Arc::new(SearchEngine::build_keyed(s.graph(), config, |local| {
-                    s.to_global(local).raw()
-                })),
-            }
-        })
-        .collect();
-    // the corpus merges owned documents of EVERY shard, so a rebuild of
-    // any one engine stales it — but when the only change is appended
-    // trailing shards (the common shape of a live write), absorbing just
-    // the new engines into the cached merge is O(delta) instead of
-    // O(partition)
-    let prefix_reused = reused == n_cached;
-    let corpus = match cached_corpus {
-        Some(c) if prefix_reused && n_cached == sg.shard_count() => c,
-        Some(c) if prefix_reused && n_cached < sg.shard_count() => {
-            let mut merged = (*c).clone();
-            for (engine, shard) in engines.iter().zip(sg.shards()).skip(n_cached) {
-                merged.absorb(engine.index(), |d| shard.is_owned(EntityId::new(d)));
-            }
-            Arc::new(merged)
-        }
-        _ => Arc::new(merge_corpus_stats(&engines, sg)),
-    };
-    (
-        SearchBackend { engines, corpus },
-        SearchTags {
-            epoch,
-            shard_generations,
-        },
-    )
-}
-
 impl SearchCache {
+    /// Index `sg`, reusing every engine of `prior` whose version tags
+    /// still match.
+    fn refresh(prior: Option<SearchCache>, sg: &ShardedGraph, config: SearchConfig) -> Self {
+        let epoch = sg.compaction_epoch();
+        let (cached, cached_corpus) = match prior {
+            Some(c) if c.epoch == epoch => (c.engines, Some(c.corpus)),
+            _ => (Vec::new(), None),
+        };
+        let n_cached = cached.len();
+        let mut reused = 0usize;
+        let mut cached = cached.into_iter();
+        let engines: Vec<(u64, Arc<SearchEngine>)> = sg
+            .shards()
+            .iter()
+            .map(|s| {
+                let generation = s.graph().generation();
+                let engine = match cached.next() {
+                    Some((built_at, engine)) if built_at == generation => {
+                        reused += 1;
+                        engine
+                    }
+                    _ => Arc::new(SearchEngine::build_keyed(s.graph(), config, |local| {
+                        s.to_global(local).raw()
+                    })),
+                };
+                (generation, engine)
+            })
+            .collect();
+        // the corpus merges owned documents of EVERY shard, so a rebuild
+        // of any one engine stales it — but when the only change is
+        // appended trailing shards (the common shape of a live write),
+        // absorbing just the new engines into the cached merge is
+        // O(delta) instead of O(partition)
+        let prefix_reused = reused == n_cached;
+        let corpus = match cached_corpus {
+            Some(c) if prefix_reused && n_cached == sg.shard_count() => c,
+            Some(c) if prefix_reused && n_cached < sg.shard_count() => {
+                let mut merged = (*c).clone();
+                for ((_, engine), shard) in engines.iter().zip(sg.shards()).skip(n_cached) {
+                    merged.absorb(engine.index(), |d| shard.is_owned(EntityId::new(d)));
+                }
+                Arc::new(merged)
+            }
+            _ => Arc::new(merge_corpus_stats(&engines, sg)),
+        };
+        Self {
+            epoch,
+            engines,
+            corpus,
+        }
+    }
+
+    /// The engines without their tags.
+    fn backend(&self) -> SearchBackend {
+        SearchBackend {
+            engines: self.engines.iter().map(|(_, e)| Arc::clone(e)).collect(),
+            corpus: Arc::clone(&self.corpus),
+        }
+    }
+
     /// Whether `self` indexes a store state at least as new as `other`.
     /// Guards the stash against going *backwards*: a request pinned to
     /// a slightly-stale snapshot must not clobber the engine set the
@@ -230,25 +186,12 @@ impl SearchCache {
     }
 }
 
-/// Re-tag a dissolved [`SearchBackend`] for the cache.
-fn stash_search(search: SearchBackend, tags: SearchTags) -> SearchCache {
-    SearchCache {
-        epoch: tags.epoch,
-        engines: tags
-            .shard_generations
-            .into_iter()
-            .zip(search.engines)
-            .collect(),
-        corpus: search.corpus,
-    }
-}
-
-/// A self-contained, thread-safe keyword-search component over a
-/// [`LiveStore`] — the serving layer's search path. It keeps the same
-/// lazily re-indexed engine cache a [`LiveSession`] maintains (per
-/// shard-generation within a compaction epoch, scored against globally
-/// merged corpus statistics) but carries **no** session state, so many
-/// connections can share one instance behind an `Arc`.
+/// A self-contained, thread-safe keyword-search component over the
+/// published snapshots of a [`LiveStore`]. It keeps the lazily
+/// re-indexed engine cache (per shard generation within a compaction
+/// epoch, scored against globally merged corpus statistics) and carries
+/// no session state, so many connections can share one instance behind
+/// an `Arc`.
 ///
 /// The mutex guards only the refresh bookkeeping: each search takes a
 /// cheap `Arc` clone of the backend and runs **unlocked**, so N
@@ -285,8 +228,8 @@ impl LiveSearchCache {
         // the lock: a slow re-index must not head-of-line-block every
         // other thread's refresh behind the mutex
         let prior = self.stash().clone();
-        let (search, tags) = refresh_search(prior, backend, self.config);
-        let candidate = stash_search(search.clone(), tags);
+        let candidate = SearchCache::refresh(prior, backend, self.config);
+        let search = candidate.backend();
         // the stash only ever moves *forward*: a refresh against a
         // stale backend still reuses every tag-matching engine, but its
         // (older) result does not replace a newer stash
@@ -297,22 +240,13 @@ impl LiveSearchCache {
         search
     }
 
-    /// Top-`k` keyword hits against the store's current snapshot.
-    /// Re-indexes lazily when the store moved since the last call;
-    /// answers are bit-identical at every shard count.
-    pub fn search(&self, live: &LiveStore, query: &str, k: usize) -> Vec<Hit> {
-        let reader = live.read();
-        let backend = reader.backend();
-        let search = self.refreshed(backend);
-        search_backend_hits(&search, backend, query, k)
-    }
-
-    /// Top-`k` keyword hits against a prepared snapshot — the serving
-    /// read path. Uses the engines attached to the snapshot when a
-    /// warmer (or an earlier search) already built them; otherwise
-    /// refreshes from the cache against the snapshot's pinned backend
-    /// and attaches the result, so the build cost is paid **once per
-    /// generation** no matter how many requests land on it.
+    /// Top-`k` keyword hits against a prepared snapshot. Uses the
+    /// engines attached to the snapshot when a warmer (or an earlier
+    /// search) already built them; otherwise refreshes from the cache
+    /// against the snapshot's pinned backend and attaches the result, so
+    /// the build cost is paid **once per generation** no matter how many
+    /// requests land on it. Answers are bit-identical at every shard
+    /// count.
     pub fn search_prepared(&self, snap: &PreparedSnapshot, query: &str, k: usize) -> Vec<Hit> {
         let search = self.prepare(snap);
         search_backend_hits(&search, snap.backend(), query, k)
@@ -418,149 +352,11 @@ impl Drop for SearchWarmer {
     }
 }
 
-/// An exploration session over a [`LiveStore`] that may grow *and be
-/// re-partitioned* mid-session.
-pub struct LiveSession<'g> {
-    live: &'g LiveStore,
-    config: SessionConfig,
-    state: SessionState,
-    log: ActionLog,
-    view: ViewState,
-    search: Option<SearchCache>,
-    events: LiveLog,
-}
-
-impl<'g> LiveSession<'g> {
-    /// A fresh live session over `live`.
-    pub fn new(live: &'g LiveStore, config: SessionConfig) -> Self {
-        Self {
-            live,
-            config,
-            state: SessionState {
-                timeline: Timeline::new(),
-                path: ExplorationPath::new(),
-                query: Default::default(),
-            },
-            log: ActionLog::new(),
-            view: ViewState::empty(),
-            search: None,
-            events: LiveLog::new(),
-        }
-    }
-
-    /// The live store under exploration.
-    pub fn live(&self) -> &'g LiveStore {
-        self.live
-    }
-
-    /// The current view.
-    pub fn view(&self) -> &ViewState {
-        &self.view
-    }
-
-    /// The durable session state (timeline, path, current query).
-    pub fn state(&self) -> &SessionState {
-        &self.state
-    }
-
-    /// The user-action log (appends and compactions excluded; see
-    /// [`LiveSession::events`]).
-    pub fn action_log(&self) -> &ActionLog {
-        &self.log
-    }
-
-    /// Every event — actions, appends and compactions — in order.
-    pub fn events(&self) -> &LiveLog {
-        &self.events
-    }
-
-    /// Apply one user action against the current store snapshot and
-    /// return the updated view. The heavy lifting runs on a transient
-    /// [`Session`] scoped to a read guard; timeline/path/query/log and
-    /// the rendered view **move** in and back out (no per-action copies
-    /// of the session history), and the live store's shared cache keeps
-    /// densities warm. The search component is reused from the cache
-    /// when its version tags still match the snapshot.
-    pub fn apply(&mut self, action: UserAction) -> &ViewState {
-        self.events.events.push(LiveEvent::Action(action.clone()));
-        let reader = self.live.read();
-        let (search, next_tags) =
-            refresh_search(self.search.take(), reader.backend(), self.config.search);
-        let session = Session::with_search(reader.handle(), self.config, search);
-        let search = drive_transient(
-            &mut self.state,
-            &mut self.log,
-            &mut self.view,
-            session,
-            action,
-        );
-        self.search = Some(stash_search(search, next_tags));
-        &self.view
-    }
-
-    /// Append a delta to the live store (recorded in the event log). The
-    /// view is *not* recomputed — like every store mutation it becomes
-    /// visible at the next action, keeping actions the only points where
-    /// the interface changes under the user. A refused write (poisoned
-    /// store) is **not** recorded, so the replay log only ever carries
-    /// mutations that actually happened.
-    pub fn append(&mut self, delta: &DeltaBatch) -> Result<AppliedDelta, StoreError> {
-        let applied = self.live.append(delta)?;
-        self.events.events.push(LiveEvent::Append(delta.clone()));
-        Ok(applied)
-    }
-
-    /// Re-partition the live store to `target_shards` (recorded in the
-    /// event log), through the concurrent compaction path — the rebuild
-    /// runs off the write lock, so other sessions' queries never block
-    /// behind it. The session's durable state is untouched; the next
-    /// action re-indexes search against the fresh partition and answers
-    /// exactly what the uncompacted store would have answered. On an
-    /// idle one-shard store this is the identity (still recorded, so the
-    /// log replays onto partitioned deployments).
-    pub fn compact(&mut self, target_shards: usize) -> Result<CompactionReceipt, StoreError> {
-        let receipt = self.live.compact_concurrent(target_shards)?;
-        self.events
-            .events
-            .push(LiveEvent::Compact { target_shards });
-        Ok(receipt)
-    }
-
-    /// Convenience: submit a keyword query.
-    pub fn submit_keywords(&mut self, q: &str) -> &ViewState {
-        self.apply(UserAction::SubmitKeywords { query: q.into() })
-    }
-
-    /// Convenience: click an entity (investigation).
-    pub fn click_entity(&mut self, entity: pivote_kg::EntityId) -> &ViewState {
-        self.apply(UserAction::ClickEntity { entity })
-    }
-
-    /// Test/diagnostic view of the search cache's version tags: the
-    /// compaction epoch and per-shard local generations.
-    #[cfg(test)]
-    fn search_tags(&self) -> Option<SearchTags> {
-        self.search.as_ref().map(|s| SearchTags {
-            epoch: s.epoch,
-            shard_generations: s.engines.iter().map(|&(g, _)| g).collect(),
-        })
-    }
-}
-
-/// The version tags a rebuilt search component will be cached under:
-/// the compaction epoch and the per-shard local generations.
-#[derive(Debug, PartialEq, Eq)]
-struct SearchTags {
-    /// Compaction epoch at indexing time.
-    epoch: u64,
-    /// Local generation per shard, in shard order.
-    shard_generations: Vec<u64>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pivote_kg::{generate, DatagenConfig, EntityId, KnowledgeGraph};
+    use crate::{replay, ActionLog, Session, SessionConfig, UserAction};
+    use pivote_kg::{generate, DatagenConfig, DeltaBatch, KnowledgeGraph};
 
     fn base() -> KnowledgeGraph {
         generate(&DatagenConfig::tiny())
@@ -571,9 +367,9 @@ mod tests {
         kg.type_extent(film)[0]
     }
 
+    /// A brand-new film sharing the seed's entire cast, so an
+    /// investigation from the seed must surface it once visible.
     fn delta_for(kg: &KnowledgeGraph, seed: EntityId) -> DeltaBatch {
-        // append a brand-new film sharing the seed's entire cast, so an
-        // investigation from the seed must surface it mid-session
         let starring = kg.predicate("starring").unwrap();
         let mut d = DeltaBatch::new();
         for &star in kg.objects(seed, starring) {
@@ -592,102 +388,83 @@ mod tests {
         d
     }
 
+    /// A session over a fresh store of `backend`.
+    fn session(backend: impl Into<ShardedGraph>) -> Session {
+        Session::new(
+            Arc::new(LiveStore::with_threads(backend, 1)),
+            SessionConfig::default(),
+        )
+    }
+
+    fn ranked(s: &Session) -> Vec<(EntityId, f64)> {
+        s.view()
+            .entities
+            .iter()
+            .map(|re| (re.entity, re.score))
+            .collect()
+    }
+
+    /// Re-run the investigation from `seed`.
+    fn reinvestigate(s: &mut Session, seed: EntityId) {
+        s.apply(UserAction::RemoveSeed { entity: seed });
+        s.click_entity(seed);
+    }
+
+    /// Append `delta` to the session's store and re-pin the session.
+    fn grow(s: &mut Session, delta: &DeltaBatch) {
+        s.store().append(delta).expect("store healthy");
+        s.refresh();
+    }
+
+    // ---- sessions over a store that grows ------------------------------
+
     #[test]
-    fn session_sees_appends_at_the_next_action() {
+    fn session_sees_appends_after_refresh() {
         let kg = base();
         let seed = film_seed(&kg);
         let delta = delta_for(&kg, seed);
-        let live = LiveStore::with_threads(base(), 1);
-        let mut s = LiveSession::new(&live, SessionConfig::default());
-
+        let mut s = session(base());
         s.click_entity(seed);
-        let before: Vec<EntityId> = s.view().entities.iter().map(|re| re.entity).collect();
-        s.append(&delta).expect("store healthy");
-        // the view does not change until the next action
-        let unchanged: Vec<EntityId> = s.view().entities.iter().map(|re| re.entity).collect();
-        assert_eq!(before, unchanged);
+        let before = ranked(&s);
 
-        // re-running the same investigation now reflects the new triples:
-        // results must equal a fresh session over the rebuilt union
-        s.apply(UserAction::RemoveSeed { entity: seed });
-        s.click_entity(seed);
-        let after: Vec<EntityId> = s.view().entities.iter().map(|re| re.entity).collect();
+        // the pin holds: the same investigation answers at generation 0
+        s.store().append(&delta).expect("store healthy");
+        reinvestigate(&mut s, seed);
+        assert_eq!(s.generation(), 0);
+        assert_eq!(ranked(&s), before);
 
+        // re-pinned, it equals a fresh session over the rebuilt union
+        assert_eq!(s.refresh(), 1);
+        reinvestigate(&mut s, seed);
         let mut union = base();
         union.apply(&delta);
-        let one = ShardedGraph::from(union.clone());
-        let mut fresh = Session::with_defaults(&one);
+        let mut fresh = Session::with_defaults(&ShardedGraph::from(union.clone()));
         fresh.click_entity(seed);
-        let want: Vec<EntityId> = fresh.view().entities.iter().map(|re| re.entity).collect();
-        assert_eq!(after, want, "post-append view must match the rebuilt union");
+        assert_eq!(ranked(&s), ranked(&fresh));
         let new_film = union.entity("Fresh_Live_Film").unwrap();
-        assert!(
-            after.contains(&new_film),
-            "the appended film must surface in the recommendations"
-        );
+        assert!(ranked(&s).iter().any(|&(e, _)| e == new_film));
+        let hits = s.search_hits("Fresh Live Film", 5);
+        assert!(hits.iter().any(|h| h.entity == new_film));
     }
 
     #[test]
     fn non_recomputing_actions_preserve_the_view() {
-        // a duplicate click is a no-op and a lookup only sets the focus
-        // — neither may wipe the recommendation area (regression: the
-        // transient session must inherit the full rendered view, not
-        // start from empty)
+        // a duplicate click is a no-op and a lookup only sets the focus:
+        // neither recomputes, so neither may change the rendered view,
+        // not even right after a refresh
         let kg = base();
         let seed = film_seed(&kg);
-        let live = LiveStore::with_threads(base(), 1);
-        let mut s = LiveSession::new(&live, SessionConfig::default());
+        let mut s = session(base());
         s.click_entity(seed);
-        let before: Vec<EntityId> = s.view().entities.iter().map(|re| re.entity).collect();
+        let before = ranked(&s);
         assert!(!before.is_empty());
+        grow(&mut s, &delta_for(&kg, seed));
 
-        s.click_entity(seed); // duplicate: no-op in a plain Session
-        let after_dup: Vec<EntityId> = s.view().entities.iter().map(|re| re.entity).collect();
-        assert_eq!(before, after_dup, "duplicate click must not wipe the view");
-
-        s.apply(UserAction::LookupEntity { entity: seed });
+        s.click_entity(seed);
+        assert_eq!(ranked(&s), before, "duplicate click keeps the view");
+        s.lookup(seed);
         assert!(s.view().focus.is_some(), "lookup fills the focus");
-        let after_lookup: Vec<EntityId> = s.view().entities.iter().map(|re| re.entity).collect();
-        assert_eq!(before, after_lookup, "lookup must keep the entities");
-    }
-
-    #[test]
-    fn replay_live_reproduces_growth_and_rankings() {
-        let kg = base();
-        let seed = film_seed(&kg);
-        let live = LiveStore::with_threads(base(), 1);
-        let mut original = LiveSession::new(&live, SessionConfig::default());
-        original.click_entity(seed);
-        original
-            .append(&delta_for(&kg, seed))
-            .expect("store healthy");
-        original.apply(UserAction::RemoveSeed { entity: seed });
-        original.click_entity(seed);
-
-        // serialize the full event log (appends included) and replay it
-        // onto a fresh live store built from the same base
-        let log = LiveLog::from_json(&original.events().to_json()).unwrap();
-        assert_eq!(&log, original.events());
-        let live2 = LiveStore::with_threads(base(), 1);
-        let replayed = crate::replay::replay_live(&live2, SessionConfig::default(), &log);
-
-        assert_eq!(live2.generation(), 1, "the append replayed");
-        assert_eq!(replayed.state().timeline, original.state().timeline);
-        assert_eq!(
-            replayed
-                .view()
-                .entities
-                .iter()
-                .map(|re| (re.entity, re.score))
-                .collect::<Vec<_>>(),
-            original
-                .view()
-                .entities
-                .iter()
-                .map(|re| (re.entity, re.score))
-                .collect::<Vec<_>>(),
-            "live replay must reproduce rankings bit-identically"
-        );
+        assert_eq!(ranked(&s), before, "lookup keeps the entities");
     }
 
     #[test]
@@ -695,256 +472,147 @@ mod tests {
         let kg = base();
         let seed = film_seed(&kg);
         let delta = delta_for(&kg, seed);
-
-        // live path: investigate, append (new trailing shard), compact,
-        // re-investigate — all through the ONE unified session type
-        let live = LiveStore::with_threads(ShardedGraph::from_graph(&base(), 3), 1);
-        let mut s = LiveSession::new(&live, SessionConfig::default());
+        let mut s = session(ShardedGraph::from_graph(&kg, 3));
         s.click_entity(seed);
-        let before: Vec<EntityId> = s.view().entities.iter().map(|re| re.entity).collect();
-        s.append(&delta).expect("store healthy");
-        assert_eq!(live.shard_count(), 4, "append minted a trailing shard");
-        let receipt = s.compact(2).expect("store healthy");
+        s.store().append(&delta).expect("store healthy");
+        assert_eq!(s.store().shard_count(), 4, "append minted a trailing shard");
+        let receipt = s.store().compact_concurrent(2).expect("store healthy");
         assert_eq!(receipt.shards_after, 2);
-        assert_eq!(live.shard_count(), 2);
-        // like an append, a compaction does not change the view until
-        // the next action — and the durable state is untouched
-        let unchanged: Vec<EntityId> = s.view().entities.iter().map(|re| re.entity).collect();
-        assert_eq!(before, unchanged);
-        assert_eq!(s.state().timeline.len(), 1);
-        s.apply(UserAction::RemoveSeed { entity: seed });
-        s.click_entity(seed);
-        let after: Vec<(EntityId, f64)> = s
-            .view()
-            .entities
-            .iter()
-            .map(|re| (re.entity, re.score))
-            .collect();
+        assert_eq!(s.refresh(), receipt.generation);
+        assert_eq!(s.snapshot().backend().shard_count(), 2);
+        assert_eq!(s.timeline().len(), 1, "durable state untouched");
+        reinvestigate(&mut s, seed);
 
-        // ground truth: a fresh sharded session over the rebuilt union
-        // at the compacted shard count
+        // ground truth: a fresh session over the rebuilt union at the
+        // compacted shard count
         let mut union = base();
         union.apply(&delta);
-        let usg = ShardedGraph::from_graph(&union, 2);
-        let mut fresh = Session::with_defaults(&usg);
+        let mut fresh = Session::with_defaults(&ShardedGraph::from_graph(&union, 2));
         fresh.click_entity(seed);
-        let want: Vec<(EntityId, f64)> = fresh
-            .view()
-            .entities
-            .iter()
-            .map(|re| (re.entity, re.score))
-            .collect();
-        assert_eq!(
-            after, want,
-            "post-compaction view must match a fresh partition of the union"
-        );
+        assert_eq!(ranked(&s), ranked(&fresh));
         let new_film = union.entity("Fresh_Live_Film").unwrap();
-        assert!(after.iter().any(|&(e, _)| e == new_film));
-        assert_eq!(s.events().len(), 5, "3 actions + append + compact");
-    }
-
-    #[test]
-    fn replay_live_reproduces_growth_and_compaction_on_both_layouts() {
-        let kg = base();
-        let seed = film_seed(&kg);
-        let live = LiveStore::with_threads(ShardedGraph::from_graph(&base(), 3), 1);
-        let mut original = LiveSession::new(&live, SessionConfig::default());
-        original.click_entity(seed);
-        original
-            .append(&delta_for(&kg, seed))
-            .expect("store healthy");
-        original.compact(2).expect("store healthy");
-        original.apply(UserAction::RemoveSeed { entity: seed });
-        original.click_entity(seed);
-
-        // serialize the full event log (append + compact included) and
-        // replay it onto a fresh live partition of the same base
-        let log = LiveLog::from_json(&original.events().to_json()).unwrap();
-        assert_eq!(&log, original.events());
-        assert!(log
-            .events
-            .iter()
-            .any(|e| matches!(e, LiveEvent::Compact { target_shards: 2 })));
-        let live2 = LiveStore::with_threads(ShardedGraph::from_graph(&base(), 3), 1);
-        let replayed = crate::replay::replay_live(&live2, SessionConfig::default(), &log);
-        assert_eq!(live2.shard_count(), 2, "the compaction replayed");
-        assert_eq!(live2.generation(), 2, "append + compaction");
-        assert_eq!(replayed.state().timeline, original.state().timeline);
-        assert_eq!(
-            replayed
-                .view()
-                .entities
-                .iter()
-                .map(|re| (re.entity, re.score))
-                .collect::<Vec<_>>(),
-            original
-                .view()
-                .entities
-                .iter()
-                .map(|re| (re.entity, re.score))
-                .collect::<Vec<_>>(),
-            "sharded live replay must reproduce rankings bit-identically"
-        );
-
-        // the same log replays onto a one-shard store too: the append
-        // grows the shard in place, Compact is the identity there, and
-        // rankings still land bit-identically
-        let live3 = LiveStore::with_threads(base(), 1);
-        let on_single = crate::replay::replay_live(&live3, SessionConfig::default(), &log);
-        assert_eq!(live3.generation(), 1, "only the append applies");
-        assert_eq!(live3.shard_count(), 1);
-        assert_eq!(
-            on_single
-                .view()
-                .entities
-                .iter()
-                .map(|re| (re.entity, re.score))
-                .collect::<Vec<_>>(),
-            original
-                .view()
-                .entities
-                .iter()
-                .map(|re| (re.entity, re.score))
-                .collect::<Vec<_>>(),
-            "a compaction-bearing log must replay identically on one shard"
-        );
-    }
-
-    #[test]
-    fn sharded_search_reindexes_touched_and_appended_shards_lazily() {
-        let kg = base();
-        let seed = film_seed(&kg);
-        let live = LiveStore::with_threads(ShardedGraph::from_graph(&base(), 3), 1);
-        let mut s = LiveSession::new(&live, SessionConfig::default());
-        s.submit_keywords(&kg.display_name(seed));
-        let Some(SearchTags {
-            epoch,
-            shard_generations,
-        }) = s.search_tags()
-        else {
-            panic!("sharded store must cache a per-shard engine set");
-        };
-        assert_eq!(
-            (epoch, shard_generations.len()),
-            (0, 3),
-            "one engine per shard"
-        );
-
-        let mut d = DeltaBatch::new();
-        d.triple(
-            "Fresh_Search_Film",
-            "starring",
-            kg.entity_name(seed).to_owned(),
-        )
-        .typed("Fresh_Search_Film", "Film")
-        .label("Fresh_Search_Film", "Zanzibar Premiere");
-        s.append(&d).expect("store healthy");
-
-        // the next action re-indexes only the delta-touched shards and
-        // the appended tail — and the new film is immediately findable
-        let view = s.submit_keywords("Zanzibar Premiere");
-        let fresh = {
-            let reader = live.read();
-            reader.backend().entity("Fresh_Search_Film").unwrap()
-        };
-        assert!(
-            view.entities.iter().any(|re| re.entity == fresh),
-            "appended film must be searchable at the next action"
-        );
-        let Some(SearchTags {
-            epoch,
-            shard_generations,
-        }) = s.search_tags()
-        else {
-            panic!("still sharded");
-        };
-        assert_eq!(epoch, 0, "appends do not change the epoch");
-        assert_eq!(
-            shard_generations.len(),
-            4,
-            "trailing shard gained an engine"
-        );
-        {
-            let reader = live.read();
-            for (i, shard) in reader.backend().shards().iter().enumerate() {
-                assert_eq!(
-                    shard_generations[i],
-                    shard.graph().generation(),
-                    "engine {i} must be tagged with its shard's local generation"
-                );
-            }
-            // the untouched shards were NOT re-indexed: their local
-            // generation never moved, so their tags still read 0
-            assert!(
-                shard_generations.contains(&0),
-                "some shard must have been untouched by the delta"
-            );
-        }
-
-        // compaction starts a new epoch: wholesale re-index, same answers
-        s.compact(2).expect("store healthy");
-        let view = s.submit_keywords("Zanzibar Premiere");
-        assert!(view.entities.iter().any(|re| re.entity == fresh));
-        let Some(SearchTags {
-            epoch,
-            shard_generations,
-        }) = s.search_tags()
-        else {
-            panic!("still sharded");
-        };
-        assert_eq!(epoch, 1, "compaction bumps the epoch");
-        assert_eq!(shard_generations.len(), 2, "one engine per compacted shard");
+        assert!(ranked(&s).iter().any(|&(e, _)| e == new_film));
     }
 
     #[test]
     fn timeline_and_path_survive_appends() {
         let kg = base();
         let seed = film_seed(&kg);
-        let live = LiveStore::with_threads(base(), 1);
-        let mut s = LiveSession::new(&live, SessionConfig::default());
+        let mut s = session(base());
         s.submit_keywords(&kg.display_name(seed));
-        s.append(&delta_for(&kg, seed)).expect("store healthy");
+        grow(&mut s, &delta_for(&kg, seed));
         s.click_entity(seed);
-        assert_eq!(s.state().timeline.len(), 2, "search + investigate");
+        assert_eq!(s.timeline().len(), 2, "search + investigate");
+        assert_eq!(s.path().query_trail().len(), 2);
         assert_eq!(s.action_log().len(), 2);
-        assert_eq!(s.events().len(), 3, "two actions + one append");
-        // the search index is tagged with the store's current version
-        let want = {
-            let reader = live.read();
-            let sg = reader.backend();
-            SearchTags {
-                epoch: sg.compaction_epoch(),
-                shard_generations: sg.shards().iter().map(|s| s.graph().generation()).collect(),
-            }
-        };
-        assert_eq!(s.search_tags(), Some(want));
+        assert!(Arc::ptr_eq(s.snapshot(), &s.store().snapshot().unwrap()));
     }
 
-    /// The prepared-snapshot search path answers bit-identically to the
-    /// lock path, and the built engines attach to the snapshot exactly
-    /// once — the second search reuses the attached backend (same
-    /// engine allocation) instead of consulting the cache again.
+    /// Record a session that investigates, grows its store by
+    /// `delta` (compacting to `compact` shards, if given), refreshes and
+    /// investigates again.
+    fn grown_session(
+        backend: ShardedGraph,
+        seed: EntityId,
+        delta: &DeltaBatch,
+        compact: Option<usize>,
+    ) -> Session {
+        let mut s = session(backend);
+        s.click_entity(seed);
+        s.store().append(delta).expect("store healthy");
+        if let Some(shards) = compact {
+            s.store().compact_concurrent(shards).expect("store healthy");
+        }
+        s.refresh();
+        reinvestigate(&mut s, seed);
+        s
+    }
+
+    #[test]
+    fn replay_reproduces_growth_and_rankings() {
+        let kg = base();
+        let seed = film_seed(&kg);
+        let delta = delta_for(&kg, seed);
+        let original = grown_session(ShardedGraph::from(base()), seed, &delta, None);
+
+        // serialize the log and replay it onto a session over a fresh
+        // store grown by the same append
+        let log = ActionLog::from_json(&original.action_log().to_json()).unwrap();
+        let mut replayed = session(base());
+        grow(&mut replayed, &delta);
+        assert_eq!(replay(&mut replayed, &log), Ok(3));
+        assert_eq!(replayed.generation(), 1);
+        assert_eq!(replayed.timeline(), original.timeline());
+        assert_eq!(
+            ranked(&replayed),
+            ranked(&original),
+            "replay must reproduce rankings bit-identically"
+        );
+    }
+
+    #[test]
+    fn replay_reproduces_growth_and_compaction_on_both_layouts() {
+        let kg = base();
+        let seed = film_seed(&kg);
+        let delta = delta_for(&kg, seed);
+        let original = grown_session(ShardedGraph::from_graph(&kg, 3), seed, &delta, Some(2));
+        assert_eq!(original.snapshot().backend().shard_count(), 2);
+        let log = ActionLog::from_json(&original.action_log().to_json()).unwrap();
+
+        // onto the same partitioning, grown and compacted alike ...
+        let mut sharded = session(ShardedGraph::from_graph(&kg, 3));
+        sharded.store().append(&delta).expect("store healthy");
+        sharded
+            .store()
+            .compact_concurrent(2)
+            .expect("store healthy");
+        assert_eq!(sharded.refresh(), 2, "append + compaction");
+        replay(&mut sharded, &log).expect("ids exist");
+        assert_eq!(sharded.timeline(), original.timeline());
+        assert_eq!(ranked(&sharded), ranked(&original));
+
+        // ... and onto one shard, grown by the append only
+        let mut single = session(base());
+        grow(&mut single, &delta);
+        replay(&mut single, &log).expect("ids exist");
+        assert_eq!(single.store().shard_count(), 1);
+        assert_eq!(
+            ranked(&single),
+            ranked(&original),
+            "a log recorded over a compaction must replay identically on one shard"
+        );
+    }
+
+    // ---- the search cache ----------------------------------------------
+
+    fn published(backend: impl Into<ShardedGraph>) -> LiveStore {
+        let live = LiveStore::with_threads(backend, 1);
+        live.enable_snapshots();
+        live
+    }
+
+    /// The prepared-snapshot search path answers bit-identically to a
+    /// search of the store under its read lock, the built engines attach
+    /// to the snapshot exactly once — the second search reuses the
+    /// attached backend (same engine allocation) — and a snapshot keeps
+    /// answering for its own pinned graph after the store moves on.
     #[test]
     fn search_prepared_matches_lock_path_and_attaches_once() {
         for shards in [1usize, 3] {
-            let kg = base();
-            let live = if shards == 1 {
-                LiveStore::with_threads(kg.clone(), 1)
-            } else {
-                LiveStore::with_threads(ShardedGraph::from_graph(&kg, shards), 1)
-            };
-            live.enable_snapshots();
+            let live = published(ShardedGraph::from_graph(&base(), shards));
             let cache = LiveSearchCache::new(SearchConfig::default());
 
-            let want = cache.search(&live, "film", 10);
+            let want = {
+                let reader = live.read();
+                let indexed = SearchCache::refresh(None, reader.backend(), SearchConfig::default());
+                search_backend_hits(&indexed.backend(), reader.backend(), "film", 10)
+            };
+            assert!(!want.is_empty(), "shards={shards}");
             let snap = live.snapshot().expect("snapshots enabled");
             assert!(snap.attached_search().is_none());
-            let got = cache.search_prepared(&snap, "film", 10);
-            assert_eq!(got, want, "shards={shards}");
+            assert_eq!(cache.search_prepared(&snap, "film", 10), want);
             assert!(snap.attached_search().is_some(), "first search attaches");
 
-            // second search on the same snapshot reuses the attachment:
-            // the backends share the same engine allocation
             let a = cache.prepare(&snap);
             let b = cache.prepare(&snap);
             assert_eq!(a.engines.len(), b.engines.len());
@@ -969,13 +637,76 @@ mod tests {
         }
     }
 
+    /// Across generations the cache re-indexes only the shards whose
+    /// local generation moved (plus the appended tail); a compaction
+    /// bumps the epoch and re-indexes the new partition wholesale.
+    #[test]
+    fn sharded_search_reindexes_touched_and_appended_shards_lazily() {
+        let kg = base();
+        let film = kg.type_id("Film").unwrap();
+        let seed = kg.entity_name(kg.type_extent(film)[0]).to_owned();
+        let live = published(ShardedGraph::from_graph(&kg, 3));
+        let cache = LiveSearchCache::new(SearchConfig::default());
+        let tags = || {
+            let stash = cache.stash();
+            let c = stash.as_ref().expect("cache filled");
+            let generations: Vec<u64> = c.engines.iter().map(|&(g, _)| g).collect();
+            (c.epoch, generations)
+        };
+
+        let before = cache.prepare(&live.snapshot().unwrap());
+        assert_eq!(tags(), (0, vec![0, 0, 0]), "one engine per shard");
+
+        let mut d = DeltaBatch::new();
+        d.triple("Fresh_Search_Film", "starring", seed.as_str())
+            .typed("Fresh_Search_Film", "Film")
+            .label("Fresh_Search_Film", "Zanzibar Premiere");
+        live.append(&d).expect("store healthy");
+        let snap = live.snapshot().unwrap();
+        let after = cache.prepare(&snap);
+        let (epoch, generations) = tags();
+        assert_eq!(epoch, 0, "appends do not change the epoch");
+        assert_eq!(generations.len(), 4, "the trailing shard gained an engine");
+        for (i, shard) in snap.backend().shards().iter().enumerate() {
+            assert_eq!(
+                generations[i],
+                shard.graph().generation(),
+                "engine {i} is tagged with its shard's local generation"
+            );
+        }
+        // an untouched shard keeps its engine allocation; a touched one
+        // is re-indexed
+        let mut untouched = 0;
+        for (i, (old, new)) in before.engines.iter().zip(&after.engines).enumerate() {
+            let same = Arc::ptr_eq(old, new);
+            assert_eq!(same, generations[i] == 0, "shard {i}");
+            untouched += usize::from(same);
+        }
+        assert!(untouched > 0, "some shard must be untouched by the delta");
+        let fresh = snap.backend().entity("Fresh_Search_Film").unwrap();
+        let hits = cache.search_prepared(&snap, "Zanzibar Premiere", 5);
+        assert!(hits.iter().any(|h| h.entity == fresh));
+
+        live.compact_concurrent(2).expect("store healthy");
+        let snap = live.snapshot().unwrap();
+        let compacted = cache.prepare(&snap);
+        let (epoch, generations) = tags();
+        assert_eq!(epoch, 1, "compaction bumps the epoch");
+        assert_eq!(generations.len(), 2, "one engine per compacted shard");
+        assert!(compacted
+            .engines
+            .iter()
+            .all(|e| after.engines.iter().all(|old| !Arc::ptr_eq(e, old))));
+        let hits = cache.search_prepared(&snap, "Zanzibar Premiere", 5);
+        assert!(hits.iter().any(|h| h.entity == fresh));
+    }
+
     /// The background warmer attaches engines to freshly published
     /// snapshots off the request path: after a write, the request thread
     /// finds the index prebuilt.
     #[test]
     fn search_warmer_prebuilds_engines_off_the_request_path() {
-        let live = Arc::new(LiveStore::with_threads(base(), 1));
-        live.enable_snapshots();
+        let live = Arc::new(published(base()));
         let cache = Arc::new(LiveSearchCache::new(SearchConfig::default()));
         let mut warmer = SearchWarmer::spawn(
             Arc::clone(&live),

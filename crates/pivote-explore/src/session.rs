@@ -1,23 +1,33 @@
 //! The exploration session: PivotE's interaction loop.
 //!
-//! A [`Session`] owns the search engine, the recommendation engine, the
-//! timeline and the exploratory path, and exposes a single entry point —
-//! [`Session::apply`] — that turns every [`UserAction`] into an updated
-//! [`ViewState`], mirroring the paper's architecture (Fig. 2): the
-//! interface forwards clicks, the engines recompute the recommendation
-//! areas, the heat map explains them.
+//! A [`Session`] exposes a single entry point — [`Session::apply`] — that
+//! turns every [`UserAction`] into an updated [`ViewState`], mirroring
+//! the paper's architecture (Fig. 2): the interface forwards clicks, the
+//! engines recompute the recommendation areas, the heat map explains
+//! them. It owns the durable state (timeline, exploratory path, current
+//! view, action log) and runs every action on one [`PreparedSnapshot`]
+//! of a [`LiveStore`] that it keeps pinned: writes to the store do not
+//! move the session until [`Session::refresh`] re-pins it to the
+//! store's current snapshot. A static graph is a store that never
+//! writes.
+//!
+//! Keyword search goes through a [`LiveSearchCache`], whose engines
+//! attach to the pinned snapshot, so sessions and a server over the same
+//! store share one set of engines per generation.
 
 use crate::events::UserAction;
+use crate::live::LiveSearchCache;
 use crate::path::{ExplorationPath, NodeKind};
 use crate::profile::{build_profile, EntityProfile};
 use crate::query::ExplorationQuery;
+use crate::replay::ActionLog;
 use crate::timeline::Timeline;
 use pivote_core::{
-    Expander, GraphHandle, HeatMap, RankedEntity, RankedFeature, RankingConfig, SemanticFeature,
-    SfQuery,
+    Expander, HeatMap, LiveStore, PreparedSnapshot, RankedEntity, RankedFeature, RankingConfig,
+    SemanticFeature, SfQuery,
 };
 use pivote_kg::{EntityId, ShardedGraph, TypeId};
-use pivote_search::{CorpusStats, Hit, Scorer, SearchConfig, SearchEngine};
+use pivote_search::{Hit, SearchConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -41,8 +51,6 @@ pub struct SessionConfig {
     pub diversify_features: usize,
     /// Ranking model configuration.
     pub ranking: RankingConfig,
-    /// Search engine configuration.
-    pub search: SearchConfig,
 }
 
 impl Default for SessionConfig {
@@ -55,7 +63,6 @@ impl Default for SessionConfig {
             auto_type_filter: true,
             diversify_features: 3,
             ranking: RankingConfig::default(),
-            search: SearchConfig::default(),
         }
     }
 }
@@ -105,196 +112,77 @@ pub struct SessionState {
     pub query: ExplorationQuery,
 }
 
-/// The keyword-search component: one index per shard (indexed over the
-/// shard-local graph, with related-names neighbours selected in
-/// global-id order) plus the globally-merged corpus statistics every
-/// shard scores against. Hits are filtered to owned entities (ghosts are
-/// re-indexed by their home shard), remapped to global ids and merged by
-/// `(score desc, id asc)` — the same scores and order at every shard
-/// count, bit for bit. Public so the live-session layer can carry
-/// prebuilt engines across graph generations (and across compactions,
-/// which change the shard count) without re-indexing when nothing
-/// changed.
-///
-/// Engines are `Arc`-held, so the backend is `Clone` at pointer cost:
-/// the live search cache hands each concurrent search its own cheap
-/// clone and N searches index-share while running **concurrently** —
-/// the cache's mutex guards only the refresh bookkeeping, never a
-/// query.
-#[derive(Clone)]
-pub struct SearchBackend {
-    /// One engine per shard, in shard order.
-    pub engines: Vec<Arc<SearchEngine>>,
-    /// Merged owned-document statistics across all shards.
-    pub corpus: Arc<CorpusStats>,
-}
-
-impl SearchBackend {
-    /// Index every shard of `sg` and merge the corpus statistics.
-    pub fn build(sg: &ShardedGraph, config: SearchConfig) -> Self {
-        let engines: Vec<Arc<SearchEngine>> = sg
-            .shards()
-            .iter()
-            .map(|s| {
-                Arc::new(SearchEngine::build_keyed(s.graph(), config, |local| {
-                    s.to_global(local).raw()
-                }))
-            })
-            .collect();
-        let corpus = Arc::new(merge_corpus_stats(&engines, sg));
-        Self { engines, corpus }
-    }
-}
-
-/// Merge per-shard indexes into the global corpus statistics, counting
-/// each owned document once (ghost copies are skipped — their home shard
-/// re-indexes them).
-pub fn merge_corpus_stats(engines: &[Arc<SearchEngine>], sg: &ShardedGraph) -> CorpusStats {
-    let mut corpus = CorpusStats::new();
-    for (engine, shard) in engines.iter().zip(sg.shards()) {
-        corpus.absorb(engine.index(), |d| shard.is_owned(EntityId::new(d)));
-    }
-    corpus
-}
-
-/// Top-`k` keyword hits of a [`SearchBackend`] built over `sg` — the
-/// merge logic shared by [`Session::search_hits`] and the serving layer
-/// (which queries the backend directly, without building a session).
-pub fn search_backend_hits(
-    search: &SearchBackend,
-    sg: &ShardedGraph,
-    query: &str,
-    k: usize,
-) -> Vec<Hit> {
-    let mut hits: Vec<Hit> = search
-        .engines
-        .iter()
-        .zip(sg.shards())
-        .flat_map(|(engine, shard)| {
-            // fetch ALL of the shard's matches, not the top k: ghost hits
-            // are dropped below, and truncating before the ghost filter
-            // could starve owned matches ranked behind k ghosts
-            engine
-                .search_in(query, usize::MAX, Scorer::MixtureLm, search.corpus.as_ref())
-                .into_iter()
-                // drop ghost hits: the home shard re-indexes them
-                .filter(|h| shard.is_owned(h.entity))
-                .map(|h| Hit {
-                    entity: shard.to_global(h.entity),
-                    score: h.score,
-                })
-        })
-        .collect();
-    hits.sort_unstable_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.entity.cmp(&b.entity))
-    });
-    hits.truncate(k);
-    hits
-}
-
-/// An interactive exploration session over one knowledge graph, behind
-/// one [`GraphHandle`].
-pub struct Session<'kg> {
-    handle: GraphHandle<'kg>,
-    search: SearchBackend,
-    expander: Expander<'kg>,
+/// An interactive exploration session, pinned to one
+/// [`PreparedSnapshot`] of a [`LiveStore`].
+pub struct Session {
+    store: Arc<LiveStore>,
+    snap: Arc<PreparedSnapshot>,
+    search: LiveSearchCache,
     config: SessionConfig,
     timeline: Timeline,
     path: ExplorationPath,
     view: ViewState,
-    log: crate::replay::ActionLog,
+    log: ActionLog,
 }
 
-impl<'kg> Session<'kg> {
-    /// Build a session on `handle` (indexes the graph for search) — every
-    /// query path (search, expansion, heat map, profiles, replay) runs
-    /// through it, and sessions sharing a handle share its memoized
-    /// state.
-    pub fn new(handle: GraphHandle<'kg>, config: SessionConfig) -> Self {
-        let search = SearchBackend::build(handle.graph(), config.search);
-        Self::with_search(handle, config, search)
-    }
-
-    /// Session with default configuration over a fresh context on `sg`.
-    pub fn with_defaults(sg: &'kg ShardedGraph) -> Self {
-        Self::new(GraphHandle::new(sg), SessionConfig::default())
-    }
-
-    /// Build a session around a **prebuilt** [`SearchBackend`], skipping
-    /// the (expensive) indexing pass — how the live-session layer
-    /// re-homes a session onto a fresh graph snapshot without
-    /// re-indexing shards whose generation hasn't changed.
-    ///
-    /// # Panics
-    /// When the engine set's length does not match the graph's shard
-    /// count (a stale set from before an append or a compaction).
-    pub fn with_search(
-        handle: GraphHandle<'kg>,
-        config: SessionConfig,
-        search: SearchBackend,
-    ) -> Self {
-        assert_eq!(
-            search.engines.len(),
-            handle.graph().shard_count(),
-            "per-shard engine set must match the shard count"
-        );
+impl Session {
+    /// A session over `store`, pinned to its current snapshot. Turns on
+    /// the store's snapshot publication if it is off (a no-op on a store
+    /// that already publishes, such as a served one). Every query path
+    /// (search, expansion, heat map, profiles, replay) runs on the
+    /// pinned snapshot's context, so sessions pinned to the same
+    /// snapshot share its memoized state and its search engines.
+    pub fn new(store: Arc<LiveStore>, config: SessionConfig) -> Self {
+        store.enable_snapshots();
+        let snap = store
+            .snapshot()
+            .expect("enable_snapshots publishes the current state");
         Self {
-            search,
-            expander: Expander::with_handle(handle.clone(), config.ranking),
-            handle,
+            store,
+            snap,
+            search: LiveSearchCache::new(SearchConfig::default()),
             config,
             timeline: Timeline::new(),
             path: ExplorationPath::new(),
             view: ViewState::empty(),
-            log: crate::replay::ActionLog::new(),
+            log: ActionLog::new(),
         }
     }
 
-    /// Restore persistent state (timeline, path), the action log and the
-    /// full current view **without** recomputing — the fast half of a
-    /// live-session re-home. The view carries the query *and* the last
-    /// rendered recommendations, so actions that don't recompute (no-op
-    /// clicks, entity lookups) behave exactly as they would on a
-    /// fixed-snapshot session.
-    pub fn import_state(
-        &mut self,
-        state: SessionState,
-        log: crate::replay::ActionLog,
-        view: ViewState,
-    ) {
-        self.timeline = state.timeline;
-        self.path = state.path;
-        self.view = view;
-        self.view.query = state.query;
-        self.log = log;
+    /// Session with default configuration over a store that never
+    /// writes: `sg` is cloned, which shares every shard graph.
+    pub fn with_defaults(sg: &ShardedGraph) -> Self {
+        Self::new(
+            Arc::new(LiveStore::new(sg.clone())),
+            SessionConfig::default(),
+        )
     }
 
-    /// Tear the session into its durable parts — state, log, view, and
-    /// the owned [`SearchBackend`] — so a live session can carry them
-    /// across graph generations without cloning and without keeping this
-    /// session's graph borrow alive.
-    pub fn dissolve(
-        self,
-    ) -> (
-        SessionState,
-        crate::replay::ActionLog,
-        ViewState,
-        SearchBackend,
-    ) {
-        let state = SessionState {
-            timeline: self.timeline,
-            path: self.path,
-            query: self.view.query.clone(),
-        };
-        (state, self.log, self.view, self.search)
+    /// The store this session explores.
+    pub fn store(&self) -> &Arc<LiveStore> {
+        &self.store
     }
 
-    /// The graph handle this session runs on.
-    pub fn handle(&self) -> &GraphHandle<'kg> {
-        &self.handle
+    /// The snapshot every action runs on.
+    pub fn snapshot(&self) -> &Arc<PreparedSnapshot> {
+        &self.snap
+    }
+
+    /// The store generation the session is pinned to.
+    pub fn generation(&self) -> u64 {
+        self.snap.generation()
+    }
+
+    /// Re-pin the session to the store's current snapshot and return its
+    /// generation. The durable state (timeline, path, query, view, log)
+    /// is kept as it is; the next recomputing action answers at the new
+    /// generation.
+    pub fn refresh(&mut self) -> u64 {
+        self.snap = self
+            .store
+            .snapshot()
+            .expect("a session's store publishes snapshots");
+        self.generation()
     }
 
     /// The current view.
@@ -312,18 +200,18 @@ impl<'kg> Session<'kg> {
         &self.path
     }
 
-    /// Top-`k` keyword hits.
+    /// Top-`k` keyword hits at the pinned generation.
     pub fn search_hits(&self, query: &str, k: usize) -> Vec<Hit> {
-        search_backend_hits(&self.search, self.handle.graph(), query, k)
+        self.search.search_prepared(&self.snap, query, k)
     }
 
-    /// The recommendation engine component.
-    pub fn expander(&self) -> &Expander<'kg> {
-        &self.expander
+    /// The recommendation engine over the pinned snapshot.
+    pub fn expander(&self) -> Expander<'_> {
+        Expander::with_handle(self.snap.handle(), self.config.ranking)
     }
 
     /// Every action applied to this session, in order (for replay).
-    pub fn action_log(&self) -> &crate::replay::ActionLog {
+    pub fn action_log(&self) -> &ActionLog {
         &self.log
     }
 
@@ -382,15 +270,12 @@ impl<'kg> Session<'kg> {
             }
             UserAction::LookupEntity { entity } => {
                 self.view.focus = Some(build_profile(
-                    self.expander.ranker(),
+                    self.expander().ranker(),
                     entity,
                     self.config.k_profile_features,
                 ));
-                self.path.branch(
-                    NodeKind::Entity,
-                    self.handle.graph().display_name(entity),
-                    action.verb(),
-                );
+                let label = self.snap.backend().display_name(entity);
+                self.path.branch(NodeKind::Entity, label, action.verb());
             }
             UserAction::RevisitQuery { index } => {
                 if let Some(entry) = self.timeline.get(index) {
@@ -399,7 +284,7 @@ impl<'kg> Session<'kg> {
                     match self.path.node_for_timeline(index) {
                         Some(node) => self.path.jump_to(node),
                         None => {
-                            let label = self.view.query.summary_with(&self.handle);
+                            let label = self.view.query.summary_with(&self.snap.handle());
                             self.path
                                 .advance(NodeKind::Query, label, Some(index), action.verb());
                         }
@@ -464,7 +349,7 @@ impl<'kg> Session<'kg> {
     // ---- internals -----------------------------------------------------
 
     fn record(&mut self, action: &UserAction) {
-        let summary = self.view.query.summary_with(&self.handle);
+        let summary = self.view.query.summary_with(&self.snap.handle());
         let index = self
             .timeline
             .record(action.verb(), self.view.query.clone(), summary.clone());
@@ -474,7 +359,17 @@ impl<'kg> Session<'kg> {
 
     /// Recompute entities/features/heat map for the current query.
     fn recompute(&mut self) {
-        let q = &self.view.query;
+        let (entities, features, heatmap) = self.render(&self.view.query);
+        self.view.heatmap = heatmap;
+        self.view.entities = entities;
+        self.view.features = features;
+    }
+
+    /// The recommendation areas and heat map of `q` at the pinned
+    /// generation.
+    fn render(&self, q: &ExplorationQuery) -> (Vec<RankedEntity>, Vec<RankedFeature>, HeatMap) {
+        let expander = self.expander();
+        let graph = self.snap.backend();
         // Fetch extra features so per-predicate diversification has a
         // pool to reorder before truncation.
         let feature_pool = if self.config.diversify_features > 0 {
@@ -483,9 +378,7 @@ impl<'kg> Session<'kg> {
             self.config.k_features
         };
         let (entities, mut features) = if !q.sf.is_empty() {
-            let res = self
-                .expander
-                .expand(&q.sf, self.config.k_entities, feature_pool);
+            let res = expander.expand(&q.sf, self.config.k_entities, feature_pool);
             (res.entities, res.features)
         } else if let Some(keywords) = &q.keywords {
             let hits = self.search_hits(keywords, self.config.k_entities);
@@ -503,25 +396,20 @@ impl<'kg> Session<'kg> {
             // as pseudo-seeds, with a single-seed fallback.
             let pseudo: Vec<EntityId> = match hits.first() {
                 Some(top) => {
-                    let top_types: Vec<TypeId> = self.handle.graph().types_of(top.entity).collect();
+                    let top_types: Vec<TypeId> = graph.types_of(top.entity).collect();
                     hits.iter()
                         .map(|h| h.entity)
                         .filter(|&e| {
-                            e == top.entity
-                                || self
-                                    .handle
-                                    .graph()
-                                    .types_of(e)
-                                    .any(|t| top_types.contains(&t))
+                            e == top.entity || graph.types_of(e).any(|t| top_types.contains(&t))
                         })
                         .take(self.config.pseudo_seeds_from_search)
                         .collect()
                 }
                 None => Vec::new(),
             };
-            let mut features = self.expander.ranker().rank_features(&pseudo);
+            let mut features = expander.ranker().rank_features(&pseudo);
             if features.is_empty() && pseudo.len() > 1 {
-                features = self.expander.ranker().rank_features(&pseudo[..1]);
+                features = expander.ranker().rank_features(&pseudo[..1]);
             }
             features.truncate(feature_pool);
             (entities, features)
@@ -533,31 +421,30 @@ impl<'kg> Session<'kg> {
         }
         features.truncate(self.config.k_features);
         let axis: Vec<EntityId> = entities.iter().map(|re| re.entity).collect();
-        self.view.heatmap = HeatMap::compute(self.expander.ranker(), &axis, &features);
-        self.view.entities = entities;
-        self.view.features = features;
+        let heatmap = HeatMap::compute(expander.ranker(), &axis, &features);
+        (entities, features, heatmap)
     }
 
     /// The most specific (smallest-extent) type shared by all seeds.
     fn common_specific_type(&self, seeds: &[EntityId]) -> Option<TypeId> {
+        let graph = self.snap.backend();
         let mut iter = seeds.iter();
         let first = iter.next()?;
-        let mut shared: Vec<TypeId> = self.handle.graph().types_of(*first).collect();
+        let mut shared: Vec<TypeId> = graph.types_of(*first).collect();
         for &e in iter {
-            let types: Vec<TypeId> = self.handle.graph().types_of(e).collect();
+            let types: Vec<TypeId> = graph.types_of(e).collect();
             shared.retain(|t| types.contains(t));
         }
-        shared
-            .into_iter()
-            .min_by_key(|&t| self.handle.graph().type_extent_len(t))
+        shared.into_iter().min_by_key(|&t| graph.type_extent_len(t))
     }
 
     /// The dominant type of a feature's extent — where a pivot lands.
     fn dominant_type(&self, feature: SemanticFeature) -> Option<TypeId> {
-        let extent = self.handle.feature_extent(feature);
+        let graph = self.snap.backend();
+        let extent = self.snap.handle().feature_extent(feature);
         let mut counts: std::collections::HashMap<TypeId, usize> = std::collections::HashMap::new();
         for &e in extent.as_ref() {
-            for t in self.handle.graph().types_of(e) {
+            for t in graph.types_of(e) {
                 *counts.entry(t).or_default() += 1;
             }
         }
@@ -566,12 +453,7 @@ impl<'kg> Session<'kg> {
             .max_by(|a, b| {
                 a.1.cmp(&b.1)
                     // tie: prefer the more specific (smaller) type
-                    .then_with(|| {
-                        self.handle
-                            .graph()
-                            .type_extent_len(b.0)
-                            .cmp(&self.handle.graph().type_extent_len(a.0))
-                    })
+                    .then_with(|| graph.type_extent_len(b.0).cmp(&graph.type_extent_len(a.0)))
                     .then_with(|| b.0.cmp(&a.0))
             })
             .map(|(t, _)| t)
@@ -588,11 +470,15 @@ mod tests {
         generate(&DatagenConfig::tiny())
     }
 
+    /// A session over a one-shard copy of `kg`.
+    fn open(kg: &KnowledgeGraph) -> Session {
+        Session::with_defaults(&ShardedGraph::from(kg.clone()))
+    }
+
     #[test]
     fn keyword_search_fills_view() {
         let kg = session_kg();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
         let label = kg.display_name(f);
@@ -608,8 +494,7 @@ mod tests {
     #[test]
     fn click_entity_starts_investigation_with_type_filter() {
         let kg = session_kg();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
         let view = s.click_entity(f);
@@ -624,8 +509,7 @@ mod tests {
     #[test]
     fn duplicate_click_is_ignored() {
         let kg = session_kg();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
         s.click_entity(f);
@@ -637,8 +521,7 @@ mod tests {
     #[test]
     fn select_feature_filters_results() {
         let kg = session_kg();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         let starring = kg.predicate("starring").unwrap();
         let actor = kg.type_id("Actor").unwrap();
         // most popular actor
@@ -658,8 +541,7 @@ mod tests {
     #[test]
     fn pivot_switches_domain() {
         let kg = session_kg();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         let film = kg.type_id("Film").unwrap();
         let actor = kg.type_id("Actor").unwrap();
         let f = kg.type_extent(film)[0];
@@ -685,8 +567,7 @@ mod tests {
     #[test]
     fn lookup_fills_focus_without_changing_query() {
         let kg = session_kg();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
         s.click_entity(f);
@@ -703,8 +584,7 @@ mod tests {
     #[test]
     fn revisit_restores_query() {
         let kg = session_kg();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         let film = kg.type_id("Film").unwrap();
         let f0 = kg.type_extent(film)[0];
         let f1 = kg.type_extent(film)[1];
@@ -721,8 +601,7 @@ mod tests {
     #[test]
     fn remove_seed_reverts_results() {
         let kg = session_kg();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         let film = kg.type_id("Film").unwrap();
         let f0 = kg.type_extent(film)[0];
         s.click_entity(f0);
@@ -734,8 +613,7 @@ mod tests {
     #[test]
     fn clear_resets_everything_but_history() {
         let kg = session_kg();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         s.submit_keywords("film");
         s.apply(UserAction::ClearQuery);
         assert!(s.view().query.is_empty());
@@ -747,8 +625,7 @@ mod tests {
     fn feature_axis_covers_multiple_aspects() {
         // Fig. 3-e mixes predicates; the diversified y-axis must too.
         let kg = generate(&DatagenConfig::small());
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         let film = kg.type_id("Film").unwrap();
         let f = *kg
             .type_extent(film)
@@ -778,8 +655,7 @@ mod tests {
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
 
-        let one = ShardedGraph::from(kg.clone());
-        let mut single = Session::with_defaults(&one);
+        let mut single = open(&kg);
         let mut sharded = Session::with_defaults(&sg);
         single.click_entity(f);
         sharded.click_entity(f);
@@ -830,7 +706,7 @@ mod tests {
     fn sharded_search_is_bit_identical_at_every_shard_count() {
         // the reference is one search engine over the whole graph
         let kg = session_kg();
-        let single = SearchEngine::build(&kg, SessionConfig::default().search);
+        let single = pivote_search::SearchEngine::build(&kg, SearchConfig::default());
         let film = kg.type_id("Film").unwrap();
         let label = kg.display_name(kg.type_extent(film)[0]);
         let queries = [label.as_str(), "the film", "american work"];
@@ -861,27 +737,13 @@ mod tests {
         let sg = ShardedGraph::from_graph(&kg, 2);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
-        let one = ShardedGraph::from(kg.clone());
-        let mut original = Session::with_defaults(&one);
+        let mut original = open(&kg);
         original.click_entity(f);
-        let replayed = crate::replay::replay_with_handle(
-            &GraphHandle::new(&sg),
-            SessionConfig::default(),
-            original.action_log(),
-        );
+        let mut replayed = Session::with_defaults(&sg);
+        crate::replay::replay(&mut replayed, original.action_log()).expect("ids exist");
         assert_eq!(
-            original
-                .view()
-                .entities
-                .iter()
-                .map(|re| re.entity)
-                .collect::<Vec<_>>(),
-            replayed
-                .view()
-                .entities
-                .iter()
-                .map(|re| re.entity)
-                .collect::<Vec<_>>(),
+            original.view().entities,
+            replayed.view().entities,
             "a one-shard session must replay identically on two shards"
         );
     }
@@ -889,14 +751,12 @@ mod tests {
     #[test]
     fn state_export_import_roundtrip() {
         let kg = session_kg();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         let film = kg.type_id("Film").unwrap();
         s.click_entity(kg.type_extent(film)[0]);
         let json = s.export_json();
         let state: SessionState = serde_json::from_str(&json).unwrap();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s2 = Session::with_defaults(&sg);
+        let mut s2 = open(&kg);
         s2.restore_state(state.clone());
         assert_eq!(s2.view().query, s.view().query);
         assert_eq!(s2.timeline(), s.timeline());
@@ -909,8 +769,7 @@ mod tests {
     fn full_scenario_investigate_then_pivot_builds_path() {
         // The Fig. 4 shape: search → investigate → pivot, with a lookup.
         let kg = session_kg();
-        let sg = ShardedGraph::from(kg.clone());
-        let mut s = Session::with_defaults(&sg);
+        let mut s = open(&kg);
         let film = kg.type_id("Film").unwrap();
         let f = kg.type_extent(film)[0];
         s.submit_keywords(&kg.display_name(f));

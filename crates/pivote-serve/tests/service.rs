@@ -5,12 +5,14 @@
 //!   implementation the wire (`tests/serve_roundtrip.rs`) is ultimately
 //!   checked against;
 //! - `call` serves repeats from the response memo byte for byte and
-//!   rolls the memo with the generation.
+//!   rolls the memo with the generation;
+//! - a `Session` over the service's store answers what `compute` answers
+//!   at the session's pinned generation, on the same search engines.
 
 use pivote_core::{
     Expander, GraphHandle, HeatMap, LiveStore, RankedEntity, RankingConfig, SfQuery,
 };
-use pivote_explore::{Session, SessionConfig};
+use pivote_explore::{SearchBackend, Session, SessionConfig};
 use pivote_kg::{KnowledgeGraph, ShardedGraph};
 use pivote_serve::protocol::scored_names;
 use pivote_serve::{num_field, response_ok, Reply, Request, Service};
@@ -46,7 +48,7 @@ fn compute_matches_the_engines_bit_for_bit() {
     assert!(!res.entities.is_empty());
     let axis: Vec<_> = res.entities.iter().map(|re| re.entity).collect();
     let hm = HeatMap::compute(expander.ranker(), &axis, &res.features);
-    let session = Session::new(handle.clone(), SessionConfig::default());
+    let session = Session::with_defaults(&one);
 
     let name = |e| handle.entity_name(e).to_owned();
     let entities =
@@ -180,4 +182,90 @@ fn memoized_responses_match_fresh_and_roll_with_the_generation() {
     assert_eq!(snap.generation(), 1);
     assert_eq!(num_field(&parsed(&after), "generation"), Some(1));
     assert_eq!(after, service.compute(&snap, &request).render());
+}
+
+/// A session over a served store pins the service's published snapshot
+/// (opening it republishes nothing), answers investigations and searches
+/// exactly as `compute` does at that generation, searches on the engines
+/// `Service::new` attached, and stays at its generation across writes
+/// until `refresh()`.
+#[test]
+fn a_session_over_the_served_store_answers_like_compute() {
+    let service = serve(ShardedGraph::from_graph(&sample(), 2));
+    let served = service.snapshot();
+    let attached = |snap: &pivote_core::PreparedSnapshot| {
+        snap.attached_search()
+            .expect("engines attached")
+            .downcast::<SearchBackend>()
+            .expect("explore's backend")
+    };
+    let engines = attached(&served);
+    let mut session = Session::new(Arc::clone(service.store()), SessionConfig::default());
+    assert!(Arc::ptr_eq(session.snapshot(), &served));
+
+    // what the session shows at its pin, rendered as the wire renders it
+    let answers = |session: &mut Session| {
+        let (snap, generation) = (Arc::clone(session.snapshot()), session.generation());
+        let graph = snap.backend();
+        let gump = graph.entity("Forrest_Gump").expect("Forrest_Gump");
+        let name = |e| graph.entity_name(e).to_owned();
+        let mut got = Vec::new();
+        for query in ["forrest gump", "tom hanks", "film"] {
+            let hits = session.search_hits(query, 10);
+            got.push((
+                format!(r#"{{"op":"search","query":"{query}","k":10}}"#),
+                Reply::ok()
+                    .num("generation", generation)
+                    .with(
+                        "hits",
+                        scored_names(hits.iter().map(|h| (name(h.entity), h.score))),
+                    )
+                    .render(),
+            ));
+        }
+        let view = session.click_entity(gump).clone();
+        let ty = graph.type_name(view.query.sf.type_filter.expect("auto type filter"));
+        got.push((
+            format!(
+                r#"{{"op":"expand","seeds":["Forrest_Gump"],"type":"{ty}","k":{}}}"#,
+                view.entities.len()
+            ),
+            Reply::ok()
+                .num("generation", generation)
+                .with(
+                    "entities",
+                    scored_names(view.entities.iter().map(|re| (name(re.entity), re.score))),
+                )
+                .render(),
+        ));
+        session.apply(pivote_explore::UserAction::ClearQuery);
+        got
+    };
+    let check = |session: &mut Session, snap: &pivote_core::PreparedSnapshot| {
+        assert_eq!(session.generation(), snap.generation());
+        for (line, got) in answers(session) {
+            let request = Request::parse(&line).expect(&line);
+            assert_eq!(service.compute(snap, &request).render(), got, "{line}");
+        }
+    };
+    check(&mut session, &served);
+    // the session indexed nothing: it searched on the attached engines
+    let used = attached(session.snapshot());
+    assert_eq!(used.engines.len(), engines.engines.len());
+    for (a, b) in used.engines.iter().zip(&engines.engines) {
+        assert!(Arc::ptr_eq(a, b));
+    }
+
+    // a write moves the service, not the pinned session
+    let appended = parsed(&service.call(
+        r#"{"op":"append","ntriples":"<http://dbpedia.org/resource/Gump_Sequel> <http://dbpedia.org/ontology/starring> <http://dbpedia.org/resource/Tom_Hanks> .\n"}"#,
+    ));
+    assert!(response_ok(&appended), "{appended:?}");
+    assert_eq!(service.snapshot().generation(), 1);
+    check(&mut session, &served);
+
+    assert_eq!(session.refresh(), 1);
+    let latest = service.snapshot();
+    assert!(Arc::ptr_eq(session.snapshot(), &latest));
+    check(&mut session, &latest);
 }

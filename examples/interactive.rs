@@ -123,7 +123,7 @@ fn main() {
     println!("bye");
 }
 
-fn nth_entity(session: &Session<'_>, arg: &str) -> Option<EntityId> {
+fn nth_entity(session: &Session, arg: &str) -> Option<EntityId> {
     let n: usize = arg.parse().ok()?;
     session
         .view()
@@ -132,7 +132,7 @@ fn nth_entity(session: &Session<'_>, arg: &str) -> Option<EntityId> {
         .map(|re| re.entity)
 }
 
-fn nth_feature(session: &Session<'_>, arg: &str) -> Option<SemanticFeature> {
+fn nth_feature(session: &Session, arg: &str) -> Option<SemanticFeature> {
     let n: usize = arg.parse().ok()?;
     session
         .view()

@@ -20,16 +20,26 @@
 //! The [`prelude`] re-exports the types most applications need.
 //!
 //! ```
+//! use pivote::pivote_core::LiveStore;
+//! use pivote::pivote_kg::DeltaBatch;
 //! use pivote::prelude::*;
+//! use std::sync::Arc;
 //!
 //! // Build a DBpedia-like graph, start a session, investigate a film.
 //! let kg = generate(&DatagenConfig::tiny());
 //! let film = kg.type_id("Film").unwrap();
 //! let seed = kg.type_extent(film)[0];
-//! let sg = ShardedGraph::from(kg); // one shard, by move
-//! let mut session = Session::with_defaults(&sg);
+//! let store = Arc::new(LiveStore::new(kg)); // one shard, by move
+//! let mut session = Session::new(Arc::clone(&store), SessionConfig::default());
 //! let view = session.click_entity(seed);
 //! assert!(!view.entities.is_empty() || !view.features.is_empty());
+//!
+//! // The session stays pinned to its snapshot while the store grows;
+//! // refresh() re-pins it to the latest one.
+//! let mut delta = DeltaBatch::new();
+//! delta.typed("Brand_New_Film", "Film");
+//! store.append(&delta).unwrap();
+//! assert_eq!((session.generation(), session.refresh()), (0, 1));
 //! ```
 
 #![warn(missing_docs)]

@@ -121,9 +121,9 @@ struct SearchGolden {
     queries: Vec<(String, Vec<(String, f64)>)>,
 }
 
-fn search_snapshot(handle: &GraphHandle<'_>) -> SearchGolden {
-    use pivote_explore::{Session, SessionConfig};
-    let session = Session::new(handle.clone(), SessionConfig::default());
+fn search_snapshot(sg: &ShardedGraph) -> SearchGolden {
+    let session = pivote_explore::Session::with_defaults(sg);
+    let graph = session.snapshot().backend();
     let queries = ["forrest gump", "tom hanks", "film", "american hollywood"];
     SearchGolden {
         queries: queries
@@ -132,7 +132,7 @@ fn search_snapshot(handle: &GraphHandle<'_>) -> SearchGolden {
                 let hits = session
                     .search_hits(q, 10)
                     .iter()
-                    .map(|h| (handle.entity_name(h.entity).to_owned(), h.score))
+                    .map(|h| (graph.entity_name(h.entity).to_owned(), h.score))
                     .collect();
                 ((*q).to_owned(), hits)
             })
@@ -143,10 +143,7 @@ fn search_snapshot(handle: &GraphHandle<'_>) -> SearchGolden {
 #[test]
 fn golden_search_rankings_reproduce_on_every_backend() {
     let kg = sample();
-    let single = search_snapshot(&GraphHandle::with_threads(
-        &ShardedGraph::from(kg.clone()),
-        1,
-    ));
+    let single = search_snapshot(&ShardedGraph::from(kg.clone()));
 
     if std::env::var("PIVOTE_GOLDEN_WRITE").is_ok() {
         std::fs::write(
@@ -170,7 +167,7 @@ fn golden_search_rankings_reproduce_on_every_backend() {
 
     for shards in [1, 2, 3, 4] {
         let sg = ShardedGraph::from_graph(&kg, shards);
-        let got = search_snapshot(&GraphHandle::new(&sg));
+        let got = search_snapshot(&sg);
         assert_eq!(
             got, golden,
             "sharded search (shards={shards}) drifted from the golden rankings"
