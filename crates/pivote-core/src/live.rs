@@ -14,12 +14,12 @@
 //!   the [`AppliedDelta`] receipt names — all before any new reader can
 //!   observe the new graph, so a reader's context and the cache are
 //!   always mutually consistent.
-//! - **Maintenance** re-partitions a degenerate store. The
-//!   interactive-path variant is [`LiveStore::compact_concurrent`]: the
-//!   expensive union rebuild runs **off the write lock** against a clone
-//!   taken under a read guard, and the write lock is held only for a
-//!   generation check and a pointer swap — a query issued mid-compaction
-//!   never waits on the rebuild. A [`MaintenanceHandle`] drives
+//! - **Maintenance** re-partitions a degenerate store with
+//!   [`LiveStore::compact_concurrent`]: the expensive union rebuild runs
+//!   **off the write lock** against a clone taken under a read guard,
+//!   and the write lock is held only for a generation check and a
+//!   pointer swap — a query issued mid-compaction never waits on the
+//!   rebuild. A [`MaintenanceHandle`] drives
 //!   [`LiveStore::maybe_compact`] from a background thread on a policy
 //!   tick, so nothing on the query or append path ever schedules
 //!   compaction either.
@@ -40,8 +40,8 @@ use std::time::Duration;
 
 /// Why a live-store write was refused.
 ///
-/// The store's poisoning policy (exercised by
-/// `tests/failure_injection.rs`): when a writer thread panics while
+/// The store's poisoning policy (exercised by `tests/equivalence.rs`):
+/// when a writer thread panics while
 /// holding the write lock, **writes fail closed** — every subsequent
 /// [`LiveStore::append`] and compaction returns
 /// [`StoreError::Poisoned`] instead of splicing into state the store can
@@ -320,8 +320,9 @@ impl LiveStore {
     /// [`LiveStore::append`] with a test seam: `hook` runs under the
     /// write lock *after* the splice and the cache invalidation, at a
     /// point where the store is complete and consistent. The
-    /// failure-injection suite panics inside it to poison the lock
-    /// deterministically; production code wants [`LiveStore::append`].
+    /// equivalence model (`tests/equivalence.rs`) panics inside it to
+    /// poison the lock deterministically; production code wants
+    /// [`LiveStore::append`].
     pub fn append_hooked(
         &self,
         delta: &DeltaBatch,
@@ -368,37 +369,12 @@ impl LiveStore {
 
     // ---- compaction ----------------------------------------------------
 
-    /// Stop-the-world re-partition: the union rebuild runs **under the
-    /// write lock**, so every query issued during the pass blocks for
-    /// its full duration (roughly `ShardedGraph::from_graph` cost).
-    /// Interactive deployments should use
-    /// [`LiveStore::compact_concurrent`], which holds the write lock only
-    /// for a generation check and a pointer swap. This synchronous pass
-    /// exists for the follower's log replay
-    /// ([`ReplicaStore`](crate::ReplicaStore)), which must apply a logged
-    /// `Compact` record in order before the next record; both paths run
-    /// the same locked pass.
-    ///
-    /// On a one-shard store without trailing shards or tombstones
-    /// compaction is the identity: no generation bump, a 1→1 receipt.
-    /// Any other store is rebuilt into `target_shards` fresh shards (same
-    /// answers, dead rows returned, generation bumped).
-    ///
-    /// Like every write, compaction fails closed with
-    /// [`StoreError::Poisoned`] after a writer panic.
-    pub fn compact_in_place(&self, target_shards: usize) -> Result<CompactionReceipt, StoreError> {
-        let mut store = self.store.write().map_err(|_| StoreError::Poisoned)?;
-        if let Some(receipt) = noop_compaction(&store) {
-            return Ok(receipt);
-        }
-        self.compact_locked(&mut store, target_shards, None, 1)
-    }
-
-    /// Off-lock re-partition: clone the store under a read guard (cheap
-    /// relative to the rebuild), run the union rebuild + fresh partition
-    /// entirely **off the write lock**, then take the write lock only to
-    /// validate that the generation is still the one the clone was taken
-    /// at and swap the pointer. A racing append moves the generation and
+    /// Re-partition — the one compaction entry point. Clone the store
+    /// under a read guard (cheap relative to the rebuild), run the union
+    /// rebuild + fresh partition entirely **off the write lock**, then
+    /// take the write lock only to validate that the generation is still
+    /// the one the clone was taken at and swap the pointer. The call
+    /// returns after the swap. A racing append moves the generation and
     /// the losing rebuild is discarded and retried against the new state
     /// — appends always win, compaction pays the retry. Progress is
     /// still guaranteed under a sustained append stream: after
@@ -412,8 +388,12 @@ impl LiveStore {
     /// migrates wholesale ([`SharedCache::note_compaction`]): every
     /// `p(π|c)` density is an exact global quantity independent of the
     /// partitioning, so nothing is dropped and answers before and after
-    /// the swap are bit-identical (`tests/compaction_equivalence.rs`,
-    /// `tests/failure_injection.rs`).
+    /// the swap are bit-identical (`tests/equivalence.rs`).
+    ///
+    /// On a one-shard store without trailing shards or tombstones
+    /// compaction is the identity: no generation bump, a 1→1 receipt.
+    /// Like every write, compaction fails closed with
+    /// [`StoreError::Poisoned`] after a writer panic.
     pub fn compact_concurrent(
         &self,
         target_shards: usize,
@@ -425,8 +405,8 @@ impl LiveStore {
     /// each attempt's off-lock rebuild completes — mid-compaction, with
     /// **no lock held** — `mid_rebuild` is called with the generation the
     /// attempt is based on, *before* the swap is attempted. The
-    /// failure-injection suite uses this to race appends and queries
-    /// against the swap deterministically; production code wants
+    /// equivalence model uses this to race appends and queries against
+    /// the swap deterministically; production code wants
     /// [`LiveStore::compact_concurrent`].
     pub fn compact_concurrent_hooked(
         &self,
@@ -737,12 +717,10 @@ mod tests {
         assert_eq!(got, want, "sharded live append must match rebuilt union");
     }
 
-    /// Shared body for the in-place and concurrent compaction paths —
-    /// both must swap the partition, keep every density, and answer
+    /// Compaction swaps the partition, keeps every density, and answers
     /// bit-identically before and after.
-    fn compaction_keeps_cache_and_answers(
-        compact: impl Fn(&LiveStore, usize) -> CompactionReceipt,
-    ) {
+    #[test]
+    fn compact_concurrent_swaps_the_partition_and_keeps_the_cache_warm() {
         let kg = generate(&DatagenConfig::tiny());
         let s = seeds(&kg, 2);
         let cfg = RankingConfig::default();
@@ -770,7 +748,7 @@ mod tests {
         assert!(warm > 0, "queries must have filled the cache");
         let gen_before = live.cache().generation();
 
-        let receipt = compact(&live, 2);
+        let receipt = live.compact_concurrent(2).unwrap();
         assert_eq!(receipt.shards_before, 5);
         assert_eq!(receipt.shards_after, 2);
         assert_eq!(receipt.trailing_before, 3);
@@ -799,16 +777,6 @@ mod tests {
         }
         // and no recompute happened for the re-ranking above
         assert_eq!(live.cache().cached_probability_count(), warm);
-    }
-
-    #[test]
-    fn compact_in_place_swaps_the_partition_and_keeps_the_cache_warm() {
-        compaction_keeps_cache_and_answers(|live, target| live.compact_in_place(target).unwrap());
-    }
-
-    #[test]
-    fn compact_concurrent_swaps_the_partition_and_keeps_the_cache_warm() {
-        compaction_keeps_cache_and_answers(|live, target| live.compact_concurrent(target).unwrap());
     }
 
     #[test]
@@ -881,14 +849,10 @@ mod tests {
     fn compaction_is_the_identity_on_the_single_layout() {
         let live = LiveStore::with_threads(generate(&DatagenConfig::tiny()), 1);
         let cache_gen = live.cache().generation();
-        for receipt in [
-            live.compact_in_place(4).unwrap(),
-            live.compact_concurrent(4).unwrap(),
-        ] {
-            assert_eq!(receipt.shards_before, 1);
-            assert_eq!(receipt.shards_after, 1);
-            assert_eq!(receipt.generation, 0, "no generation bump on one shard");
-        }
+        let receipt = live.compact_concurrent(4).unwrap();
+        assert_eq!(receipt.shards_before, 1);
+        assert_eq!(receipt.shards_after, 1);
+        assert_eq!(receipt.generation, 0, "no generation bump on one shard");
         assert_eq!(live.generation(), 0);
         assert_eq!(live.cache().generation(), cache_gen, "cache untouched");
         let policy = CompactionPolicy {
@@ -1081,7 +1045,7 @@ mod tests {
             assert_eq!(got_f, want_f, "reclaim must not change answers");
         }
         // a tombstone-free one-shard store is the identity again
-        let receipt = live.compact_in_place(1).unwrap();
+        let receipt = live.compact_concurrent(1).unwrap();
         assert_eq!(receipt.generation, 3, "no bump without tombstones");
     }
 
@@ -1107,8 +1071,8 @@ mod tests {
     }
 
     /// Every write path republishes: the published snapshot tracks the
-    /// store generation through appends, retractions and both compaction
-    /// entry points, and old snapshots stay queryable after the slot
+    /// store generation through appends, retractions and compactions,
+    /// and old snapshots stay queryable after the slot
     /// moves on (that is the whole point — a served request pins its
     /// generation for its own duration).
     #[test]
@@ -1143,7 +1107,7 @@ mod tests {
         let receipt = live.compact_concurrent(2).expect("store healthy");
         let at_compact = live.snapshot().unwrap();
         assert_eq!(at_compact.generation(), receipt.generation);
-        let receipt = live.compact_in_place(3).expect("store healthy");
+        let receipt = live.compact_concurrent(3).expect("store healthy");
         assert_eq!(live.snapshot().unwrap().generation(), receipt.generation);
 
         // the generation-1 snapshot still answers — pinned, immutable,

@@ -22,7 +22,7 @@
 //! read-and-clone of an `RwLock<Arc<...>>` — no store lock, no context
 //! construction, no extent re-resolution — and answers are bit-identical
 //! to the lock path at the same generation (pinned by
-//! `tests/snapshot_equivalence.rs`).
+//! `tests/equivalence.rs`).
 //!
 //! ## Safety architecture
 //!

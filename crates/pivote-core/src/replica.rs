@@ -8,12 +8,16 @@
 //! [`ReplicaStore::poll_step`] apply records in log order through the
 //! *same* write path the leader used: `Delta` records go through
 //! [`LiveStore::append`], `Compact` records through
-//! [`LiveStore::compact_in_place`]. Because append==rebuild is
+//! [`LiveStore::compact_concurrent`] — the follower is its store's only
+//! writer, so the off-lock rebuild always wins its first swap, and its
+//! readers never wait on the rebuild. Because append==rebuild is
 //! bit-identical and compaction is answer-preserving, a follower synced
 //! through log generation `G` holds the same logical graph as the
-//! leader did at `G` — the replica suites assert
+//! leader did at `G` — `tests/equivalence.rs` asserts
 //! [`pivote_kg::snapshot::fingerprint`] equality at every synced
-//! generation.
+//! generation. A healthy leader stamps every record `last + 1`, so a
+//! record past `synced + 1` means the log lost writes; the follower
+//! refuses it ([`ReplicaError::Gap`]) rather than skip a state.
 //!
 //! The follower's own mutation generation is deliberately **not** the
 //! sync cursor: a one-shard follower replaying a leader's multi-shard
@@ -62,6 +66,14 @@ pub enum ReplicaError {
         /// Fingerprint of the state the follower actually loaded.
         expected: u64,
     },
+    /// The next record in the log skips generations: applying it would
+    /// silently drop the writes in between.
+    Gap {
+        /// The generation the follower needs next (`synced + 1`).
+        expected: u64,
+        /// The generation the log holds instead.
+        found: u64,
+    },
 }
 
 impl std::fmt::Display for ReplicaError {
@@ -73,6 +85,11 @@ impl std::fmt::Display for ReplicaError {
                 f,
                 "delta log is based at fingerprint {stored:#x}, but the follower \
                  loaded {expected:#x} — load the matching snapshot first"
+            ),
+            ReplicaError::Gap { expected, found } => write!(
+                f,
+                "delta log skips from generation {expected} to {found}: \
+                 records are missing, refusing to apply past the gap"
             ),
         }
     }
@@ -170,7 +187,7 @@ impl ReplicaStore {
                 self.store.append(&batch)?;
             }
             WalEvent::Compact { target_shards } => {
-                self.store.compact_in_place(target_shards)?;
+                self.store.compact_concurrent(target_shards)?;
             }
         }
         self.synced_generation = record.generation;
@@ -178,12 +195,20 @@ impl ReplicaStore {
     }
 
     /// Apply the next unapplied record. `Ok(false)` means the log holds
-    /// nothing new (or only an incomplete tail — retried next poll).
+    /// nothing new (or only an incomplete tail — retried next poll). A
+    /// record past `synced + 1` is refused with [`ReplicaError::Gap`]
+    /// and the follower stays where it is.
     pub fn poll_step(&mut self) -> Result<bool, ReplicaError> {
         loop {
             match self.reader.poll()? {
                 None => return Ok(false),
                 Some(record) if record.generation <= self.synced_generation => continue,
+                Some(record) if record.generation > self.synced_generation + 1 => {
+                    return Err(ReplicaError::Gap {
+                        expected: self.synced_generation + 1,
+                        found: record.generation,
+                    })
+                }
                 Some(record) => {
                     self.apply(record)?;
                     return Ok(true);
@@ -361,7 +386,7 @@ mod tests {
         for batch in &batches {
             leader.append(batch).unwrap();
         }
-        leader.compact_in_place(2).unwrap();
+        leader.compact_concurrent(2).unwrap();
 
         let applied = follower.sync().unwrap();
         assert_eq!(applied, batches.len() + 1, "3 deltas + 1 compact");
@@ -387,6 +412,65 @@ mod tests {
             Ok(_) => panic!("a mismatched base must be refused"),
         };
         assert!(matches!(err, ReplicaError::StaleBase { .. }), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Records 1 and 3 with nothing between: the follower applies 1,
+    /// then refuses 3 with the typed error and stays at 1 — and so does
+    /// recovery from the same log.
+    #[test]
+    fn a_gap_in_the_log_is_refused() {
+        let kg = generate(&DatagenConfig::tiny());
+        let (base, batches) = split_growth(&kg, 0.5, 2);
+        let path = temp_path("gap");
+        let base_fp = fingerprint(&base);
+        let mut writer = pivote_kg::WalWriter::create(&path, 0, base_fp).unwrap();
+        for (generation, batch) in [(1, &batches[0]), (3, &batches[1])] {
+            writer
+                .append(&WalRecord {
+                    generation,
+                    event: WalEvent::Delta(batch.clone()),
+                })
+                .unwrap();
+        }
+        drop(writer);
+
+        let mut follower = ReplicaStore::open(base.clone(), 1, &path).unwrap();
+        assert!(follower.poll_step().unwrap(), "record 1 applies");
+        let err = follower.poll_step().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ReplicaError::Gap {
+                    expected: 2,
+                    found: 3
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(follower.synced_generation(), 1);
+        let mut one = base.clone();
+        one.apply(&batches[0]);
+        assert_eq!(
+            follower.store().read().backend().fingerprint(),
+            fingerprint(&one),
+            "nothing past the gap was applied"
+        );
+
+        let err = match recover(base, 1, &path) {
+            Err(e) => e,
+            Ok(_) => panic!("recovery must refuse the gap"),
+        };
+        assert!(
+            matches!(
+                err,
+                ReplicaError::Gap {
+                    expected: 2,
+                    found: 3
+                }
+            ),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -10,7 +10,7 @@
 //! [`KgBuilder`] — and because the ops are *ordered*, all three intern new
 //! dictionary terms in exactly the same global order, which is what makes
 //! append-then-query bit-identical to rebuild-then-query (the
-//! `incremental_equivalence` suite enforces this).
+//! equivalence model, `tests/equivalence.rs`, enforces this).
 //!
 //! [`AppliedDelta`] is the receipt an apply returns: the new-entity id
 //! range, exactly which feature extents and context extents were touched

@@ -431,8 +431,8 @@ impl ShardedGraph {
     /// predicate, type, category — is unchanged, which is what makes
     /// compaction answer-preserving: rankings, heat maps and profiles
     /// over the compacted graph are bit-identical to the uncompacted one
-    /// (enforced by `tests/compaction_equivalence.rs` and
-    /// `tests/golden_compaction.rs`).
+    /// (enforced by the equivalence model, `tests/equivalence.rs`, and
+    /// the golden test, `tests/golden_sharded.rs`).
     ///
     /// The compacted graph starts a new generation (`generation + 1`),
     /// observable through [`ShardedGraph::generation`] and, on the live

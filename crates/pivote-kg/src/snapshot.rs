@@ -205,6 +205,29 @@ pub fn save(kg: &KnowledgeGraph, w: &mut impl Write) -> Result<(), SnapshotError
     Ok(())
 }
 
+/// The most section entries [`load`] reserves room for before reading
+/// them; larger sections grow as their entries actually parse.
+const MAX_PREALLOC: usize = 1 << 16;
+
+/// The dense id `interned` must carry when its name is the `next`-th of
+/// its dictionary. [`save`] writes every entity and predicate name once,
+/// so a repeated name is a corrupt file: interning it again would hand
+/// back the first copy's id and shift every later id the file names.
+fn intern_once<I: Copy + Into<u32>>(
+    interned: I,
+    next: usize,
+    what: &str,
+    name: &str,
+) -> Result<I, SnapshotError> {
+    if interned.into() as usize == next {
+        Ok(interned)
+    } else {
+        Err(SnapshotError::Format(format!(
+            "{what} name {name:?} appears twice"
+        )))
+    }
+}
+
 /// Read a snapshot back into a frozen graph.
 pub fn load(r: &mut impl Read) -> Result<KnowledgeGraph, SnapshotError> {
     let mut magic = [0u8; 4];
@@ -222,11 +245,19 @@ pub fn load(r: &mut impl Read) -> Result<KnowledgeGraph, SnapshotError> {
     }
     let mut b = KgBuilder::new();
 
+    // every capacity below is clamped: the counts come off the file, so
+    // a hostile header must fail the short read with a typed error, never
+    // abort the process on a huge up-front allocation
     let n_entities = read_u32(r)? as usize;
-    let mut entities: Vec<EntityId> = Vec::with_capacity(n_entities);
+    let mut entities: Vec<EntityId> = Vec::with_capacity(n_entities.min(MAX_PREALLOC));
     for _ in 0..n_entities {
         let name = read_str(r)?;
-        entities.push(b.entity(&name));
+        entities.push(intern_once(
+            b.entity(&name),
+            entities.len(),
+            "entity",
+            &name,
+        )?);
     }
     for &e in &entities {
         let mut flag = [0u8; 1];
@@ -237,18 +268,23 @@ pub fn load(r: &mut impl Read) -> Result<KnowledgeGraph, SnapshotError> {
         }
     }
     let n_preds = read_u32(r)? as usize;
-    let mut predicates: Vec<PredicateId> = Vec::with_capacity(n_preds);
+    let mut predicates: Vec<PredicateId> = Vec::with_capacity(n_preds.min(MAX_PREALLOC));
     for _ in 0..n_preds {
         let name = read_str(r)?;
-        predicates.push(b.predicate(&name));
+        predicates.push(intern_once(
+            b.predicate(&name),
+            predicates.len(),
+            "predicate",
+            &name,
+        )?);
     }
     let n_types = read_u32(r)? as usize;
-    let mut type_names: Vec<String> = Vec::with_capacity(n_types);
+    let mut type_names: Vec<String> = Vec::with_capacity(n_types.min(MAX_PREALLOC));
     for _ in 0..n_types {
         type_names.push(read_str(r)?);
     }
     let n_cats = read_u32(r)? as usize;
-    let mut cat_names: Vec<String> = Vec::with_capacity(n_cats);
+    let mut cat_names: Vec<String> = Vec::with_capacity(n_cats.min(MAX_PREALLOC));
     for _ in 0..n_cats {
         cat_names.push(read_str(r)?);
     }
@@ -463,6 +499,52 @@ mod tests {
         buf.extend_from_slice(&(u32::MAX).to_le_bytes()); // absurd name length
         let err = load(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, SnapshotError::Format(_)), "{err}");
+    }
+
+    /// `PVTE | 1 | 0 entities | 0 predicates | u32::MAX types`: the type
+    /// count must not size an allocation before a single name is read.
+    #[test]
+    fn hostile_section_count_is_a_short_read_not_an_abort() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        for count in [VERSION, 0, 0, u32::MAX] {
+            buf.extend_from_slice(&count.to_le_bytes());
+        }
+        assert_eq!(buf.len(), 20);
+        let err = load(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, SnapshotError::Io(_)), "{err}");
+    }
+
+    /// Entity `a` named twice plus one edge 1 → 1: the second copy would
+    /// intern as id 0, leaving the edge's id 1 pointing past the graph.
+    #[test]
+    fn repeated_entity_name_is_refused() {
+        let str_bytes = |s: &str| {
+            let mut out = (s.len() as u32).to_le_bytes().to_vec();
+            out.extend_from_slice(s.as_bytes());
+            out
+        };
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        buf.extend(str_bytes("a"));
+        buf.extend(str_bytes("a"));
+        buf.extend_from_slice(&[0, 0]); // no labels
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend(str_bytes("p"));
+        buf.extend_from_slice(&0u32.to_le_bytes()); // types
+        buf.extend_from_slice(&0u32.to_le_bytes()); // categories
+        buf.extend_from_slice(&1u32.to_le_bytes()); // one edge 1 -p-> 1
+        for id in [1u32, 0, 1] {
+            buf.extend_from_slice(&id.to_le_bytes());
+        }
+        for _ in 0..4 {
+            buf.extend_from_slice(&0u32.to_le_bytes()); // empty sections
+        }
+        let err = load(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, SnapshotError::Format(_)), "{err}");
+        assert!(err.to_string().contains("twice"), "{err}");
     }
 
     #[test]

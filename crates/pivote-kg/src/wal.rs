@@ -4,7 +4,7 @@
 //! every [`DeltaBatch`] (inserts **and** retracts) plus every compaction
 //! event a leader applies is serialized into an append-only log that any
 //! follower can tail to provably reach the leader's state. Because
-//! append==rebuild is bit-identical (the equivalence suites pin it), a
+//! append==rebuild is bit-identical (the equivalence model pins it), a
 //! follower that has applied the log through generation `G` holds the
 //! same *logical* graph as the leader at `G` — asserted in tests via
 //! [`snapshot::fingerprint`](crate::snapshot::fingerprint). Crash

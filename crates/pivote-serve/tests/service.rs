@@ -35,8 +35,8 @@ fn parsed(response: &str) -> Value {
 
 /// Scores cross the wire as shortest-round-trip doubles, so equal bytes
 /// are equal bits. Checked on one shard and on two shards against one
-/// one-shard reference (equal bit for bit at every shard count, as
-/// `golden_sharded` pins).
+/// one-shard reference (equal bit for bit at every shard count, as the
+/// golden test and the equivalence model pin).
 #[test]
 fn compute_matches_the_engines_bit_for_bit() {
     let kg = sample();

@@ -1,19 +1,19 @@
-//! Golden-file regression test for the shard/merge layer.
-//!
-//! The paper's bundled running example (`data/sample.nt`) is ranked and
-//! heat-mapped once; the exact output — feature ranking with full-
-//! precision scores, entity ranking, quantized heat-map levels — is
-//! checked into `tests/golden/sample_rankings.json`. Every backend
-//! (single graph, and sharded at shard counts 1–4) must reproduce the
-//! golden file **exactly**, so any drift in the router, the id remap,
-//! the probability decomposition or the top-k heap merge fails this test
+//! The golden test: the paper's running example (`data/sample.nt`)
+//! ranked, heat-mapped and keyword-searched once, the exact output —
+//! full-precision scores, quantized heat-map levels — checked into
+//! `tests/golden/sample_rankings.json` and `sample_search.json`. The full
+//! parse, the second half appended to the first, three quarters appended
+//! and compacted, and the same growth compacted concurrently in a live
+//! store must reproduce the files **exactly** at shard counts 1–4 ×
+//! threads 1–2, so any drift in the router, the id remap, the splice, the
+//! union rebuild, the probability decomposition or the top-k merge fails
 //! with a readable diff.
 //!
 //! Regenerate (after an *intentional* model change) with:
 //! `PIVOTE_GOLDEN_WRITE=1 cargo test -q --test golden_sharded`
 
-use pivote_core::{Expander, GraphHandle, HeatMap, RankingConfig, SfQuery};
-use pivote_kg::{EntityId, KnowledgeGraph, ShardedGraph};
+use pivote_core::{Expander, GraphHandle, HeatMap, LiveStore, RankingConfig, SfQuery};
+use pivote_kg::{parse_into_delta, DeltaBatch, EntityId, KnowledgeGraph, ShardedGraph};
 use serde::{Deserialize, Serialize};
 
 const GOLDEN_PATH: &str = concat!(
@@ -22,9 +22,22 @@ const GOLDEN_PATH: &str = concat!(
 );
 
 fn sample() -> KnowledgeGraph {
+    split(1).0
+}
+
+/// The sample split at statement boundaries into `parts` chunks: the
+/// first parsed into a base graph, the rest parsed as deltas.
+fn split(parts: usize) -> (KnowledgeGraph, Vec<DeltaBatch>) {
     let nt = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/data/sample.nt"))
         .expect("bundled sample exists");
-    pivote_kg::parse(&nt).expect("sample parses")
+    let lines: Vec<&str> = nt.lines().collect();
+    let chunk = lines.len().div_ceil(parts);
+    let base = pivote_kg::parse(&lines[..chunk].join("\n")).expect("first part parses");
+    let deltas = lines[chunk..]
+        .chunks(chunk)
+        .map(|c| parse_into_delta(&c.join("\n")).expect("part parses as a delta"))
+        .collect();
+    (base, deltas)
 }
 
 /// The golden snapshot: everything rendered with *names*, not ids, so the
@@ -94,16 +107,54 @@ fn golden_sample_rankings_reproduce_on_every_backend() {
         "the one-shard store drifted from the golden rankings"
     );
 
-    for shards in [1, 2, 3, 4] {
-        let sg = ShardedGraph::from_graph(&kg, shards);
-        for threads in [1, 2] {
-            let got = snapshot(&GraphHandle::with_threads(&sg, threads));
+    for (shards, threads) in [1, 2, 3, 4].into_iter().flat_map(|s| [(s, 1), (s, 2)]) {
+        let check = |got: Golden, what: &str| {
             assert_eq!(
                 got, golden,
-                "sharded backend (shards={shards}, threads={threads}) \
-                 drifted from the golden rankings"
+                "{what} (shards={shards}, threads={threads}) drifted from the golden rankings"
             );
+        };
+        let on = |sg: &ShardedGraph| snapshot(&GraphHandle::with_threads(sg, threads));
+
+        check(on(&ShardedGraph::from_graph(&kg, shards)), "the full parse");
+
+        let (base, deltas) = split(2);
+        let mut sg = ShardedGraph::from_graph(&base, shards);
+        let receipt = sg.apply(&deltas[0]);
+        assert!(receipt.added_relations > 0, "the second half adds triples");
+        check(on(&sg), "the second half appended");
+
+        // later quarters mint entities: one trailing shard each on a
+        // partition, in-place growth on one shard
+        let (base, deltas) = split(4);
+        let mut sg = ShardedGraph::from_graph(&base, shards);
+        for d in &deltas {
+            sg.apply(d);
         }
+        assert!(sg.entity_count() > base.entity_count());
+        assert_eq!(sg.trailing_shard_count() > 0, shards > 1);
+        let generation = sg.generation();
+        let sg = sg.compact(2);
+        assert_eq!((sg.shard_count(), sg.trailing_shard_count()), (2, 0));
+        assert_eq!(sg.generation(), generation + 1);
+        check(on(&sg), "three quarters appended, then compacted");
+
+        // the same growth in a live store, compacted concurrently: both
+        // sides of the swap match, and the swap keeps every warm density
+        let live = LiveStore::with_threads(ShardedGraph::from_graph(&base, shards), threads);
+        for d in &deltas {
+            live.append(d).expect("store healthy");
+        }
+        let live_snapshot = || snapshot(&live.read().handle());
+        check(live_snapshot(), "the live store before the swap");
+        let warm = live.cache().cached_probability_count();
+        let receipt = live.compact_concurrent(2).expect("store healthy");
+        // compaction is the identity on one shard without a tail
+        assert_eq!(receipt.shards_after, if shards == 1 { 1 } else { 2 });
+        assert_eq!(receipt.attempts, 1, "no contention, no retries");
+        assert_eq!(live.cache().cached_probability_count(), warm);
+        assert_eq!(live.trailing_shard_count(), 0);
+        check(live_snapshot(), "the live store after the swap");
     }
 }
 
