@@ -2,6 +2,8 @@
 //! the candidate pruning knobs cost in latency (their quality effect is
 //! measured by `exp_ese_quality`), and the baselines at the same task.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use pivote_baselines::{
     EntityExpansion, FreqOverlapExpansion, JaccardExpansion, PivotEExpansion, PprExpansion,

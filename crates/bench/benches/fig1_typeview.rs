@@ -1,6 +1,8 @@
 //! Bench F1b — Fig. 1-b: computing the type-coupling statistics over the
 //! whole graph and rendering the type view for the Film domain.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use pivote_bench::bench_kg;
 use pivote_kg::TypeCouplingStats;

@@ -2,6 +2,8 @@
 //! round-trip (rank features, rank entities, compute the heat map) and
 //! its rendering. This is the latency a user perceives per click.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use pivote_bench::{bench_kg, flagship_film};
 use pivote_core::{Expander, HeatMap, RankingConfig, SfQuery};

@@ -2,6 +2,8 @@
 //! investigate → lookup → pivot → revisit) and rendering its exploratory
 //! path.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pivote_bench::{bench_kg, flagship_film};
 use pivote_core::{Direction, SemanticFeature};

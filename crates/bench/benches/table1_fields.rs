@@ -1,6 +1,8 @@
 //! Bench T1 — Table 1: building the five-field entity representation,
 //! for one entity and for the whole collection (index construction).
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pivote_bench::{bench_kg, flagship_film};
 use pivote_search::{FiveFieldRepr, SearchConfig, SearchEngine};

@@ -1,6 +1,8 @@
 //! Shared fixtures for the criterion benches that regenerate the paper's
 //! figures: one pre-generated knowledge graph and its seed entities.
 
+#![forbid(unsafe_code)]
+
 use pivote_kg::{generate, DatagenConfig, EntityId, KnowledgeGraph};
 
 /// Generate the standard bench KG (~2k films, ~9k entities).

@@ -25,6 +25,7 @@
 //! The keyword-search baseline (BM25F) lives in `pivote-search` as
 //! `Scorer::Bm25`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod freq;

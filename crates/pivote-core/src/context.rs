@@ -251,7 +251,7 @@ impl SharedCache {
     }
 
     /// [`SharedCache::prob_insert`] gated on the cache still being at
-    /// `born_gen` — the insert path for contexts that run **off** the
+    /// `trust_gen` — the insert path for contexts that run **off** the
     /// store's write-lock exclusion (prepared snapshots). Checked under
     /// the shard write lock: [`SharedCache::invalidate`] bumps the
     /// generation *before* its retain sweep (which takes the same shard
@@ -260,9 +260,9 @@ impl SharedCache {
     /// value is refused. Lock-scoped contexts pass trivially (the write
     /// lock excludes invalidation for their whole lifetime).
     #[inline]
-    pub(crate) fn prob_insert_if_current(&self, key: u64, p: f64, born_gen: u64) {
+    pub(crate) fn prob_insert_if_current(&self, key: u64, p: f64, trust_gen: u64) {
         let mut map = self.shard_for(key).write().expect("prob shard poisoned");
-        if self.generation.load(Ordering::SeqCst) == born_gen {
+        if self.generation.load(Ordering::SeqCst) == trust_gen {
             map.insert(key, p);
         }
     }
@@ -287,20 +287,20 @@ impl SharedCache {
     }
 
     /// Insert a resolved global extent, gated on the cache still being
-    /// at `born_gen` (same protocol as
+    /// at `trust_gen` (same protocol as
     /// [`SharedCache::prob_insert_if_current`]).
     #[inline]
     pub(crate) fn extent_insert_if_current(
         &self,
         fid: u32,
         extent: Arc<[EntityId]>,
-        born_gen: u64,
+        trust_gen: u64,
     ) {
         let mut map = self
             .extent_shard_for(fid)
             .write()
             .expect("extent shard poisoned");
-        if self.generation.load(Ordering::SeqCst) == born_gen {
+        if self.generation.load(Ordering::SeqCst) == trust_gen {
             map.insert(fid as u64, extent);
         }
     }
@@ -313,14 +313,6 @@ impl SharedCache {
         let fid = *reg.ids.get(&sf)?;
         drop(reg);
         self.prob_get(prob_key(fid, Ctx::Cat(c)))
-    }
-
-    /// [`SharedCache::probe_category`] for a type context.
-    pub fn probe_type(&self, sf: SemanticFeature, t: TypeId) -> Option<f64> {
-        let reg = self.registry.read().expect("registry poisoned");
-        let fid = *reg.ids.get(&sf)?;
-        drop(reg);
-        self.prob_get(prob_key(fid, Ctx::Type(t)))
     }
 
     /// Drop exactly the cached densities **and global extent
@@ -358,7 +350,7 @@ impl SharedCache {
             .collect();
         // bump FIRST: contexts pinned to an older generation (prepared
         // snapshots running off the store lock) gate their cache reads
-        // and inserts on `generation() == born generation`, so bumping
+        // and inserts on `generation() == trusted generation`, so bumping
         // before the retains closes both race windows — a stale context
         // can neither insert a pre-delta value after the retain swept,
         // nor observe a post-delta value as if it were its own

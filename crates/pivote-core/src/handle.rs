@@ -51,6 +51,20 @@ impl<'g> GraphHandle<'g> {
         Self::from_context(ShardedContext::with_cache(sg, threads, cache))
     }
 
+    /// Handle over `sg` whose context trusts `cache` only while it is at
+    /// `generation` — a prepared snapshot's handle, built after later
+    /// writes may have moved the cache on.
+    pub(crate) fn at_generation(
+        sg: &'g ShardedGraph,
+        threads: usize,
+        cache: Arc<SharedCache>,
+        generation: u64,
+    ) -> Self {
+        Self::from_context(ShardedContext::at_generation(
+            sg, threads, cache, generation,
+        ))
+    }
+
     fn from_context(ctx: ShardedContext<'g>) -> Self {
         Self { ctx: Arc::new(ctx) }
     }

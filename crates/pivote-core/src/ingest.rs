@@ -142,11 +142,6 @@ impl StreamingIngest {
         }
     }
 
-    /// The configured ops-per-batch bound.
-    pub fn batch_size(&self) -> usize {
-        self.max_ops
-    }
-
     /// The store this ingests into.
     pub fn store(&self) -> &Arc<LiveStore> {
         &self.store

@@ -25,9 +25,9 @@
 //!   from any reader into a [`LiveStore`], composing with the
 //!   maintenance thread so shards stay balanced mid-ingest;
 //! - [`prepared`]: [`PreparedSnapshot`] — the generation-pinned serving
-//!   read path: an immutable graph + prebuilt context (+ search slot)
-//!   published once per write and acquired by readers with one atomic
-//!   load, off the store lock and off per-request setup;
+//!   read path: an immutable graph, the cache generation it trusts and a
+//!   typed search slot, published once per write and acquired by readers
+//!   with one atomic load, off the store lock;
 //! - [`warm`]: persisted context warm-state — the `p(π|c)` cache as a
 //!   generation-checked sidecar next to the graph snapshot;
 //! - [`replica`]: read replicas and crash recovery — follower
@@ -57,6 +57,7 @@
 //! assert!(!result.features.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -147,17 +147,15 @@ impl LiveStore {
     /// successful write republishes under the write lock it already
     /// holds, *after* the splice and the cache invalidation — so
     /// [`LiveStore::snapshot`] always reflects every completed write
-    /// (strict read-your-writes), and the prepared context is born at
-    /// the post-invalidation cache generation, keeping its shared-cache
-    /// reads trusted until the next write.
+    /// (strict read-your-writes), and the snapshot records the
+    /// post-invalidation cache generation, which its handles trust.
     ///
     /// The cost is one shard-list clone per write (shard graphs are
     /// shared, not copied); leave it off for bulk ingest and turn it on
     /// when the store starts serving.
     ///
     /// Idempotent: on a store that already publishes this is a no-op, so
-    /// the published snapshot keeps the search engines and the prepared
-    /// context attached to it.
+    /// the published snapshot keeps the search engines attached to it.
     pub fn enable_snapshots(&self) {
         // a read guard excludes writers, so the state published here is
         // current; a writer admitted later republishes on its own. The
@@ -168,11 +166,6 @@ impl LiveStore {
         if !self.publish.swap(true, Ordering::SeqCst) {
             *slot = Some(self.prepare(&store));
         }
-    }
-
-    /// Whether snapshot publication is on.
-    pub fn snapshots_enabled(&self) -> bool {
-        self.publish.load(Ordering::SeqCst)
     }
 
     /// The current prepared snapshot — the serving read path. One
@@ -246,11 +239,6 @@ impl LiveStore {
         let _store = self.store.write().map_err(|_| StoreError::Poisoned)?;
         *self.wal_guard() = Some(writer);
         Ok(())
-    }
-
-    /// Whether writes are currently being logged.
-    pub fn wal_enabled(&self) -> bool {
-        self.wal_guard().is_some()
     }
 
     /// Generation stamp of the last record written to the delta log
@@ -346,19 +334,10 @@ impl LiveStore {
     /// so it never blocks on readers nor readers on it. Reads survive a
     /// writer panic (see [`StoreError`]).
     pub fn read(&self) -> LiveReader<'_> {
-        // cheap when publication is off (one atomic load); when on, carry
-        // the current snapshot so handle() can reuse its prepared context
-        // instead of building one per call
-        let prepared = if self.publish.load(Ordering::SeqCst) {
-            self.snapshot()
-        } else {
-            None
-        };
         LiveReader {
             guard: self.read_store(),
             cache: Arc::clone(&self.cache),
             threads: self.threads,
-            prepared,
         }
     }
 
@@ -530,10 +509,6 @@ pub struct LiveReader<'a> {
     guard: RwLockReadGuard<'a, ShardedGraph>,
     cache: Arc<SharedCache>,
     threads: usize,
-    /// The published snapshot at acquisition time, when the store has
-    /// snapshots on — [`LiveReader::handle`] reuses its prepared context
-    /// when the generations agree instead of building one per call.
-    prepared: Option<Arc<PreparedSnapshot>>,
 }
 
 impl LiveReader<'_> {
@@ -550,17 +525,8 @@ impl LiveReader<'_> {
     /// A [`GraphHandle`] over this snapshot sharing the live store's
     /// persistent cache. Cheap to build (the heavy state lives in the
     /// cache); scoped to the guard, so it can never observe an append or
-    /// a compaction swap. When the store publishes prepared snapshots
-    /// and the published generation matches the locked one —
-    /// publication happens under the write lock, so it always does in
-    /// practice — the snapshot's prepared context is reused outright and
-    /// this is a clone, not a construction.
+    /// a compaction swap.
     pub fn handle(&self) -> GraphHandle<'_> {
-        if let Some(snap) = &self.prepared {
-            if snap.generation() == self.guard.generation() {
-                return snap.handle();
-            }
-        }
         GraphHandle::with_cache(&self.guard, self.threads, Arc::clone(&self.cache))
     }
 }
@@ -1052,7 +1018,6 @@ mod tests {
     #[test]
     fn snapshots_are_off_by_default_and_publish_once_enabled() {
         let live = LiveStore::with_threads(generate(&DatagenConfig::tiny()), 1);
-        assert!(!live.snapshots_enabled());
         assert!(live.snapshot().is_none());
         let mut d = DeltaBatch::new();
         d.entity("Unpublished_Entity");
@@ -1121,8 +1086,7 @@ mod tests {
     }
 
     /// The snapshot path and the lock path agree bit-for-bit at the same
-    /// generation, and the reader's handle() reuses the prepared context
-    /// when snapshots are on.
+    /// generation.
     #[test]
     fn snapshot_answers_match_the_lock_path() {
         let kg = generate(&DatagenConfig::tiny());

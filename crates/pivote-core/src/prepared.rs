@@ -1,64 +1,66 @@
 //! Generation-pinned prepared query snapshots — the serving read path.
 //!
-//! A [`PreparedSnapshot`] is an immutable, generation-stamped bundle of
-//! everything one query needs, built **once per store generation**
-//! instead of once per request:
+//! A [`PreparedSnapshot`] is plain data, published **once per store
+//! generation** instead of built per request. It holds:
 //!
 //! - an `Arc<ShardedGraph>` clone of the graph at that generation —
 //!   cloning a [`ShardedGraph`] bumps one `Arc` per shard, so the
 //!   snapshot **shares** every shard graph with the live store, and a
 //!   later write copies only the shards it touches;
-//! - a pre-built [`GraphHandle`] (query context) over that clone,
-//!   sharing the store's [`SharedCache`] so densities and global extent
-//!   resolutions stay warm across generations;
-//! - a slot for a pre-built keyword-search component (typed as
-//!   `dyn Any` because the search engines live in `pivote-explore`,
-//!   which depends on this crate — the explore layer downcasts).
+//! - the store's [`SharedCache`] and worker-thread count, plus the
+//!   cache generation recorded at publish;
+//! - a write-once slot for the generation's keyword-search
+//!   [`SearchBackend`], filled by the first search (or the serving
+//!   layer's warmer) and shared by every later one.
+//!
+//! [`PreparedSnapshot::handle`] builds an ordinary context borrowing the
+//! pinned graph. **Trust-generation rule:** that context reads and writes
+//! the shared cache only while the cache is still at the generation
+//! recorded at publish. Publication runs under the store write lock
+//! *after* the write's cache invalidation, so at that generation every
+//! cached density and extent is exact for the pinned graph. Once a later
+//! write moves the cache on, a handle of this snapshot computes from its
+//! own graph and neither trusts nor fills the shared maps — so a pinned
+//! snapshot answers for its own generation forever, and never leaves a
+//! stale density behind for newer readers.
 //!
 //! [`LiveStore`](crate::LiveStore) publishes a fresh
-//! `Arc<PreparedSnapshot>` under the write lock after every successful
-//! mutation ([`LiveStore::enable_snapshots`](crate::LiveStore::enable_snapshots)
+//! `Arc<PreparedSnapshot>` after every successful mutation
+//! ([`LiveStore::enable_snapshots`](crate::LiveStore::enable_snapshots)
 //! opts a store in); readers acquire the current snapshot with a single
-//! read-and-clone of an `RwLock<Arc<...>>` — no store lock, no context
-//! construction, no extent re-resolution — and answers are bit-identical
-//! to the lock path at the same generation (pinned by
+//! read-and-clone of an `RwLock<Arc<...>>` — no store lock — and answers
+//! are bit-identical to the lock path at the same generation (pinned by
 //! `tests/equivalence.rs`).
-//!
-//! ## Safety architecture
-//!
-//! The prepared context borrows the snapshot's own graph allocation.
-//! That self-reference is expressed by extending the borrow to
-//! `'static` at construction and never letting the `'static` handle
-//! escape: the only accessor, [`PreparedSnapshot::handle`], re-shortens
-//! the lifetime to the `&self` borrow, so user code cannot outlive the
-//! snapshot with it. Field order puts the context before the graph, so
-//! on drop the borrower is gone before the borrowed allocation.
 
 use crate::context::SharedCache;
 use crate::handle::GraphHandle;
 use pivote_kg::ShardedGraph;
-use std::any::Any;
+use pivote_search::SearchBackend;
 use std::sync::{Arc, OnceLock};
 
 /// An immutable, generation-stamped, ready-to-query view of a live
-/// store. See the module docs for the publication contract.
+/// store. See the module docs for what it holds and the trust rule.
 pub struct PreparedSnapshot {
     /// Store generation this snapshot was prepared at.
     generation: u64,
-    /// Prepared query context over `backend`. Declared before `backend`
-    /// so it drops first — it borrows the allocation `backend` owns.
-    ctx: GraphHandle<'static>,
-    /// Pre-built search component, attached lazily by the explore layer
-    /// (`dyn Any` keeps the dependency arrow pointing the right way).
-    search: OnceLock<Arc<dyn Any + Send + Sync>>,
-    /// The pinned graph. Keeps the allocation `ctx` borrows alive.
+    /// The pinned graph.
     backend: Arc<ShardedGraph>,
+    /// The store's shared memoized state.
+    cache: Arc<SharedCache>,
+    /// The cache generation at publish: the one generation at which the
+    /// cache's entries are exact for `backend`.
+    cache_generation: u64,
+    /// Worker threads of every context built over this snapshot.
+    threads: usize,
+    /// The generation's search engines, built at most once.
+    search: OnceLock<SearchBackend>,
 }
 
 impl std::fmt::Debug for PreparedSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedSnapshot")
             .field("generation", &self.generation)
+            .field("cache_generation", &self.cache_generation)
             .field("shards", &self.backend.shard_count())
             .field("search_attached", &self.search.get().is_some())
             .finish()
@@ -66,27 +68,23 @@ impl std::fmt::Debug for PreparedSnapshot {
 }
 
 impl PreparedSnapshot {
-    /// Prepare a snapshot of `backend` at `generation`: build the query
-    /// context once, up front, so every request served from this
-    /// snapshot skips per-request setup entirely.
+    /// Pin `backend` at `generation`, on `cache` at its current
+    /// generation. Call it where no write can move the cache between
+    /// the caller's last write and this call (the store does, under its
+    /// lock).
     pub fn prepare(
         backend: Arc<ShardedGraph>,
         generation: u64,
         threads: usize,
         cache: Arc<SharedCache>,
     ) -> Arc<PreparedSnapshot> {
-        // SAFETY: `backend` is an `Arc`, so the `ShardedGraph` allocation
-        // is stable for as long as any clone lives; this struct holds a
-        // clone for its whole lifetime, the borrowing context is dropped
-        // before it (field order), and the `'static` handle is never
-        // exposed — `handle()` re-ties it to `&self`.
-        let pinned: &'static ShardedGraph = unsafe { &*Arc::as_ptr(&backend) };
-        let ctx = GraphHandle::with_cache(pinned, threads, cache);
         Arc::new(PreparedSnapshot {
             generation,
-            ctx,
-            search: OnceLock::new(),
             backend,
+            cache_generation: cache.generation(),
+            cache,
+            threads,
+            search: OnceLock::new(),
         })
     }
 
@@ -100,40 +98,32 @@ impl PreparedSnapshot {
         &self.backend
     }
 
-    /// The prepared query context, ready for immediate use — no
-    /// per-request `Arc::new`, no lazy extent re-resolution beyond the
-    /// first query at this generation.
+    /// A query context over the pinned graph, sharing the store's cache
+    /// at the generation recorded at publish. Building one is an `Arc`
+    /// and an empty table; densities and extents come from the cache.
     pub fn handle(&self) -> GraphHandle<'_> {
-        // SAFETY: lifetime-only transmute, shortening `'static` to the
-        // `&self` borrow (the context types are invariant over their
-        // graph lifetime, so this cannot be a plain coercion). The
-        // borrowed graph outlives the result because `self` does.
-        unsafe { std::mem::transmute::<GraphHandle<'static>, GraphHandle<'_>>(self.ctx.clone()) }
+        GraphHandle::at_generation(
+            &self.backend,
+            self.threads,
+            Arc::clone(&self.cache),
+            self.cache_generation,
+        )
     }
 
-    /// Attach a pre-built search component (first writer wins; the slot
-    /// is write-once per snapshot). Returns whether this call attached.
-    pub fn attach_search(&self, search: Arc<dyn Any + Send + Sync>) -> bool {
-        self.search.set(search).is_ok()
+    /// The attached search backend, if one was built yet.
+    pub fn attached_search(&self) -> Option<&SearchBackend> {
+        self.search.get()
     }
 
-    /// The attached search component, if any layer prepared one.
-    pub fn attached_search(&self) -> Option<Arc<dyn Any + Send + Sync>> {
-        self.search.get().cloned()
-    }
-
-    /// The attached search component, initializing the slot with
-    /// `build` when no layer attached one yet. Concurrent callers
-    /// coordinate on the write-once slot: exactly one runs `build`, the
-    /// others **block until the component is ready** and share it — so
-    /// a generation's engines are built once no matter how many
-    /// requests race the background warmer to a fresh snapshot (racing
-    /// duplicate builds halve each other's speed on small hosts).
-    pub fn search_or_init(
-        &self,
-        build: impl FnOnce() -> Arc<dyn Any + Send + Sync>,
-    ) -> Arc<dyn Any + Send + Sync> {
-        self.search.get_or_init(build).clone()
+    /// The attached search backend, built with `build` when none is
+    /// attached yet. Concurrent callers coordinate on the write-once
+    /// slot: exactly one runs `build`, the others **block until the
+    /// backend is ready** and share it — so a generation's engines are
+    /// built once no matter how many requests race the background
+    /// warmer to a fresh snapshot (racing duplicate builds halve each
+    /// other's speed on small hosts).
+    pub fn search_or_init(&self, build: impl FnOnce() -> SearchBackend) -> &SearchBackend {
+        self.search.get_or_init(build)
     }
 }
 
@@ -141,7 +131,10 @@ impl PreparedSnapshot {
 mod tests {
     use super::*;
     use crate::config::RankingConfig;
-    use pivote_kg::{generate, DatagenConfig};
+    use crate::feature::SemanticFeature;
+    use crate::LiveStore;
+    use pivote_kg::{generate, DatagenConfig, DeltaBatch};
+    use pivote_search::SearchEngine;
 
     #[test]
     fn prepared_answers_match_fresh_context_bitwise() {
@@ -167,30 +160,70 @@ mod tests {
                 assert_eq!(a.entity, b.entity);
                 assert!((a.score - b.score).abs() == 0.0);
             }
-            // the handle is reusable: a second query hits the prepared
-            // context's memoized state, same answers
+            // a second handle answers from the densities the first one
+            // left in the shared cache, same answers
             let again = snap.handle().rank_features(&cfg, &seeds);
             assert_eq!(again, want_f);
         }
     }
 
+    /// A snapshot pinned before a write keeps answering for its own
+    /// graph: its handle trusts the shared cache only at the generation
+    /// recorded at publish, so it neither reads the post-write density
+    /// a newer reader cached nor inserts its stale one.
+    #[test]
+    fn a_pinned_snapshot_trusts_the_cache_only_at_its_publish_generation() {
+        let kg = generate(&DatagenConfig::tiny());
+        let film = kg.type_extent(kg.type_id("Film").unwrap())[0];
+        let starring = kg.predicate("starring").unwrap();
+        let star = kg.objects(film, starring)[0];
+        let pi = SemanticFeature::to_anchor(star, starring);
+        let c = kg.categories_of(film).next().unwrap();
+        let other = kg.category_ids().find(|&o| o != c).unwrap();
+        let at_zero = ShardedGraph::from(kg.clone());
+        let fresh = GraphHandle::with_threads(&at_zero, 1);
+        let (want, want_other) = (fresh.p_for_category(pi, c), fresh.p_for_category(pi, other));
+        assert!(want > 0.0);
+
+        let live = LiveStore::with_threads(kg.clone(), 1);
+        live.enable_snapshots();
+        let s0 = live.snapshot().unwrap();
+        assert_eq!(s0.handle().p_for_category(pi, c), want);
+
+        // one new member of π's extent, one new member of c: p(π|c)
+        // moves from n/d to n/(d+1)
+        let mut d = DeltaBatch::new();
+        d.triple("Pinned_New_Film", "starring", kg.entity_name(star))
+            .categorized("Pinned_New_Member", kg.category_name(c));
+        live.append(&d).expect("store healthy");
+        let s1 = live.snapshot().unwrap();
+        let moved = s1.handle().p_for_category(pi, c);
+        assert_ne!(moved, want, "the write must move p(π|c)");
+
+        let densities = live.cache().cached_probability_count();
+        let handle = s0.handle();
+        assert_eq!(handle.p_for_category(pi, c), want);
+        assert_eq!(handle.p_for_category(pi, other), want_other);
+        assert_eq!(
+            live.cache().cached_probability_count(),
+            densities,
+            "a stale snapshot must not fill the shared cache"
+        );
+        assert_eq!(s1.handle().p_for_category(pi, c), moved);
+    }
+
     #[test]
     fn search_slot_is_write_once() {
         let kg = generate(&DatagenConfig::tiny());
-        let snap = PreparedSnapshot::prepare(
-            Arc::new(ShardedGraph::from(kg)),
-            0,
-            1,
-            Arc::new(SharedCache::new()),
-        );
+        let sg = ShardedGraph::from(kg);
+        let snap =
+            PreparedSnapshot::prepare(Arc::new(sg.clone()), 0, 1, Arc::new(SharedCache::new()));
+        let engine = Arc::new(SearchEngine::with_defaults(sg.shard(0).graph()));
         assert!(snap.attached_search().is_none());
-        assert!(snap.attach_search(Arc::new(41u64)));
-        assert!(!snap.attach_search(Arc::new(42u64)));
-        let got = snap
-            .attached_search()
-            .unwrap()
-            .downcast::<u64>()
-            .expect("attached type");
-        assert_eq!(*got, 41);
+        let first = snap.search_or_init(|| SearchBackend::new(vec![Arc::clone(&engine)], &sg));
+        assert!(Arc::ptr_eq(&first.engines[0], &engine));
+        let again = snap.search_or_init(|| panic!("the slot is already filled"));
+        assert!(std::ptr::eq(again, first));
+        assert!(std::ptr::eq(snap.attached_search().unwrap(), first));
     }
 }

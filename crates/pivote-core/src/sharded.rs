@@ -29,11 +29,13 @@
 //! serves every engine and every worker thread of a query session.
 
 use crate::config::RankingConfig;
-use crate::context::{par_map_slice, prob_key, top_k_ranked, Ctx, SharedCache};
+use crate::context::{par_map_slice, prob_key, top_k_ranked, Ctx, DenseKeyHasher, SharedCache};
 use crate::extent::{intersect_len, union_k};
 use crate::feature::{features_of, SemanticFeature};
 use crate::ranking::{RankedEntity, RankedFeature};
 use pivote_kg::{CategoryId, EntityId, KnowledgeGraph, ShardedGraph, TypeId};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A feature resolved against every shard.
@@ -51,11 +53,10 @@ struct FeatureEntry<'g> {
     global: OnceLock<Arc<[EntityId]>>,
 }
 
-/// Per-context feature resolutions over the shard set, indexed by the
-/// shared cache's dense feature ids.
-struct FeatureTable<'g> {
-    entries: Vec<Option<Arc<FeatureEntry<'g>>>>,
-}
+/// Per-context feature resolutions over the shard set, keyed by the
+/// shared cache's dense feature ids — sized by the features this context
+/// touches, not by the shared registry.
+type FeatureTable<'g> = HashMap<u32, Arc<FeatureEntry<'g>>, BuildHasherDefault<DenseKeyHasher>>;
 
 /// A top feature resolved for one candidate-scoring pass: the dense id
 /// keys the shared probability cache, the entry snapshot serves the
@@ -79,13 +80,13 @@ pub struct ShardedContext<'g> {
     /// exact global quantities, independent of shard count and
     /// `RankingConfig`).
     cache: Arc<SharedCache>,
-    /// Cache generation at construction. While the cache is still at
-    /// this generation its entries are exact for this context's graph
-    /// snapshot; once it moves (an append invalidated behind our back —
-    /// only possible for contexts running off the store lock) this
-    /// context computes locally and neither trusts nor writes the
-    /// shared maps.
-    born_gen: u64,
+    /// The cache generation this context trusts. While the cache is
+    /// still at it, its entries are exact for this context's graph; once
+    /// it moves (a write invalidated behind our back — only possible
+    /// for contexts running off the store lock, such as a prepared
+    /// snapshot's) this context computes locally and neither trusts nor
+    /// writes the shared maps.
+    trust_gen: u64,
     features: RwLock<FeatureTable<'g>>,
 }
 
@@ -108,15 +109,24 @@ impl<'g> ShardedContext<'g> {
     /// queries, earlier sessions, or earlier graph generations whose
     /// extents were not touched since) is a hit for this context.
     pub fn with_cache(sg: &'g ShardedGraph, threads: usize, cache: Arc<SharedCache>) -> Self {
-        let born_gen = cache.generation();
+        let generation = cache.generation();
+        Self::at_generation(sg, threads, cache, generation)
+    }
+
+    /// Context on `cache` that trusts it only while it is at
+    /// `generation`, the one at which its entries are exact for `sg`.
+    pub(crate) fn at_generation(
+        sg: &'g ShardedGraph,
+        threads: usize,
+        cache: Arc<SharedCache>,
+        generation: u64,
+    ) -> Self {
         Self {
             sg,
             threads: threads.max(1),
             cache,
-            born_gen,
-            features: RwLock::new(FeatureTable {
-                entries: Vec::new(),
-            }),
+            trust_gen: generation,
+            features: RwLock::new(FeatureTable::default()),
         }
     }
 
@@ -124,17 +134,6 @@ impl<'g> ShardedContext<'g> {
     #[inline]
     pub fn graph(&self) -> &'g ShardedGraph {
         self.sg
-    }
-
-    /// Configured worker-thread count.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The shared memoized state behind this context.
-    pub fn cache(&self) -> &Arc<SharedCache> {
-        &self.cache
     }
 
     /// Number of cached `p(π|c)` probabilities (diagnostics).
@@ -156,21 +155,19 @@ impl<'g> ShardedContext<'g> {
     /// resolving lazily (ids can arrive from sibling contexts sharing the
     /// cache).
     fn entry(&self, fid: u32) -> Arc<FeatureEntry<'g>> {
-        {
-            let table = self.features.read().expect("feature table poisoned");
-            if let Some(Some(entry)) = table.entries.get(fid as usize) {
-                return Arc::clone(entry);
-            }
-        }
-        self.ensure_entry(fid, self.cache.feature(fid))
+        self.resolved(fid)
+            .unwrap_or_else(|| self.ensure_entry(fid, self.cache.feature(fid)))
+    }
+
+    /// This context's resolution of `fid`, if it has one yet.
+    fn resolved(&self, fid: u32) -> Option<Arc<FeatureEntry<'g>>> {
+        let table = self.features.read().expect("feature table poisoned");
+        table.get(&fid).cloned()
     }
 
     fn ensure_entry(&self, fid: u32, sf: SemanticFeature) -> Arc<FeatureEntry<'g>> {
-        {
-            let table = self.features.read().expect("feature table poisoned");
-            if let Some(Some(entry)) = table.entries.get(fid as usize) {
-                return Arc::clone(entry);
-            }
+        if let Some(entry) = self.resolved(fid) {
+            return entry;
         }
         // resolve outside the write lock; double-check after acquiring
         let shards = self.sg.shards();
@@ -192,20 +189,15 @@ impl<'g> ShardedContext<'g> {
             owned_lens.push(owned);
         }
         let mut table = self.features.write().expect("feature table poisoned");
-        if table.entries.len() <= fid as usize {
-            table.entries.resize_with(fid as usize + 1, || None);
-        }
-        if let Some(entry) = &table.entries[fid as usize] {
-            return Arc::clone(entry);
-        }
-        let entry = Arc::new(FeatureEntry {
-            extents,
-            owned_lens,
-            global_len,
-            global: OnceLock::new(),
+        let entry = table.entry(fid).or_insert_with(|| {
+            Arc::new(FeatureEntry {
+                extents,
+                owned_lens,
+                global_len,
+                global: OnceLock::new(),
+            })
         });
-        table.entries[fid as usize] = Some(Arc::clone(&entry));
-        entry
+        Arc::clone(entry)
     }
 
     /// `‖E(π)‖` — the exact global extent size.
@@ -232,7 +224,7 @@ impl<'g> ShardedContext<'g> {
             .get_or_init(|| {
                 // seqlock-style validity check — see `p_by_fid`
                 if let Some(shared) = self.cache.extent_get(fid) {
-                    if self.cache.generation() == self.born_gen {
+                    if self.cache.generation() == self.trust_gen {
                         return shared;
                     }
                 }
@@ -248,7 +240,7 @@ impl<'g> ShardedContext<'g> {
                 }
                 let out: Arc<[EntityId]> = out.into();
                 self.cache
-                    .extent_insert_if_current(fid, Arc::clone(&out), self.born_gen);
+                    .extent_insert_if_current(fid, Arc::clone(&out), self.trust_gen);
                 out
             })
             .clone()
@@ -292,11 +284,11 @@ impl<'g> ShardedContext<'g> {
     fn p_by_fid(&self, fid: u32, ctx: Ctx) -> f64 {
         let key = prob_key(fid, ctx);
         // seqlock-style validity: the hit is trustworthy only if the
-        // cache generation still equals this context's birth generation
+        // cache generation still equals this context's trusted generation
         // *after* the read — otherwise an invalidation ran and the value
         // may belong to a different graph snapshot
         if let Some(p) = self.cache.prob_get(key) {
-            if self.cache.generation() == self.born_gen {
+            if self.cache.generation() == self.trust_gen {
                 return p;
             }
         }
@@ -328,7 +320,7 @@ impl<'g> ShardedContext<'g> {
         } else {
             num as f64 / den as f64
         };
-        self.cache.prob_insert_if_current(key, p, self.born_gen);
+        self.cache.prob_insert_if_current(key, p, self.trust_gen);
         p
     }
 

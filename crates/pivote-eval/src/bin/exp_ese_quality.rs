@@ -7,6 +7,8 @@
 //!
 //! Usage: `cargo run --release -p pivote-eval --bin exp_ese_quality [films]`
 
+#![forbid(unsafe_code)]
+
 use pivote_baselines::{
     EntityExpansion, FreqOverlapExpansion, JaccardExpansion, PivotEExpansion, PprExpansion,
 };

@@ -7,6 +7,8 @@
 //!
 //! Usage: `cargo run --release -p pivote-eval --bin exp_field_weights [films]`
 
+#![forbid(unsafe_code)]
+
 use pivote_eval::{default_search_cases, render_search_table, run_search_eval, SearchVariant};
 use pivote_kg::DatagenConfig;
 use pivote_search::{FieldWeights, Scorer, SearchConfig, SearchEngine};

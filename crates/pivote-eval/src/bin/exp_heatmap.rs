@@ -8,6 +8,8 @@
 //!
 //! Usage: `cargo run --release -p pivote-eval --bin exp_heatmap [films]`
 
+#![forbid(unsafe_code)]
+
 use pivote_eval::run_heatmap_report;
 use pivote_kg::{DatagenConfig, ShardedGraph};
 

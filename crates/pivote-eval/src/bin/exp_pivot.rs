@@ -7,6 +7,8 @@
 //!
 //! Usage: `cargo run --release -p pivote-eval --bin exp_pivot [films]`
 
+#![forbid(unsafe_code)]
+
 use pivote_eval::run_pivot_eval;
 use pivote_kg::DatagenConfig;
 

@@ -11,6 +11,7 @@
 //!
 //! The runnable experiment binaries live in `src/bin/exp_*.rs`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod groundtruth;

@@ -39,6 +39,7 @@
 //! assert!(session.snapshot().backend().entity("Brand_New_Film").is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod events;
@@ -51,7 +52,7 @@ pub mod session;
 pub mod timeline;
 
 pub use events::UserAction;
-pub use live::{LiveSearchCache, SearchBackend, SearchWarmer};
+pub use live::{LiveSearchCache, SearchWarmer};
 pub use path::{ExplorationPath, NodeKind, PathEdge, PathNode};
 pub use profile::{build_profile, EntityProfile};
 pub use query::ExplorationQuery;

@@ -13,74 +13,9 @@
 //! wholesale.
 
 use pivote_core::{LiveStore, PreparedSnapshot};
-use pivote_kg::{EntityId, ShardedGraph};
-use pivote_search::{CorpusStats, Hit, Scorer, SearchConfig, SearchEngine};
+use pivote_kg::ShardedGraph;
+use pivote_search::{Hit, SearchBackend, SearchConfig, SearchEngine};
 use std::sync::{Arc, Mutex};
-
-/// The keyword-search component of one graph generation: one index per
-/// shard (indexed over the shard-local graph, with related-names
-/// neighbours selected in global-id order) plus the globally-merged
-/// corpus statistics every shard scores against. Hits are filtered to
-/// owned entities (ghosts are re-indexed by their home shard), remapped
-/// to global ids and merged by `(score desc, id asc)` — the same scores
-/// and order at every shard count, bit for bit.
-///
-/// Engines are `Arc`-held, so the backend is `Clone` at pointer cost:
-/// N searches index-share while running **concurrently**.
-#[derive(Clone)]
-pub struct SearchBackend {
-    /// One engine per shard, in shard order.
-    pub engines: Vec<Arc<SearchEngine>>,
-    /// Merged owned-document statistics across all shards.
-    pub corpus: Arc<CorpusStats>,
-}
-
-/// Merge per-shard indexes into the global corpus statistics, counting
-/// each owned document once (ghost copies are skipped — their home shard
-/// re-indexes them).
-fn merge_corpus_stats(engines: &[(u64, Arc<SearchEngine>)], sg: &ShardedGraph) -> CorpusStats {
-    let mut corpus = CorpusStats::new();
-    for ((_, engine), shard) in engines.iter().zip(sg.shards()) {
-        corpus.absorb(engine.index(), |d| shard.is_owned(EntityId::new(d)));
-    }
-    corpus
-}
-
-/// Top-`k` keyword hits of a [`SearchBackend`] built over `sg`.
-fn search_backend_hits(
-    search: &SearchBackend,
-    sg: &ShardedGraph,
-    query: &str,
-    k: usize,
-) -> Vec<Hit> {
-    let mut hits: Vec<Hit> = search
-        .engines
-        .iter()
-        .zip(sg.shards())
-        .flat_map(|(engine, shard)| {
-            // fetch ALL of the shard's matches, not the top k: ghost hits
-            // are dropped below, and truncating before the ghost filter
-            // could starve owned matches ranked behind k ghosts
-            engine
-                .search_in(query, usize::MAX, Scorer::MixtureLm, search.corpus.as_ref())
-                .into_iter()
-                // drop ghost hits: the home shard re-indexes them
-                .filter(|h| shard.is_owned(h.entity))
-                .map(|h| Hit {
-                    entity: shard.to_global(h.entity),
-                    score: h.score,
-                })
-        })
-        .collect();
-    hits.sort_unstable_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.entity.cmp(&b.entity))
-    });
-    hits.truncate(k);
-    hits
-}
 
 /// The cached engines, tagged with the store version they were indexed
 /// at: one engine per shard, each tagged with the local graph generation
@@ -94,11 +29,10 @@ fn search_backend_hits(
 struct SearchCache {
     /// Compaction epoch at indexing time.
     epoch: u64,
-    /// `(local generation, engine)` per shard, in shard order.
-    engines: Vec<(u64, Arc<SearchEngine>)>,
-    /// The globally-merged corpus statistics the engines score against;
-    /// recomputed whenever any engine is rebuilt.
-    corpus: Arc<CorpusStats>,
+    /// The local generation each engine was built at, in shard order.
+    generations: Vec<u64>,
+    /// The engines and the merged corpus statistics they score against.
+    backend: SearchBackend,
 }
 
 impl SearchCache {
@@ -106,59 +40,34 @@ impl SearchCache {
     /// still match.
     fn refresh(prior: Option<SearchCache>, sg: &ShardedGraph, config: SearchConfig) -> Self {
         let epoch = sg.compaction_epoch();
-        let (cached, cached_corpus) = match prior {
-            Some(c) if c.epoch == epoch => (c.engines, Some(c.corpus)),
-            _ => (Vec::new(), None),
-        };
-        let n_cached = cached.len();
-        let mut reused = 0usize;
-        let mut cached = cached.into_iter();
-        let engines: Vec<(u64, Arc<SearchEngine>)> = sg
-            .shards()
-            .iter()
-            .map(|s| {
-                let generation = s.graph().generation();
-                let engine = match cached.next() {
-                    Some((built_at, engine)) if built_at == generation => {
-                        reused += 1;
-                        engine
-                    }
-                    _ => Arc::new(SearchEngine::build_keyed(s.graph(), config, |local| {
-                        s.to_global(local).raw()
-                    })),
-                };
-                (generation, engine)
-            })
-            .collect();
+        let prior = prior.filter(|c| c.epoch == epoch);
+        let mut generations = Vec::with_capacity(sg.shard_count());
+        let mut engines = Vec::with_capacity(sg.shard_count());
+        for (i, s) in sg.shards().iter().enumerate() {
+            let generation = s.graph().generation();
+            let engine = match &prior {
+                Some(c) if c.generations.get(i) == Some(&generation) => {
+                    Arc::clone(&c.backend.engines[i])
+                }
+                _ => Arc::new(SearchEngine::build_keyed(s.graph(), config, |local| {
+                    s.to_global(local).raw()
+                })),
+            };
+            generations.push(generation);
+            engines.push(engine);
+        }
         // the corpus merges owned documents of EVERY shard, so a rebuild
         // of any one engine stales it — but when the only change is
         // appended trailing shards (the common shape of a live write),
-        // absorbing just the new engines into the cached merge is
-        // O(delta) instead of O(partition)
-        let prefix_reused = reused == n_cached;
-        let corpus = match cached_corpus {
-            Some(c) if prefix_reused && n_cached == sg.shard_count() => c,
-            Some(c) if prefix_reused && n_cached < sg.shard_count() => {
-                let mut merged = (*c).clone();
-                for ((_, engine), shard) in engines.iter().zip(sg.shards()).skip(n_cached) {
-                    merged.absorb(engine.index(), |d| shard.is_owned(EntityId::new(d)));
-                }
-                Arc::new(merged)
-            }
-            _ => Arc::new(merge_corpus_stats(&engines, sg)),
+        // the cached merge is extended by the new engines alone
+        let backend = match prior {
+            Some(c) if generations.starts_with(&c.generations) => c.backend.extended(engines, sg),
+            _ => SearchBackend::new(engines, sg),
         };
         Self {
             epoch,
-            engines,
-            corpus,
-        }
-    }
-
-    /// The engines without their tags.
-    fn backend(&self) -> SearchBackend {
-        SearchBackend {
-            engines: self.engines.iter().map(|(_, e)| Arc::clone(e)).collect(),
-            corpus: Arc::clone(&self.corpus),
+            generations,
+            backend,
         }
     }
 
@@ -176,13 +85,13 @@ impl SearchCache {
         if self.epoch != other.epoch {
             return self.epoch > other.epoch;
         }
-        if self.engines.len() != other.engines.len() {
-            return self.engines.len() > other.engines.len();
+        if self.generations.len() != other.generations.len() {
+            return self.generations.len() > other.generations.len();
         }
-        self.engines
+        self.generations
             .iter()
-            .zip(&other.engines)
-            .all(|((ga, _), (gb, _))| ga >= gb)
+            .zip(&other.generations)
+            .all(|(ga, gb)| ga >= gb)
     }
 }
 
@@ -229,7 +138,7 @@ impl LiveSearchCache {
         // other thread's refresh behind the mutex
         let prior = self.stash().clone();
         let candidate = SearchCache::refresh(prior, backend, self.config);
-        let search = candidate.backend();
+        let search = candidate.backend.clone();
         // the stash only ever moves *forward*: a refresh against a
         // stale backend still reuses every tag-matching engine, but its
         // (older) result does not replace a newer stash
@@ -248,8 +157,8 @@ impl LiveSearchCache {
     /// requests land on it. Answers are bit-identical at every shard
     /// count.
     pub fn search_prepared(&self, snap: &PreparedSnapshot, query: &str, k: usize) -> Vec<Hit> {
-        let search = self.prepare(snap);
-        search_backend_hits(&search, snap.backend(), query, k)
+        snap.search_or_init(|| self.refreshed(snap.backend()))
+            .hits(snap.backend(), query, k)
     }
 
     /// Ensure `snap` carries a ready search backend and return it — the
@@ -260,13 +169,8 @@ impl LiveSearchCache {
     /// the other parks until the engines are ready, instead of both
     /// grinding out the same index concurrently.
     pub fn prepare(&self, snap: &PreparedSnapshot) -> SearchBackend {
-        let attached = snap.search_or_init(|| Arc::new(self.refreshed(snap.backend())));
-        match attached.downcast::<SearchBackend>() {
-            Ok(search) => (*search).clone(),
-            // a foreign layer attached its own payload: serve from the
-            // shared cache directly
-            Err(_) => self.refreshed(snap.backend()),
-        }
+        snap.search_or_init(|| self.refreshed(snap.backend()))
+            .clone()
     }
 }
 
@@ -281,7 +185,6 @@ impl LiveSearchCache {
 /// drop), which wakes the thread and joins it.
 pub struct SearchWarmer {
     stop: Arc<std::sync::atomic::AtomicBool>,
-    warmed: Arc<std::sync::atomic::AtomicU64>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -294,18 +197,15 @@ impl SearchWarmer {
         search: Arc<LiveSearchCache>,
         tick: std::time::Duration,
     ) -> Self {
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::atomic::{AtomicBool, Ordering};
         let stop = Arc::new(AtomicBool::new(false));
-        let warmed = Arc::new(AtomicU64::new(0));
         let thread = {
             let stop = Arc::clone(&stop);
-            let warmed = Arc::clone(&warmed);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     if let Some(snap) = store.snapshot() {
                         if snap.attached_search().is_none() {
                             search.prepare(&snap);
-                            warmed.fetch_add(1, Ordering::SeqCst);
                         }
                     }
                     std::thread::park_timeout(tick);
@@ -314,14 +214,8 @@ impl SearchWarmer {
         };
         Self {
             stop,
-            warmed,
             thread: Some(thread),
         }
-    }
-
-    /// How many snapshots this warmer has attached engines to.
-    pub fn warmed(&self) -> u64 {
-        self.warmed.load(std::sync::atomic::Ordering::SeqCst)
     }
 
     /// A handle that wakes the warmer *now* instead of at its next tick
@@ -356,7 +250,7 @@ impl Drop for SearchWarmer {
 mod tests {
     use super::*;
     use crate::{replay, ActionLog, Session, SessionConfig, UserAction};
-    use pivote_kg::{generate, DatagenConfig, DeltaBatch, KnowledgeGraph};
+    use pivote_kg::{generate, DatagenConfig, DeltaBatch, EntityId, KnowledgeGraph};
 
     fn base() -> KnowledgeGraph {
         generate(&DatagenConfig::tiny())
@@ -605,7 +499,7 @@ mod tests {
             let want = {
                 let reader = live.read();
                 let indexed = SearchCache::refresh(None, reader.backend(), SearchConfig::default());
-                search_backend_hits(&indexed.backend(), reader.backend(), "film", 10)
+                indexed.backend.hits(reader.backend(), "film", 10)
             };
             assert!(!want.is_empty(), "shards={shards}");
             let snap = live.snapshot().expect("snapshots enabled");
@@ -650,8 +544,7 @@ mod tests {
         let tags = || {
             let stash = cache.stash();
             let c = stash.as_ref().expect("cache filled");
-            let generations: Vec<u64> = c.engines.iter().map(|&(g, _)| g).collect();
-            (c.epoch, generations)
+            (c.epoch, c.generations.clone())
         };
 
         let before = cache.prepare(&live.snapshot().unwrap());
@@ -731,7 +624,6 @@ mod tests {
             );
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        assert!(warmer.warmed() >= 1);
         warmer.stop();
         let snap = live.snapshot().unwrap();
         let hits = cache.search_prepared(&snap, "Warmed Film", 5);

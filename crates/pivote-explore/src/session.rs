@@ -129,9 +129,10 @@ impl Session {
     /// A session over `store`, pinned to its current snapshot. Turns on
     /// the store's snapshot publication if it is off (a no-op on a store
     /// that already publishes, such as a served one). Every query path
-    /// (search, expansion, heat map, profiles, replay) runs on the
-    /// pinned snapshot's context, so sessions pinned to the same
-    /// snapshot share its memoized state and its search engines.
+    /// (search, expansion, heat map, profiles, replay) runs on a handle
+    /// of the pinned snapshot, so sessions pinned to the same snapshot
+    /// share the store's memoized state and the snapshot's search
+    /// engines.
     pub fn new(store: Arc<LiveStore>, config: SessionConfig) -> Self {
         store.enable_snapshots();
         let snap = store

@@ -404,11 +404,6 @@ impl DeltaBatch {
         self
     }
 
-    /// Whether the batch holds at least one retract op.
-    pub fn has_retracts(&self) -> bool {
-        self.ops.iter().any(|op| op.is_retract())
-    }
-
     /// Replay the batch into a [`KgBuilder`], interning names in exactly
     /// the order [`KnowledgeGraph::apply`] does — the rebuild side of the
     /// append/rebuild equivalence contract: building `base ops + delta
@@ -534,17 +529,6 @@ pub struct AppliedDelta {
     /// sublinearity witness: appending N triples to a graph of M ≫ N
     /// triples does work proportional to the touched rows, not to M.
     pub work: u64,
-}
-
-impl AppliedDelta {
-    /// Whether the apply changed any extent the ranking model reads.
-    pub fn touched_anything(&self) -> bool {
-        !self.touched_out.is_empty()
-            || !self.touched_in.is_empty()
-            || !self.touched_types.is_empty()
-            || !self.touched_categories.is_empty()
-            || !self.new_entities.is_empty()
-    }
 }
 
 /// The receipt of one compaction pass over a live sharded graph: what

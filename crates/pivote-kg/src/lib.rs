@@ -35,6 +35,7 @@
 //! assert!(kg.objects(f, starring).len() >= 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

@@ -139,11 +139,6 @@ impl FiveFieldRepr {
         &self.fields[f.index()]
     }
 
-    /// Concatenated text of one field (for indexing).
-    pub fn field_text(&self, f: Field) -> String {
-        self.fields[f.index()].join(" ")
-    }
-
     /// Render as the paper's Table 1 (field name + content preview).
     pub fn to_table(&self, max_snippets: usize) -> String {
         use std::fmt::Write as _;

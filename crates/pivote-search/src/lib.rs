@@ -16,8 +16,10 @@
 //! assert!(hits.len() <= 5);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod bm25;
 pub mod corpus;
 pub mod engine;
@@ -26,6 +28,7 @@ pub mod index;
 pub mod lm;
 pub mod querylang;
 
+pub use backend::SearchBackend;
 pub use bm25::Bm25;
 pub use corpus::{CollectionView, CorpusStats, FieldCorpus, TermStats};
 pub use engine::{Hit, Scorer, SearchConfig, SearchEngine};

@@ -18,9 +18,11 @@
 //! leader at every synced generation. The two flags are mutually
 //! exclusive.
 
+#![forbid(unsafe_code)]
+
 use pivote_core::{ReplicaHandle, ReplicaStore};
 use pivote_kg::{generate, DatagenConfig, ShardedGraph};
-use pivote_serve::{store_with_warm_state, ServeConfig, Server};
+use pivote_serve::{open_store, ServeConfig, Server};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -115,8 +117,7 @@ fn main() -> ExitCode {
 
     // follower: build the store from the delta log and keep tailing it
     // in the background for as long as the server runs
-    let mut replica_handle: Option<ReplicaHandle> = None;
-    let (store, warm) = if let Some(path) = &args.replica {
+    if let Some(path) = &args.replica {
         let mut replica = match ReplicaStore::open(backend, threads, path) {
             Ok(replica) => replica,
             Err(e) => {
@@ -137,68 +138,30 @@ fn main() -> ExitCode {
         );
         let handle = ReplicaHandle::spawn(replica, Duration::from_millis(20));
         let store = Arc::clone(handle.store());
-        replica_handle = Some(handle);
-        (store, false)
-    } else {
-        match &args.warm {
-            Some(path) => store_with_warm_state(backend, threads, path),
-            None => (
-                Arc::new(pivote_core::LiveStore::with_threads(backend, threads)),
-                false,
-            ),
-        }
-    };
-
-    // leader: record every accepted write in the delta log before it is
-    // applied; an existing log is replayed first (crash recovery), then
-    // appended to
-    if let Some(path) = &args.log {
-        if path.exists() {
-            let report = match pivote_core::recover(
-                {
-                    let reader = store.read();
-                    reader.backend().clone()
-                },
-                threads,
-                path,
-            ) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("pivote-serve: recover {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!(
-                "pivote-serve: replayed {} logged records{}",
-                report.records_applied,
-                if report.truncated_tail {
-                    " (torn tail record ignored)"
-                } else {
-                    ""
-                }
-            );
-            let (writer, _torn) = match pivote_kg::WalWriter::resume(path) {
-                Ok(resumed) => resumed,
-                Err(e) => {
-                    eprintln!("pivote-serve: resume log {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = report.store.attach_wal(writer) {
-                eprintln!("pivote-serve: attach log {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            // replace the freshly-loaded store with the recovered one:
-            // serve the replayed state, not the pre-crash snapshot
-            return run(report.store, args, warm, replica_handle);
-        }
-        if let Err(e) = store.log_to(path) {
-            eprintln!("pivote-serve: log {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        return run(store, args, false, Some(handle));
     }
 
-    run(store, args, warm, replica_handle)
+    // leader: an existing delta log is replayed first (crash recovery)
+    // and appended to, a missing one is created; the warm sidecar is
+    // loaded against the replayed graph
+    let opened = match open_store(backend, threads, args.log.as_deref(), args.warm.as_deref()) {
+        Ok(opened) => opened,
+        Err(e) => {
+            eprintln!("pivote-serve: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Some((records, torn)) = opened.replayed {
+        eprintln!(
+            "pivote-serve: replayed {records} logged records{}",
+            if torn {
+                " (torn tail record ignored)"
+            } else {
+                ""
+            }
+        );
+    }
+    run(opened.store, args, opened.warm, None)
 }
 
 fn run(

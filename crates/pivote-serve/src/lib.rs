@@ -38,6 +38,7 @@
 //! {"ok":true,"generation":0,"hits":[["Forrest_Gump",-7.58150480523183],...]}
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
@@ -47,5 +48,5 @@ pub mod service;
 
 pub use client::{num_field, response_ok, scored_list, Client};
 pub use protocol::{Reply, Request, MAX_REQUEST_COUNT};
-pub use server::{store_with_warm_state, ServeConfig, Server, ShutdownReport};
+pub use server::{open_store, OpenedStore, ServeConfig, Server, ShutdownReport};
 pub use service::Service;

@@ -14,13 +14,13 @@
 //! path) persists the density cache as a warm-state sidecar
 //! ([`pivote_core::save_warm_state`]) when a `warm_path` is configured,
 //! so the next process starts with every memoized density intact —
-//! [`store_with_warm_state`] is the matching startup half. Dropping the
+//! [`open_store`] is the matching startup half. Dropping the
 //! [`Server`] without calling `shutdown` is the *kill* path: threads are
 //! joined but nothing is persisted.
 
 use crate::service::Service;
-use pivote_core::{load_warm_state, save_warm_state, LiveStore, WarmStateError};
-use pivote_kg::ShardedGraph;
+use pivote_core::{load_warm_state, recover, save_warm_state, LiveStore, WarmStateError};
+use pivote_kg::{ShardedGraph, WalWriter};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -34,8 +34,7 @@ pub struct ServeConfig {
     /// Worker threads accepting and serving connections.
     pub workers: usize,
     /// Warm-state sidecar persisted by [`Server::shutdown`]; `None`
-    /// skips persistence (pair with [`store_with_warm_state`] at
-    /// startup).
+    /// skips persistence (pair with [`open_store`] at startup).
     pub warm_path: Option<PathBuf>,
     /// Serve reads only: `append`/`retract` are answered with a
     /// per-request error instead of mutating the store. The replica
@@ -73,24 +72,63 @@ pub struct ShutdownReport {
     pub warm_error: Option<WarmStateError>,
 }
 
-/// Open a [`LiveStore`] over `backend`, resuming the density cache from
-/// the warm-state sidecar at `warm_path` when it matches this graph.
-/// Returns the store and whether it started warm; any sidecar problem
+/// The store a leader serves, as [`open_store`] assembled it.
+pub struct OpenedStore {
+    /// The store, logging to the delta log when one was given.
+    pub store: Arc<LiveStore>,
+    /// Whether its density cache was resumed from the warm sidecar.
+    pub warm: bool,
+    /// Records replayed from an existing delta log, and whether the log
+    /// ended in an ignored torn record; `None` when no log was replayed.
+    pub replayed: Option<(usize, bool)>,
+}
+
+/// Assemble the store a leader serves from its files: `backend` (the
+/// graph loaded at startup), the delta log at `log` — replayed onto it
+/// when the file exists, then resumed, or created based at `backend` —
+/// and the warm sidecar at `warm`. The sidecar is loaded **after**
+/// replay, against the graph that will actually serve: a graceful
+/// shutdown saves it with that graph's fingerprint. Any sidecar problem
 /// (missing file, stale fingerprint, corrupt bytes) silently starts
 /// cold — the sidecar is a latency artifact, never a correctness input.
-pub fn store_with_warm_state(
+/// Errors name the file that failed.
+pub fn open_store(
     backend: impl Into<ShardedGraph>,
     threads: usize,
-    warm_path: &Path,
-) -> (Arc<LiveStore>, bool) {
-    let backend = backend.into();
-    match load_warm_state(warm_path, backend.fingerprint()) {
-        Ok(cache) => (
-            Arc::new(LiveStore::with_cache(backend, threads, cache)),
-            true,
-        ),
-        Err(_) => (Arc::new(LiveStore::with_threads(backend, threads)), false),
+    log: Option<&Path>,
+    warm: Option<&Path>,
+) -> Result<OpenedStore, String> {
+    let mut graph = backend.into();
+    let mut resumed = None;
+    let mut replayed = None;
+    if let Some(path) = log.filter(|path| path.exists()) {
+        let report = recover(graph, threads, path)
+            .map_err(|e| format!("recover {}: {e}", path.display()))?;
+        replayed = Some((report.records_applied, report.truncated_tail));
+        graph = report.store.read().backend().clone();
+        let (writer, _torn) =
+            WalWriter::resume(path).map_err(|e| format!("resume log {}: {e}", path.display()))?;
+        resumed = Some(writer);
     }
+    let cache = warm.and_then(|path| load_warm_state(path, graph.fingerprint()).ok());
+    let warm = cache.is_some();
+    let store = Arc::new(LiveStore::with_cache(
+        graph,
+        threads,
+        cache.unwrap_or_default(),
+    ));
+    if let Some(path) = log {
+        match resumed {
+            Some(writer) => store.attach_wal(writer),
+            None => store.log_to(path).map(drop),
+        }
+        .map_err(|e| format!("log {}: {e}", path.display()))?;
+    }
+    Ok(OpenedStore {
+        store,
+        warm,
+        replayed,
+    })
 }
 
 /// A running server. Keep it alive for as long as you serve; consume it

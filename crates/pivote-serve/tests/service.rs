@@ -12,8 +12,9 @@
 use pivote_core::{
     Expander, GraphHandle, HeatMap, LiveStore, RankedEntity, RankingConfig, SfQuery,
 };
-use pivote_explore::{SearchBackend, Session, SessionConfig};
+use pivote_explore::{Session, SessionConfig};
 use pivote_kg::{KnowledgeGraph, ShardedGraph};
+use pivote_search::SearchBackend;
 use pivote_serve::protocol::scored_names;
 use pivote_serve::{num_field, response_ok, Reply, Request, Service};
 use serde::Value;
@@ -193,11 +194,8 @@ fn memoized_responses_match_fresh_and_roll_with_the_generation() {
 fn a_session_over_the_served_store_answers_like_compute() {
     let service = serve(ShardedGraph::from_graph(&sample(), 2));
     let served = service.snapshot();
-    let attached = |snap: &pivote_core::PreparedSnapshot| {
-        snap.attached_search()
-            .expect("engines attached")
-            .downcast::<SearchBackend>()
-            .expect("explore's backend")
+    let attached = |snap: &pivote_core::PreparedSnapshot| -> SearchBackend {
+        snap.attached_search().expect("engines attached").clone()
     };
     let engines = attached(&served);
     let mut session = Session::new(Arc::clone(service.store()), SessionConfig::default());

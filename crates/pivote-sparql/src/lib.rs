@@ -18,6 +18,7 @@
 //! assert!(!rs.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

@@ -12,6 +12,7 @@
 //! assert_eq!(a.analyze("Films starring Tom Hanks"), vec!["film", "starr", "tom", "hank"]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;

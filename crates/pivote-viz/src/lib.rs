@@ -12,6 +12,7 @@
 //!   SVG;
 //! - [`svg`], [`color`]: the small shared rendering substrate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod color;

@@ -42,6 +42,7 @@
 //! assert_eq!((session.generation(), session.refresh()), (0, 1));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use pivote_baselines;

@@ -12,13 +12,13 @@
 //!   order;
 //! - a graceful shutdown persists the density cache, and a restart from
 //!   the warm sidecar answers repeat queries with **zero** `p(π|c)`
-//!   recomputes (pinned through the stats probe).
+//!   recomputes (pinned through the stats probe) — a logging leader
+//!   included, whose sidecar matches only the replayed graph.
 
 use pivote_core::{LiveStore, ReplicaHandle, ReplicaStore};
 use pivote_kg::KnowledgeGraph;
 use pivote_serve::{
-    num_field, response_ok, scored_list, store_with_warm_state, Client, Request, ServeConfig,
-    Server, Service,
+    num_field, open_store, response_ok, scored_list, Client, Request, ServeConfig, Server, Service,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -457,9 +457,9 @@ fn restart_from_the_warm_sidecar_recomputes_nothing() {
     assert_eq!(report.warm_densities_saved, Some(warmed as usize));
 
     // second life: a new process would reopen the graph and the sidecar
-    let (store, warm) = store_with_warm_state(sample(), 1, &warm_path);
-    assert!(warm, "the sidecar must match the reopened graph");
-    let server = Server::bind("127.0.0.1:0", store, config).expect("rebind");
+    let opened = open_store(sample(), 1, None, Some(&warm_path)).expect("no log to fail");
+    assert!(opened.warm, "the sidecar must match the reopened graph");
+    let server = Server::bind("127.0.0.1:0", opened.store, config).expect("rebind");
     let mut client = Client::connect(server.local_addr()).expect("reconnect");
     let stats = client.stats().expect("stats");
     assert_eq!(
@@ -487,4 +487,65 @@ fn restart_from_the_warm_sidecar_recomputes_nothing() {
         "a warm restart must not recompute (or add) a single density"
     );
     let _ = std::fs::remove_file(&warm_path);
+}
+
+/// A logging leader saves its sidecar against the graph it served, which
+/// only the replayed log reproduces: a restart with the same data, log
+/// and sidecar must load the sidecar after replay and start warm.
+#[test]
+fn a_logging_leader_restarts_warm_after_a_logged_write() {
+    let path = |ext: &str| {
+        std::env::temp_dir().join(format!(
+            "pivote_serve_warm_leader_{}_{:?}.{ext}",
+            std::process::id(),
+            std::thread::current().id()
+        ))
+    };
+    let (log, warm) = (path("wal"), path("warm"));
+    let _ = std::fs::remove_file(&log);
+    let _ = std::fs::remove_file(&warm);
+    let config = ServeConfig {
+        warm_path: Some(warm.clone()),
+        ..ServeConfig::default()
+    };
+
+    // first life: a fresh log, one logged append, a query, a graceful stop
+    let opened = open_store(sample(), 1, Some(&log), Some(&warm)).expect("fresh log");
+    assert!(!opened.warm && opened.replayed.is_none());
+    let server = Server::bind("127.0.0.1:0", opened.store, config.clone()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let nt = "<http://dbpedia.org/resource/Warm_Leader_Film> <http://dbpedia.org/ontology/starring> <http://dbpedia.org/resource/Tom_Hanks> .\n";
+    assert!(response_ok(&client.append(nt).expect("append")));
+    let first = client.rank(&["Forrest_Gump"], 10, 10).expect("rank");
+    assert!(response_ok(&first));
+    let warmed = num_field(&client.stats().expect("stats"), "cached_probabilities").unwrap();
+    assert!(warmed > 0, "queries must fill the density cache");
+    assert!(response_ok(&client.shutdown().expect("shutdown ack")));
+    server.wait_shutdown();
+    assert_eq!(
+        server.shutdown().warm_densities_saved,
+        Some(warmed as usize)
+    );
+
+    // second life: same data, same log, same sidecar
+    let opened = open_store(sample(), 1, Some(&log), Some(&warm)).expect("replay");
+    assert_eq!(opened.replayed, Some((1, false)));
+    assert!(opened.warm, "the sidecar must match the replayed graph");
+    let server = Server::bind("127.0.0.1:0", opened.store, config).expect("rebind");
+    let mut client = Client::connect(server.local_addr()).expect("reconnect");
+    let stats = client.stats().expect("stats");
+    assert_eq!(num_field(&stats, "generation"), Some(1));
+    assert_eq!(
+        num_field(&stats, "cached_probabilities"),
+        Some(warmed),
+        "every density must be back before any query runs"
+    );
+    let again = client.rank(&["Forrest_Gump"], 10, 10).expect("rank again");
+    assert_eq!(
+        scored_list(&again, "entities"),
+        scored_list(&first, "entities")
+    );
+    drop(server);
+    let _ = std::fs::remove_file(&log);
+    let _ = std::fs::remove_file(&warm);
 }
