@@ -71,18 +71,19 @@ impl Hasher for DenseKeyHasher {
         self.0
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
+    /// Keys are `u64`s and `u32`s, which std hashes as one write of 8
+    /// or 4 bytes: each 8-byte word (a shorter tail zero-padded) is
+    /// mixed once.
     #[inline]
-    fn write_u64(&mut self, v: u64) {
-        let mut x = self.0 ^ v;
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-        self.0 = x ^ (x >> 31);
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut v = [0u8; 8];
+            v[..word.len()].copy_from_slice(word);
+            let mut x = self.0 ^ u64::from_ne_bytes(v);
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+            self.0 = x ^ (x >> 31);
+        }
     }
 }
 

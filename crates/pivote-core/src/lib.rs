@@ -29,7 +29,7 @@
 //!   typed search slot, published once per write and acquired by readers
 //!   with one atomic load, off the store lock;
 //! - [`warm`]: persisted context warm-state — the `p(π|c)` cache as a
-//!   generation-checked sidecar next to the graph snapshot;
+//!   fingerprint-checked, checksummed sidecar next to the graph snapshot;
 //! - [`replica`]: read replicas and crash recovery — follower
 //!   [`ReplicaStore`]s tail a leader's durable delta log
 //!   ([`pivote_kg::wal`]) and are provably fingerprint-equal to the
@@ -89,4 +89,4 @@ pub use prepared::PreparedSnapshot;
 pub use ranking::{RankedEntity, RankedFeature, Ranker};
 pub use replica::{recover, RecoveryReport, ReplicaError, ReplicaHandle, ReplicaStore};
 pub use sharded::ShardedContext;
-pub use warm::{load_warm_state, save_warm_state, warm_sidecar_path, WarmStateError};
+pub use warm::{load_warm_state, save_warm_state};

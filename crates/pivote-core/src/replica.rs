@@ -4,7 +4,7 @@
 //! A [`ReplicaStore`] pairs a follower [`LiveStore`] with a
 //! [`WalReader`] over the leader's log. [`ReplicaStore::open`] starts
 //! from the same base state the log's header names (refusing any other
-//! — [`ReplicaError::StaleBase`]), then [`ReplicaStore::sync`] /
+//! with [`CodecError::Stale`]), then [`ReplicaStore::sync`] /
 //! [`ReplicaStore::poll_step`] apply records in log order through the
 //! *same* write path the leader used: `Delta` records go through
 //! [`LiveStore::append`], `Compact` records through
@@ -43,8 +43,8 @@
 //! on a tick and publishes the synced generation atomically.
 
 use crate::live::{LiveStore, StoreError};
-use pivote_kg::wal::{WalError, WalEvent, WalReader, WalRecord};
-use pivote_kg::ShardedGraph;
+use pivote_kg::wal::{WalEvent, WalReader, WalRecord};
+use pivote_kg::{CodecError, ShardedGraph};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -53,19 +53,12 @@ use std::time::Duration;
 /// Why a replica could not open or advance.
 #[derive(Debug)]
 pub enum ReplicaError {
-    /// The log itself failed (IO, format, mid-log corruption).
-    Wal(WalError),
+    /// The log itself failed (IO, format, mid-log corruption), or it
+    /// continues from another base state than the follower loaded
+    /// ([`CodecError::Stale`]): replaying it would diverge silently.
+    Wal(CodecError),
     /// The follower store refused a write while applying a record.
     Store(StoreError),
-    /// The log continues from a different base state than the follower
-    /// loaded — replaying it would diverge silently, so the follower
-    /// refuses to start.
-    StaleBase {
-        /// Base fingerprint recorded in the log header.
-        stored: u64,
-        /// Fingerprint of the state the follower actually loaded.
-        expected: u64,
-    },
     /// The next record in the log skips generations: applying it would
     /// silently drop the writes in between.
     Gap {
@@ -81,11 +74,6 @@ impl std::fmt::Display for ReplicaError {
         match self {
             ReplicaError::Wal(e) => write!(f, "replica log error: {e}"),
             ReplicaError::Store(e) => write!(f, "replica store error: {e}"),
-            ReplicaError::StaleBase { stored, expected } => write!(
-                f,
-                "delta log is based at fingerprint {stored:#x}, but the follower \
-                 loaded {expected:#x} — load the matching snapshot first"
-            ),
             ReplicaError::Gap { expected, found } => write!(
                 f,
                 "delta log skips from generation {expected} to {found}: \
@@ -97,8 +85,8 @@ impl std::fmt::Display for ReplicaError {
 
 impl std::error::Error for ReplicaError {}
 
-impl From<WalError> for ReplicaError {
-    fn from(e: WalError) -> Self {
+impl From<CodecError> for ReplicaError {
+    fn from(e: CodecError) -> Self {
         ReplicaError::Wal(e)
     }
 }
@@ -133,10 +121,8 @@ impl ReplicaStore {
         let expected = backend.fingerprint();
         let header = reader.header();
         if header.base_fingerprint != expected {
-            return Err(ReplicaError::StaleBase {
-                stored: header.base_fingerprint,
-                expected,
-            });
+            let stored = header.base_fingerprint;
+            return Err(CodecError::Stale { stored, expected }.into());
         }
         Ok(ReplicaStore {
             store: Arc::new(LiveStore::with_threads(backend, threads)),
@@ -411,7 +397,10 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("a mismatched base must be refused"),
         };
-        assert!(matches!(err, ReplicaError::StaleBase { .. }), "{err}");
+        assert!(
+            matches!(err, ReplicaError::Wal(CodecError::Stale { .. })),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

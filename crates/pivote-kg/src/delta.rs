@@ -20,11 +20,10 @@
 use crate::id::{CategoryId, EntityId, PredicateId, TypeId};
 use crate::store::{KgBuilder, KnowledgeGraph};
 use crate::triple::Literal;
-use serde::{Deserialize, Serialize};
 
 /// One ordered statement of a [`DeltaBatch`]. All references are by name;
 /// unknown names intern new dictionary entries on apply, in op order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DeltaOp {
     /// Declare an entity (intern its name without asserting anything).
     Entity {
@@ -175,7 +174,7 @@ impl DeltaOp {
 }
 
 /// An ordered batch of statements to append to a live graph.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaBatch {
     ops: Vec<DeltaOp>,
 }

@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod codec;
 pub mod datagen;
 pub mod delta;
 pub mod id;
@@ -53,6 +54,7 @@ pub mod triple;
 pub mod wal;
 
 pub use backend::GraphBackend;
+pub use codec::CodecError;
 pub use datagen::{generate, DatagenConfig, Zipf};
 pub use delta::{
     split_growth, split_incremental, AppliedDelta, CompactionReceipt, DeltaBatch, DeltaOp,
@@ -64,8 +66,8 @@ pub use ntriples::{
     parse_stream, serialize, ParseError, StreamError, StreamStats,
 };
 pub use shard::{CompactionPolicy, GraphShard, ShardRouter, ShardedGraph};
-pub use snapshot::{fingerprint, load_from_path, save_to_path, SnapshotError};
+pub use snapshot::{fingerprint, load_from_path, save_to_path};
 pub use stats::{Coupling, TypeCouplingStats};
 pub use store::{GraphSummary, KgBuilder, KnowledgeGraph};
 pub use triple::{Literal, LiteralKind, Object, Triple};
-pub use wal::{read_records, WalError, WalEvent, WalHeader, WalReader, WalRecord, WalWriter};
+pub use wal::{read_records, WalEvent, WalHeader, WalReader, WalRecord, WalWriter};

@@ -2,7 +2,7 @@
 //!
 //! Read traffic scales past one store by replaying the write stream:
 //! every [`DeltaBatch`] (inserts **and** retracts) plus every compaction
-//! event a leader applies is serialized into an append-only log that any
+//! event a leader applies is encoded into an append-only log that any
 //! follower can tail to provably reach the leader's state. Because
 //! append==rebuild is bit-identical (the equivalence model pins it), a
 //! follower that has applied the log through generation `G` holds the
@@ -11,43 +11,31 @@
 //! recovery falls out of the same mechanism: reload the last snapshot,
 //! replay the log.
 //!
-//! Format (little-endian, the `"PVWS"` sidecar framing from the warm
-//! state applied to a log):
+//! A log is the [`codec`] file header, one `LogBase` frame, then one
+//! `Record` frame per event (`str` = len u32 + UTF-8):
 //!
 //! ```text
-//! header: magic "PVWL" | version u32 |
-//!         base generation u64 | base graph fingerprint u64
-//! record: payload len u32 | FNV-1a checksum u64 (over payload) |
-//!         payload = JSON of WalRecord { generation, event }
+//! LogBase: base generation u64 | base graph fingerprint u64
+//! Record:  generation u64 | event tag u8 |
+//!          0 = Delta:   op count u32, (op tag u8, the op's names as str,
+//!                       then for a literal op its kind u8 + lexical str)
+//!          1 = Compact: target shards u32
 //! ```
 //!
-//! The header pins the log to the exact store state it continues from:
-//! the *base fingerprint* is [`fingerprint`](crate::snapshot::fingerprint)
-//! of the leader's graph at the moment logging began, and a follower
-//! refuses a log whose base differs from the snapshot it loaded
-//! ([`WalError::StaleBase`]). Records are individually checksummed and
-//! length-prefixed so a torn tail write (leader crash mid-append) is
-//! detected and cleanly ignored: readers stop at the first incomplete or
-//! corrupt record, and [`WalWriter::resume`] truncates it before
-//! appending further.
+//! The base fingerprint pins the log to the graph it continues from; a
+//! follower refuses any other. A torn tail (leader crash mid-append) is
+//! end-of-log to readers, and [`WalWriter::resume`] truncates it.
+//!
+//! **Durability.** An appended record reaches the OS, not the disk: it
+//! survives a crash of the process, not of the machine. Nothing calls
+//! [`WalWriter::sync`] yet.
 
-use crate::delta::DeltaBatch;
-use serde::{Deserialize, Serialize};
+use crate::codec::{self, CodecError, Dec, Enc, Kind, HEADER_LEN};
+use crate::delta::{DeltaBatch, DeltaOp};
+use crate::triple::Literal;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
-
-const MAGIC: &[u8; 4] = b"PVWL";
-const VERSION: u32 = 1;
-/// Header length in bytes: magic + version + base generation + base
-/// fingerprint.
-const HEADER_LEN: u64 = 4 + 4 + 8 + 8;
-/// Per-record framing overhead: payload length + checksum.
-const FRAME_LEN: u64 = 4 + 8;
-/// Largest payload a reader will try to parse — same spirit as the
-/// snapshot reader's guard: a corrupt length prefix must fail with
-/// `Corrupt`, never drive a multi-gigabyte allocation.
-const MAX_PAYLOAD: u32 = 1 << 28;
 
 /// One logged store mutation.
 ///
@@ -56,7 +44,7 @@ const MAX_PAYLOAD: u32 = 1 << 28;
 /// compaction that swaps the rebuilt store in. Compactions of a
 /// one-shard store without tombstones are no-ops: they don't bump the
 /// generation and are never logged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalEvent {
     /// A [`DeltaBatch`] applied through the write path.
     Delta(DeltaBatch),
@@ -74,7 +62,7 @@ pub enum WalEvent {
 /// event itself. Generations are strictly increasing within a log, so a
 /// follower that restarts mid-stream skips records at or below its
 /// synced generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalRecord {
     /// The leader's [`generation`](crate::ShardedGraph::generation)
     /// *after* applying this event.
@@ -95,158 +83,117 @@ pub struct WalHeader {
     pub base_fingerprint: u64,
 }
 
-/// Errors from delta-log IO.
-#[derive(Debug)]
-pub enum WalError {
-    /// Underlying IO failure.
-    Io(io::Error),
-    /// Not a delta log, or an unsupported version.
-    Format(String),
-    /// The log continues from a different base state than the follower
-    /// loaded — replaying it would diverge silently.
-    StaleBase {
-        /// Base fingerprint recorded in the log header.
-        stored: u64,
-        /// Fingerprint of the store the follower actually holds.
-        expected: u64,
-    },
-    /// A complete-looking record failed its checksum or did not parse —
-    /// mid-log corruption (a torn *tail* is not an error; readers treat
-    /// it as end-of-log).
-    Corrupt {
-        /// Byte offset of the corrupt record's frame.
-        offset: u64,
-        /// What went wrong.
-        message: String,
-    },
+/// Write an op's tag, names and literal.
+fn op_fields(
+    enc: &mut Enc,
+    tag: u8,
+    names: &[&String],
+    value: Option<&Literal>,
+) -> Result<(), CodecError> {
+    enc.u8(tag);
+    for name in names {
+        enc.str(name)?;
+    }
+    value.map_or(Ok(()), |lit| enc.literal(lit))
 }
 
-impl std::fmt::Display for WalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WalError::Io(e) => write!(f, "delta-log IO error: {e}"),
-            WalError::Format(m) => write!(f, "delta-log format error: {m}"),
-            WalError::StaleBase { stored, expected } => write!(
-                f,
-                "delta log continues from base fingerprint {stored:#x}, \
-                 not {expected:#x} — refusing to replay"
-            ),
-            WalError::Corrupt { offset, message } => {
-                write!(f, "delta log corrupt at byte {offset}: {message}")
+fn encode_op(enc: &mut Enc, op: &DeltaOp) -> Result<(), CodecError> {
+    use DeltaOp as D;
+    match op {
+        D::Entity { name } => op_fields(enc, 0, &[name], None),
+        D::DeclarePredicate { name } => op_fields(enc, 1, &[name], None),
+        D::DeclareType { name } => op_fields(enc, 2, &[name], None),
+        D::DeclareCategory { name } => op_fields(enc, 3, &[name], None),
+        D::Triple { s, p, o } => op_fields(enc, 4, &[s, p, o], None),
+        D::LiteralTriple { s, p, value } => op_fields(enc, 5, &[s, p], Some(value)),
+        D::Typed { entity, type_name } => op_fields(enc, 6, &[entity, type_name], None),
+        D::Categorized { entity, category } => op_fields(enc, 7, &[entity, category], None),
+        D::Label { entity, label } => op_fields(enc, 8, &[entity, label], None),
+        D::Redirect { alias, target } => op_fields(enc, 9, &[alias, target], None),
+        D::Disambiguation { alias, target } => op_fields(enc, 10, &[alias, target], None),
+        D::RetractTriple { s, p, o } => op_fields(enc, 11, &[s, p, o], None),
+        D::RetractLiteral { s, p, value } => op_fields(enc, 12, &[s, p], Some(value)),
+        D::RetractTyped { entity, type_name } => op_fields(enc, 13, &[entity, type_name], None),
+        D::RetractCategorized { entity, category } => op_fields(enc, 14, &[entity, category], None),
+        D::RetractLabel { entity, label } => op_fields(enc, 15, &[entity, label], None),
+        D::RetractAlias { alias, target } => op_fields(enc, 16, &[alias, target], None),
+    }
+}
+
+fn decode_op(batch: &mut DeltaBatch, d: &mut Dec<'_>) -> Result<(), CodecError> {
+    // arguments evaluate left to right: the order encode_op wrote them
+    match d.u8()? {
+        0 => batch.entity(d.str()?),
+        1 => batch.declare_predicate(d.str()?),
+        2 => batch.declare_type(d.str()?),
+        3 => batch.declare_category(d.str()?),
+        4 => batch.triple(d.str()?, d.str()?, d.str()?),
+        5 => batch.literal(d.str()?, d.str()?, d.literal()?),
+        6 => batch.typed(d.str()?, d.str()?),
+        7 => batch.categorized(d.str()?, d.str()?),
+        8 => batch.label(d.str()?, d.str()?),
+        9 => batch.redirect(d.str()?, d.str()?),
+        10 => batch.disambiguation(d.str()?, d.str()?),
+        11 => batch.retract_triple(d.str()?, d.str()?, d.str()?),
+        12 => batch.retract_literal(d.str()?, d.str()?, d.literal()?),
+        13 => batch.retract_typed(d.str()?, d.str()?),
+        14 => batch.retract_categorized(d.str()?, d.str()?),
+        15 => batch.retract_label(d.str()?, d.str()?),
+        16 => batch.retract_alias(d.str()?, d.str()?),
+        tag => return Err(CodecError::Format(format!("unknown delta op tag {tag}"))),
+    };
+    Ok(())
+}
+
+fn encode_record(record: &WalRecord) -> Result<Vec<u8>, CodecError> {
+    let mut enc = Enc::new(Kind::Record);
+    enc.u64(record.generation);
+    match &record.event {
+        WalEvent::Delta(batch) => {
+            enc.u8(0);
+            enc.count(batch.len(), "delta ops")?;
+            for op in batch.ops() {
+                encode_op(&mut enc, op)?;
             }
         }
-    }
-}
-
-impl std::error::Error for WalError {}
-
-impl From<io::Error> for WalError {
-    fn from(e: io::Error) -> Self {
-        WalError::Io(e)
-    }
-}
-
-/// FNV-1a over a byte slice — the same hash `snapshot::fingerprint`
-/// streams, applied to one record payload.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> Result<u32, WalError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64(r: &mut impl Read) -> Result<u64, WalError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_header(r: &mut impl Read) -> Result<WalHeader, WalError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(WalError::Format("bad magic — not a PVWL delta log".into()));
-    }
-    let version = read_u32(r)?;
-    if version != VERSION {
-        return Err(WalError::Format(format!(
-            "unsupported delta-log version {version} (expected {VERSION})"
-        )));
-    }
-    Ok(WalHeader {
-        base_generation: read_u64(r)?,
-        base_fingerprint: read_u64(r)?,
-    })
-}
-
-/// Try to read exactly `buf.len()` bytes at the reader's position.
-/// `Ok(false)` means the file ended first (a torn tail, not an error);
-/// any partial bytes read are irrelevant because callers re-seek.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, WalError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(false),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WalError::Io(e)),
+        WalEvent::Compact { target_shards } => {
+            enc.u8(1);
+            enc.count(*target_shards, "target shards")?;
         }
     }
-    Ok(true)
+    enc.finish()
 }
 
-/// Read one record frame at `offset`. Returns `Ok(None)` when the file
-/// ends before a complete record (clean end-of-log or a torn tail);
-/// `Err(Corrupt)` when a complete frame fails validation.
-fn read_record_at(file: &mut File, offset: u64) -> Result<Option<(WalRecord, u64)>, WalError> {
-    file.seek(SeekFrom::Start(offset))?;
-    let mut frame = [0u8; FRAME_LEN as usize];
-    if !read_full(file, &mut frame)? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(frame[0..4].try_into().expect("4-byte slice"));
-    let stored_sum = u64::from_le_bytes(frame[4..12].try_into().expect("8-byte slice"));
-    if len > MAX_PAYLOAD {
-        return Err(WalError::Corrupt {
-            offset,
-            message: format!("payload length {len} exceeds the {MAX_PAYLOAD}-byte guard"),
-        });
-    }
-    let mut payload = vec![0u8; len as usize];
-    if !read_full(file, &mut payload)? {
-        return Ok(None);
-    }
-    if checksum(&payload) != stored_sum {
-        return Err(WalError::Corrupt {
-            offset,
-            message: "record checksum mismatch".into(),
-        });
-    }
-    let text = std::str::from_utf8(&payload).map_err(|e| WalError::Corrupt {
-        offset,
-        message: format!("record payload is not UTF-8: {e}"),
-    })?;
-    let record: WalRecord = serde_json::from_str(text).map_err(|e| WalError::Corrupt {
-        offset,
-        message: format!("record payload does not parse: {e}"),
-    })?;
-    Ok(Some((record, offset + FRAME_LEN + len as u64)))
+fn decode_record(mut dec: Dec<'_>) -> Result<WalRecord, CodecError> {
+    let generation = dec.u64()?;
+    let event = match dec.u8()? {
+        0 => {
+            let mut batch = DeltaBatch::new();
+            for _ in 0..dec.count()? {
+                decode_op(&mut batch, &mut dec)?;
+            }
+            WalEvent::Delta(batch)
+        }
+        1 => WalEvent::Compact {
+            target_shards: dec.u32()? as usize,
+        },
+        other => return Err(CodecError::Format(format!("unknown event tag {other}"))),
+    };
+    dec.end()?;
+    Ok(WalRecord { generation, event })
+}
+
+/// Read a log's header and base frame, returning the base and the byte
+/// offset of the first record.
+fn open_log(file: &mut File) -> Result<(WalHeader, u64), CodecError> {
+    let base = codec::read_file(file)?;
+    let mut dec = base.decoder(Kind::LogBase)?;
+    let header = WalHeader {
+        base_generation: dec.u64()?,
+        base_fingerprint: dec.u64()?,
+    };
+    dec.end()?;
+    Ok((header, HEADER_LEN + base.size()))
 }
 
 /// Appends records to a delta log. One writer per log; the leader's
@@ -266,18 +213,12 @@ impl WalWriter {
         path: impl AsRef<Path>,
         base_generation: u64,
         base_fingerprint: u64,
-    ) -> Result<WalWriter, WalError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        file.write_all(MAGIC)?;
-        write_u32(&mut file, VERSION)?;
-        write_u64(&mut file, base_generation)?;
-        write_u64(&mut file, base_fingerprint)?;
-        file.flush()?;
+    ) -> Result<WalWriter, CodecError> {
+        let mut base = Enc::new(Kind::LogBase);
+        base.u64(base_generation);
+        base.u64(base_fingerprint);
+        let mut file = File::create(path)?;
+        codec::write_file(&mut file, base)?;
         Ok(WalWriter {
             file,
             header: WalHeader {
@@ -289,18 +230,17 @@ impl WalWriter {
     }
 
     /// Reopen an existing log for appending — the leader-restart path.
-    /// Scans every record, truncates a torn tail if one exists, and
+    /// Verifies every record's checksum and reads its generation without
+    /// decoding its event, truncates a torn tail if one exists, and
     /// positions the writer at the end. Returns the writer and whether a
     /// torn tail was dropped.
-    pub fn resume(path: impl AsRef<Path>) -> Result<(WalWriter, bool), WalError> {
+    pub fn resume(path: impl AsRef<Path>) -> Result<(WalWriter, bool), CodecError> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.seek(SeekFrom::Start(0))?;
-        let header = read_header(&mut file)?;
-        let mut offset = HEADER_LEN;
+        let (header, mut offset) = open_log(&mut file)?;
         let mut last_generation = header.base_generation;
-        while let Some((record, next)) = read_record_at(&mut file, offset)? {
-            last_generation = record.generation;
-            offset = next;
+        while let Some(frame) = codec::read_frame(&mut file, offset)? {
+            last_generation = frame.decoder(Kind::Record)?.u64()?;
+            offset += frame.size();
         }
         let torn = file.metadata()?.len() > offset;
         if torn {
@@ -332,22 +272,8 @@ impl WalWriter {
     /// with a single `write_all`, so a crash leaves at most one torn
     /// tail record — which readers ignore and [`WalWriter::resume`]
     /// truncates.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        let payload = serde_json::to_string(record)
-            .map_err(|e| WalError::Format(format!("record does not serialize: {e}")))?;
-        let bytes = payload.as_bytes();
-        if bytes.len() as u64 > MAX_PAYLOAD as u64 {
-            return Err(WalError::Format(format!(
-                "record payload of {} bytes exceeds the {MAX_PAYLOAD}-byte guard",
-                bytes.len()
-            )));
-        }
-        let mut frame = Vec::with_capacity(FRAME_LEN as usize + bytes.len());
-        frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&checksum(bytes).to_le_bytes());
-        frame.extend_from_slice(bytes);
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
+    pub fn append(&mut self, record: &WalRecord) -> Result<(), CodecError> {
+        self.file.write_all(&encode_record(record)?)?;
         self.last_generation = record.generation;
         Ok(())
     }
@@ -358,17 +284,17 @@ impl WalWriter {
     /// coincides with the store's mutation generation on a leader that
     /// logged from birth, and stays monotonic across leader restarts
     /// even though a snapshot reload resets the in-memory generation.
-    pub fn append_event(&mut self, event: WalEvent) -> Result<u64, WalError> {
+    pub fn append_event(&mut self, event: WalEvent) -> Result<u64, CodecError> {
         let generation = self.last_generation + 1;
         self.append(&WalRecord { generation, event })?;
         Ok(generation)
     }
 
     /// Flush file contents to stable storage (`fdatasync`). [`append`]
-    /// already pushes bytes to the OS; call this for durability points.
+    /// only hands bytes to the OS; nothing calls this yet.
     ///
     /// [`append`]: WalWriter::append
-    pub fn sync(&mut self) -> Result<(), WalError> {
+    pub fn sync(&mut self) -> Result<(), CodecError> {
         self.file.sync_data()?;
         Ok(())
     }
@@ -385,13 +311,13 @@ pub struct WalReader {
 
 impl WalReader {
     /// Open a log for tailing, positioned at the first record.
-    pub fn open(path: impl AsRef<Path>) -> Result<WalReader, WalError> {
+    pub fn open(path: impl AsRef<Path>) -> Result<WalReader, CodecError> {
         let mut file = File::open(path)?;
-        let header = read_header(&mut file)?;
+        let (header, offset) = open_log(&mut file)?;
         Ok(WalReader {
             file,
             header,
-            offset: HEADER_LEN,
+            offset,
         })
     }
 
@@ -400,35 +326,32 @@ impl WalReader {
         self.header
     }
 
-    /// Byte offset of the next record frame.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
     /// Read the next complete record, or `Ok(None)` when the log
     /// currently ends (possibly mid-record: a partial tail is "not yet
     /// written" from a tailer's perspective — the reader stays put and
     /// retries the same offset next poll).
-    pub fn poll(&mut self) -> Result<Option<WalRecord>, WalError> {
-        match read_record_at(&mut self.file, self.offset)? {
-            Some((record, next)) => {
-                self.offset = next;
-                Ok(Some(record))
-            }
-            None => Ok(None),
-        }
+    pub fn poll(&mut self) -> Result<Option<WalRecord>, CodecError> {
+        self.file.seek(SeekFrom::Start(self.offset))?;
+        let Some(frame) = codec::read_frame(&mut self.file, self.offset)? else {
+            return Ok(None);
+        };
+        let record = decode_record(frame.decoder(Kind::Record)?)?;
+        self.offset += frame.size();
+        Ok(Some(record))
     }
 
     /// Whether bytes exist past the last complete record — a torn tail
     /// (leader crashed mid-append) if the leader is known to be down.
-    pub fn has_partial_tail(&self) -> Result<bool, WalError> {
+    pub fn has_partial_tail(&self) -> Result<bool, CodecError> {
         Ok(self.file.metadata()?.len() > self.offset)
     }
 }
 
 /// Read a whole log from disk: header, every complete record, and
 /// whether a torn tail was ignored. The recovery entry point.
-pub fn read_records(path: impl AsRef<Path>) -> Result<(WalHeader, Vec<WalRecord>, bool), WalError> {
+pub fn read_records(
+    path: impl AsRef<Path>,
+) -> Result<(WalHeader, Vec<WalRecord>, bool), CodecError> {
     let mut reader = WalReader::open(path)?;
     let mut records = Vec::new();
     while let Some(record) = reader.poll()? {
@@ -442,10 +365,20 @@ pub fn read_records(path: impl AsRef<Path>) -> Result<(WalHeader, Vec<WalRecord>
 mod tests {
     use super::*;
     use crate::delta::DeltaBatch;
+    use crate::triple::LiteralKind as L;
     use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pivote_wal_{tag}_{}.pvwl", std::process::id()))
+    }
+
+    /// Append a record frame head promising `len` payload bytes, and
+    /// `bytes` of them.
+    fn append_frame_head(path: &Path, len: u32, bytes: &[u8]) {
+        let mut f = OpenOptions::new().append(true).open(path).unwrap();
+        let sum = [0; 8];
+        f.write_all(&[&[Kind::Record as u8][..], &len.to_le_bytes(), &sum, bytes].concat())
+            .unwrap();
     }
 
     fn sample_batch(i: u64) -> DeltaBatch {
@@ -456,23 +389,49 @@ mod tests {
     }
 
     #[test]
-    fn records_roundtrip_through_the_vendored_serde() {
-        // pins early that DeltaBatch-in-an-enum survives the vendored
-        // serde derive + serde_json — everything else builds on this
-        let rec = WalRecord {
-            generation: 7,
-            event: WalEvent::Delta(sample_batch(1)),
-        };
-        let json = serde_json::to_string(&rec).unwrap();
-        let back: WalRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, rec);
-        let rec = WalRecord {
-            generation: 8,
-            event: WalEvent::Compact { target_shards: 3 },
-        };
-        let json = serde_json::to_string(&rec).unwrap();
-        let back: WalRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, rec);
+    fn every_delta_op_roundtrips_through_the_record_encoding() {
+        let odd = "é \"quoted\" \\ back\nslash\t<iri> \u{0}";
+        let mut batch = DeltaBatch::new();
+        for kind in [L::String, L::Integer, L::Double, L::Date] {
+            let value = Literal {
+                lexical: odd.into(),
+                kind,
+            };
+            batch.literal("a", "", value.clone());
+            batch.retract_literal(odd, "p", value);
+        }
+        batch
+            .entity("")
+            .declare_predicate(odd)
+            .declare_type("Film")
+            .declare_category("c")
+            .triple("a", "p", odd)
+            .typed("a", "")
+            .categorized(odd, "c")
+            .label("a", odd)
+            .redirect("", "a")
+            .disambiguation(odd, "a")
+            .retract_triple("a", "p", "")
+            .retract_typed("a", odd)
+            .retract_categorized("", "c")
+            .retract_label("a", "")
+            .retract_alias(odd, "a");
+        for event in [
+            WalEvent::Delta(batch),
+            WalEvent::Delta(DeltaBatch::new()),
+            WalEvent::Compact { target_shards: 3 },
+        ] {
+            let record = WalRecord {
+                generation: u64::MAX,
+                event,
+            };
+            let bytes = encode_record(&record).unwrap();
+            let frame = codec::read_frame(&mut bytes.as_slice(), 0)
+                .unwrap()
+                .unwrap();
+            let back = decode_record(frame.decoder(Kind::Record).unwrap()).unwrap();
+            assert_eq!(back, record);
+        }
     }
 
     #[test]
@@ -490,18 +449,10 @@ mod tests {
         assert!(r.poll().unwrap().is_none(), "empty log has nothing");
 
         for i in 0..3u64 {
-            w.append(&WalRecord {
-                generation: 6 + i,
-                event: WalEvent::Delta(sample_batch(i)),
-            })
-            .unwrap();
+            w.append_event(WalEvent::Delta(sample_batch(i))).unwrap();
         }
-        w.append(&WalRecord {
-            generation: 9,
-            event: WalEvent::Compact { target_shards: 2 },
-        })
-        .unwrap();
-        assert_eq!(w.last_generation(), 9);
+        let compact = WalEvent::Compact { target_shards: 2 };
+        assert_eq!(w.append_event(compact.clone()).unwrap(), 9);
 
         // the pre-existing reader tails straight through the new bytes
         let mut gens = Vec::new();
@@ -512,13 +463,8 @@ mod tests {
         assert!(!r.has_partial_tail().unwrap());
 
         let (header, records, torn) = read_records(&path).unwrap();
-        assert_eq!(header.base_generation, 5);
-        assert_eq!(records.len(), 4);
-        assert!(!torn);
-        assert!(matches!(
-            records[3].event,
-            WalEvent::Compact { target_shards: 2 }
-        ));
+        assert_eq!((header.base_generation, records.len(), torn), (5, 4, false));
+        assert_eq!(records[3].event, compact);
         std::fs::remove_file(&path).ok();
     }
 
@@ -526,22 +472,12 @@ mod tests {
     fn torn_tail_is_ignored_and_resume_truncates_it() {
         let path = temp_path("torn");
         let mut w = WalWriter::create(&path, 0, 1).unwrap();
-        w.append(&WalRecord {
-            generation: 1,
-            event: WalEvent::Delta(sample_batch(0)),
-        })
-        .unwrap();
+        w.append_event(WalEvent::Delta(sample_batch(0))).unwrap();
         drop(w);
         let whole = std::fs::metadata(&path).unwrap().len();
         // simulate a crash mid-append: a second record whose frame
         // promises more bytes than were written
-        {
-            use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&1000u32.to_le_bytes()).unwrap();
-            f.write_all(&0u64.to_le_bytes()).unwrap();
-            f.write_all(b"only a few bytes").unwrap();
-        }
+        append_frame_head(&path, 1000, b"only a few bytes");
 
         // readers see exactly the one complete record, then a tail
         let (_, records, torn) = read_records(&path).unwrap();
@@ -553,14 +489,9 @@ mod tests {
         assert!(torn);
         assert_eq!(w.last_generation(), 1);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), whole);
-        w.append(&WalRecord {
-            generation: 2,
-            event: WalEvent::Delta(sample_batch(1)),
-        })
-        .unwrap();
+        w.append_event(WalEvent::Delta(sample_batch(1))).unwrap();
         let (_, records, torn) = read_records(&path).unwrap();
-        assert_eq!(records.len(), 2);
-        assert!(!torn);
+        assert_eq!((records.len(), torn), (2, false));
         std::fs::remove_file(&path).ok();
     }
 
@@ -568,52 +499,48 @@ mod tests {
     fn flipped_payload_byte_is_a_checksum_error() {
         let path = temp_path("corrupt");
         let mut w = WalWriter::create(&path, 0, 1).unwrap();
-        w.append(&WalRecord {
-            generation: 1,
-            event: WalEvent::Delta(sample_batch(0)),
-        })
-        .unwrap();
+        w.append_event(WalEvent::Delta(sample_batch(0))).unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40; // flip a bit inside the JSON payload
+        *bytes.last_mut().unwrap() ^= 0x40; // a bit inside the record payload
         std::fs::write(&path, &bytes).unwrap();
-        let err = read_records(&path).unwrap_err();
-        assert!(
-            matches!(err, WalError::Corrupt { .. }),
-            "expected Corrupt, got {err}"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn huge_length_prefix_is_corrupt_not_an_allocation() {
-        let path = temp_path("hugelen");
-        let w = WalWriter::create(&path, 0, 1).unwrap();
-        drop(w);
-        {
-            use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&u32::MAX.to_le_bytes()).unwrap();
-            f.write_all(&0u64.to_le_bytes()).unwrap();
+        for err in [
+            read_records(&path).unwrap_err(),
+            WalWriter::resume(&path).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, CodecError::Corrupt { .. }),
+                "expected Corrupt, got {err}"
+            );
         }
-        let err = read_records(&path).unwrap_err();
-        assert!(matches!(err, WalError::Corrupt { .. }), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
+    /// A length prefix past the end of the file reads what the file
+    /// holds: a torn tail, not a 4 GiB allocation.
+    #[test]
+    fn huge_length_prefix_is_a_torn_tail_not_an_allocation() {
+        let path = temp_path("hugelen");
+        WalWriter::create(&path, 0, 1).unwrap();
+        append_frame_head(&path, u32::MAX, b"");
+        let (_, records, torn) = read_records(&path).unwrap();
+        assert!(records.is_empty() && torn);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Garbage and a `PVWL` v1 log, the format before the codec, are
+    /// refused.
     #[test]
     fn wrong_magic_and_version_are_refused() {
         let path = temp_path("magic");
         std::fs::write(&path, b"NOPE00000000000000000000").unwrap();
-        assert!(matches!(WalReader::open(&path), Err(WalError::Format(_))));
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&99u32.to_le_bytes());
+        assert!(matches!(WalReader::open(&path), Err(CodecError::Format(_))));
+        let mut bytes = b"PVWL".to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 16]);
         std::fs::write(&path, &bytes).unwrap();
         let err = WalReader::open(&path).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        assert!(matches!(err, CodecError::Format(_)), "{err}");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -19,8 +19,8 @@
 //! joined but nothing is persisted.
 
 use crate::service::Service;
-use pivote_core::{load_warm_state, recover, save_warm_state, LiveStore, WarmStateError};
-use pivote_kg::{ShardedGraph, WalWriter};
+use pivote_core::{load_warm_state, recover, save_warm_state, LiveStore};
+use pivote_kg::{CodecError, ShardedGraph, WalWriter};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -69,7 +69,7 @@ pub struct ShutdownReport {
     /// `warm_path` was configured or the save failed).
     pub warm_densities_saved: Option<usize>,
     /// The warm-state save error, when one occurred.
-    pub warm_error: Option<WarmStateError>,
+    pub warm_error: Option<CodecError>,
 }
 
 /// The store a leader serves, as [`open_store`] assembled it.

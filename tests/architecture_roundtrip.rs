@@ -130,7 +130,7 @@ fn warm_state_sidecar_survives_a_restart_with_bit_identical_rankings() {
 
     let dir = std::env::temp_dir();
     let snapshot_path = dir.join("pivote_warm_arch.pvte");
-    let sidecar = pivote_core::warm_sidecar_path(&snapshot_path);
+    let sidecar = dir.join("pivote_warm_arch.pvte.warm");
     pivote_kg::snapshot::save_to_path(&kg, &snapshot_path).unwrap();
 
     // cold run: fill the cache, record the rankings, persist the sidecar
@@ -186,7 +186,7 @@ fn warm_state_sidecar_survives_a_restart_with_bit_identical_rankings() {
     grown.apply(&d);
     assert!(matches!(
         pivote_core::load_warm_state(&sidecar, pivote_kg::fingerprint(&grown)),
-        Err(pivote_core::WarmStateError::StaleSidecar { .. })
+        Err(pivote_kg::CodecError::Stale { .. })
     ));
 
     let _ = std::fs::remove_file(&snapshot_path);

@@ -489,6 +489,50 @@ fn restart_from_the_warm_sidecar_recomputes_nothing() {
     let _ = std::fs::remove_file(&warm_path);
 }
 
+/// A sidecar with one bit flipped in its last byte (the high byte of the
+/// last density) fails its checksum: the restart starts cold and answers
+/// exactly as a cold store does, never from the damaged density.
+#[test]
+fn a_sidecar_with_a_flipped_bit_starts_cold() {
+    let warm_path = std::env::temp_dir().join(format!(
+        "pivote_serve_flipped_{}_{:?}.warm",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let config = ServeConfig {
+        warm_path: Some(warm_path.clone()),
+        ..ServeConfig::default()
+    };
+    let rank = |store: Arc<LiveStore>| {
+        let server = Server::bind("127.0.0.1:0", store, config.clone()).expect("bind");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let answer = client.rank(&["Forrest_Gump"], 10, 10).expect("rank");
+        assert!(response_ok(&answer));
+        (server, answer)
+    };
+    let (server, cold) = rank(Arc::new(LiveStore::new(sample())));
+    assert!(server.shutdown().warm_densities_saved.unwrap() > 0);
+
+    let mut bytes = std::fs::read(&warm_path).expect("sidecar saved");
+    *bytes.last_mut().unwrap() ^= 0x40;
+    std::fs::write(&warm_path, &bytes).unwrap();
+    let opened = open_store(sample(), 1, None, Some(&warm_path)).expect("no log to fail");
+    assert!(
+        !opened.warm,
+        "a sidecar that fails its checksum must start cold"
+    );
+    let (server, again) = rank(opened.store);
+    drop(server);
+    for field in ["features", "entities"] {
+        assert_eq!(
+            scored_list(&again, field),
+            scored_list(&cold, field),
+            "{field}"
+        );
+    }
+    let _ = std::fs::remove_file(&warm_path);
+}
+
 /// A logging leader saves its sidecar against the graph it served, which
 /// only the replayed log reproduces: a restart with the same data, log
 /// and sidecar must load the sidecar after replay and start warm.
