@@ -62,7 +62,7 @@ pub use delta::{
 pub use id::{CategoryId, EntityId, LiteralId, PredicateId, TypeId};
 pub use interner::Interner;
 pub use ntriples::{
-    parse, parse_into_builder, parse_into_delta, parse_removed_into_delta, parse_removed_stream,
+    parse, parse_into_delta, parse_reader, parse_removed_into_delta, parse_removed_stream,
     parse_stream, serialize, ParseError, StreamError, StreamStats,
 };
 pub use shard::{CompactionPolicy, GraphShard, ShardRouter, ShardedGraph};

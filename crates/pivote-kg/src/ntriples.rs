@@ -7,17 +7,21 @@
 //! (types, categories, labels, aliases) instead of generic edges, matching
 //! how PivotE treats DBpedia input.
 //!
-//! Three entry points share one statement parser and one line filter:
+//! One line loop and one statement router serve every entry point:
 //!
-//! - [`parse`] / [`parse_into_builder`] — whole document to a fresh graph;
-//! - [`parse_into_delta`] — whole document to one [`DeltaBatch`];
-//! - [`parse_stream`] — any [`io::BufRead`] to a series of bounded
-//!   [`DeltaBatch`]es, for dumps too large to hold in memory.
+//! - [`parse`] / [`parse_reader`] — a whole document, or any
+//!   [`io::BufRead`], straight into a fresh graph;
+//! - [`parse_into_delta`] / [`parse_removed_into_delta`] — a whole
+//!   document to one [`DeltaBatch`] of insert or retract ops;
+//! - [`parse_stream`] / [`parse_removed_stream`] — any [`io::BufRead`] to
+//!   a series of bounded [`DeltaBatch`]es, for appending to a live store.
 //!
-//! The parser works on borrowed slices of the current line: terms are
-//! never copied into intermediate `String`s (literals allocate only when
-//! they actually contain escapes), and the streaming path reuses one line
-//! buffer and one batch for the whole document.
+//! The router sends each statement to a small sink (a builder, or a
+//! batch in either polarity), so bulk and incremental parsing can never
+//! route a statement differently. The parser works on borrowed slices of
+//! one reused line buffer: terms are never copied into intermediate
+//! `String`s on the way to the builder (literals allocate only when they
+//! actually contain escapes), and no entry point holds the document.
 
 use crate::delta::DeltaBatch;
 use crate::schema;
@@ -110,44 +114,60 @@ enum TermRef<'a> {
     },
 }
 
-/// The single line filter every entry point routes through: returns the
-/// statement body, or `None` for blank lines and `# comment` lines.
-#[inline]
-fn statement_body(raw: &str) -> Option<&str> {
-    let line = raw.trim();
-    if line.is_empty() || line.starts_with('#') {
-        None
-    } else {
-        Some(line)
+/// The one line loop every entry point runs: reads `reader` a line at a
+/// time into one reused buffer, skips blank and `# comment` lines, and
+/// hands each statement with its 1-based line number to `statement`.
+/// A line that is not UTF-8 is a [`ParseError`] on that line. Returns
+/// the number of lines read.
+fn for_each_statement<R: io::BufRead>(
+    mut reader: R,
+    mut statement: impl FnMut(&str, usize) -> Result<(), ParseError>,
+) -> Result<usize, StreamError> {
+    let mut buf = Vec::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(lineno);
+        }
+        lineno += 1;
+        let raw = std::str::from_utf8(&buf).map_err(|_| err(lineno, "line is not valid UTF-8"))?;
+        let line = raw.trim();
+        if !line.is_empty() && !line.starts_with('#') {
+            statement(line, lineno)?;
+        }
     }
 }
 
-/// Parse an N-Triples document into a fresh [`KgBuilder`].
+/// An in-memory document is read through the same line loop; reading a
+/// `&str` can only fail on its syntax.
+fn in_memory<T>(result: Result<T, StreamError>) -> Result<T, ParseError> {
+    result.map_err(|e| match e {
+        StreamError::Parse(e) => e,
+        StreamError::Io(e) => unreachable!("reading a &str cannot fail: {e}"),
+    })
+}
+
+/// Parse N-Triples from any buffered reader straight into a frozen
+/// [`KnowledgeGraph`].
 ///
-/// Comments (`# ...`) and blank lines are skipped. Returns the builder so
-/// callers can add more statements before freezing.
-///
-/// Implemented as per-line delta routing + builder replay (one reused
-/// one-statement batch, so peak memory stays per-line): the bulk-parse
-/// and the incremental-append paths share one statement-routing
-/// implementation and can never diverge.
-pub fn parse_into_builder(input: &str) -> Result<KgBuilder, ParseError> {
+/// Each statement is routed into a [`KgBuilder`] while it still borrows
+/// the line buffer — no [`DeltaOp`](crate::DeltaOp) and no owned string
+/// per statement — so peak memory is the graph being built plus one
+/// line, never the document. The routing is the same `match` that
+/// [`parse_into_delta`] runs, so loading a document and appending it to
+/// an empty graph intern every name in the same order.
+pub fn parse_reader(reader: impl io::BufRead) -> Result<KnowledgeGraph, StreamError> {
     let mut b = KgBuilder::new();
-    let mut line_batch = DeltaBatch::new();
-    for (lineno, raw) in input.lines().enumerate() {
-        let Some(line) = statement_body(raw) else {
-            continue;
-        };
-        parse_line_delta(line, lineno + 1, &mut line_batch)?;
-        line_batch.apply_to_builder(&mut b);
-        line_batch.clear();
-    }
-    Ok(b)
+    for_each_statement(reader, |line, lineno| route(line, lineno, &mut b))?;
+    Ok(b.finish())
 }
 
-/// Parse an N-Triples document straight into a frozen [`KnowledgeGraph`].
+/// Parse an N-Triples document straight into a frozen [`KnowledgeGraph`]:
+/// [`parse_reader`] over the document's bytes. Comments (`# ...`) and
+/// blank lines are skipped.
 pub fn parse(input: &str) -> Result<KnowledgeGraph, ParseError> {
-    Ok(parse_into_builder(input)?.finish())
+    in_memory(parse_reader(input.as_bytes()))
 }
 
 /// Parse an N-Triples document into a [`DeltaBatch`] for appending to a
@@ -158,12 +178,9 @@ pub fn parse(input: &str) -> Result<KnowledgeGraph, ParseError> {
 /// half yields the same graph as parsing the whole document.
 pub fn parse_into_delta(input: &str) -> Result<DeltaBatch, ParseError> {
     let mut d = DeltaBatch::new();
-    for (lineno, raw) in input.lines().enumerate() {
-        let Some(line) = statement_body(raw) else {
-            continue;
-        };
-        parse_line_delta(line, lineno + 1, &mut d)?;
-    }
+    in_memory(for_each_statement(input.as_bytes(), |line, lineno| {
+        route(line, lineno, &mut d)
+    }))?;
     Ok(d)
 }
 
@@ -177,13 +194,32 @@ pub fn parse_into_delta(input: &str) -> Result<DeltaBatch, ParseError> {
 /// apply time — a retract never interns.
 pub fn parse_removed_into_delta(input: &str) -> Result<DeltaBatch, ParseError> {
     let mut d = DeltaBatch::new();
-    for (lineno, raw) in input.lines().enumerate() {
-        let Some(line) = statement_body(raw) else {
-            continue;
-        };
-        parse_line_retract(line, lineno + 1, &mut d)?;
-    }
+    in_memory(for_each_statement(input.as_bytes(), |line, lineno| {
+        route(line, lineno, &mut Retract(&mut d))
+    }))?;
     Ok(d)
+}
+
+/// Parse N-Triples from any buffered reader, handing the sink one
+/// [`DeltaBatch`] of at most `max_ops` ops at a time.
+///
+/// This is the bounded-memory path for appending to a live store: one
+/// line buffer and one batch are reused for the whole stream, so peak
+/// memory is O(`max_ops`), not O(document). Ops arrive at the sink in
+/// exact line order and batch boundaries fall at fixed op counts, so
+/// splitting the same document into any sequence of read chunks yields
+/// the identical op sequence (and therefore an identical graph) as
+/// [`parse_into_delta`] — chunk boundaries cannot change interning order.
+///
+/// The batch passed to the sink is cleared and reused afterwards; sinks
+/// that need to keep ops must copy them out. `max_ops` is clamped to at
+/// least 1. The final partial batch is flushed before returning.
+pub fn parse_stream<R, F>(reader: R, max_ops: usize, sink: F) -> Result<StreamStats, StreamError>
+where
+    R: io::BufRead,
+    F: FnMut(&mut DeltaBatch),
+{
+    stream_batches(reader, max_ops, false, sink)
 }
 
 /// [`parse_stream`] for a removed-triples source: every batch handed to
@@ -193,59 +229,21 @@ pub fn parse_removed_into_delta(input: &str) -> Result<DeltaBatch, ParseError> {
 pub fn parse_removed_stream<R, F>(
     reader: R,
     max_ops: usize,
-    mut sink: F,
+    sink: F,
 ) -> Result<StreamStats, StreamError>
 where
     R: io::BufRead,
     F: FnMut(&mut DeltaBatch),
 {
-    let max_ops = max_ops.max(1);
-    let mut reader = reader;
-    let mut line = String::new();
-    let mut batch = DeltaBatch::new();
-    let mut stats = StreamStats::default();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        stats.lines += 1;
-        if let Some(body) = statement_body(&line) {
-            parse_line_retract(body, stats.lines, &mut batch)?;
-            stats.statements += 1;
-            if batch.len() >= max_ops {
-                stats.batches += 1;
-                sink(&mut batch);
-                batch.clear();
-            }
-        }
-    }
-    if !batch.is_empty() {
-        stats.batches += 1;
-        sink(&mut batch);
-        batch.clear();
-    }
-    Ok(stats)
+    stream_batches(reader, max_ops, true, sink)
 }
 
-/// Parse N-Triples from any buffered reader, handing the sink one
-/// [`DeltaBatch`] of at most `max_ops` ops at a time.
-///
-/// This is the bounded-memory ingest path: the document is never held in
-/// memory — one line buffer and one batch are reused for the whole
-/// stream, so peak memory is O(`max_ops`), not O(document). Ops arrive at
-/// the sink in exact line order and batch boundaries fall at fixed op
-/// counts, so splitting the same document into any sequence of read
-/// chunks yields the identical op sequence (and therefore an identical
-/// graph) as [`parse_into_delta`] — chunk boundaries cannot change
-/// interning order.
-///
-/// The batch passed to the sink is cleared and reused afterwards; sinks
-/// that need to keep ops must copy them out. `max_ops` is clamped to at
-/// least 1. The final partial batch is flushed before returning.
-pub fn parse_stream<R, F>(
+/// The line loop into one reused batch of either polarity, handed to
+/// `sink` every `max_ops` ops and once more for the remainder.
+fn stream_batches<R, F>(
     reader: R,
     max_ops: usize,
+    retract: bool,
     mut sink: F,
 ) -> Result<StreamStats, StreamError>
 where
@@ -253,127 +251,176 @@ where
     F: FnMut(&mut DeltaBatch),
 {
     let max_ops = max_ops.max(1);
-    let mut reader = reader;
-    let mut line = String::new();
     let mut batch = DeltaBatch::new();
-    let mut stats = StreamStats::default();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
+    let (mut statements, mut batches) = (0, 0);
+    let lines = for_each_statement(reader, |line, lineno| {
+        if retract {
+            route(line, lineno, &mut Retract(&mut batch))?;
+        } else {
+            route(line, lineno, &mut batch)?;
         }
-        stats.lines += 1;
-        if let Some(body) = statement_body(&line) {
-            parse_line_delta(body, stats.lines, &mut batch)?;
-            stats.statements += 1;
-            if batch.len() >= max_ops {
-                stats.batches += 1;
-                sink(&mut batch);
-                batch.clear();
-            }
+        statements += 1;
+        if batch.len() >= max_ops {
+            batches += 1;
+            sink(&mut batch);
+            batch.clear();
         }
-    }
+        Ok(())
+    })?;
     if !batch.is_empty() {
-        stats.batches += 1;
+        batches += 1;
         sink(&mut batch);
-        batch.clear();
     }
-    Ok(stats)
+    Ok(StreamStats {
+        statements,
+        lines,
+        batches,
+    })
 }
 
-fn parse_line_delta(line: &str, lineno: usize, d: &mut DeltaBatch) -> Result<(), ParseError> {
+/// Where [`route`] sends a statement once the schema has said what it
+/// means. Three impls: a [`DeltaBatch`] (insert ops), [`Retract`] (the
+/// retract op of each) and a [`KgBuilder`] (bulk load, no op at all).
+trait Sink {
+    fn redirect(&mut self, alias: Cow<'_, str>, target: &str);
+    fn disambiguation(&mut self, alias: Cow<'_, str>, target: &str);
+    fn typed(&mut self, entity: &str, type_name: &str);
+    fn label(&mut self, entity: &str, label: Cow<'_, str>);
+    fn categorized(&mut self, entity: &str, category: Cow<'_, str>);
+    fn triple(&mut self, s: &str, p: &str, o: &str);
+    fn literal(&mut self, s: &str, p: &str, value: Literal);
+}
+
+/// The one statement router: parse `line` and send it to `sink` by its
+/// predicate and object shape.
+fn route(line: &str, lineno: usize, sink: &mut impl Sink) -> Result<(), ParseError> {
     let (subject, predicate, object) = parse_statement(line, lineno)?;
+    let s = schema::local_name(subject);
     match (predicate, object) {
         // Redirect/disambiguation subjects are alias pages, not entities
         // of the graph proper — they become alias strings on the target,
         // so `parse(serialize(kg))` preserves the entity count.
         (schema::DBO_REDIRECT, TermRef::Iri(o)) => {
-            d.redirect(
-                schema::local_name(subject).replace('_', " "),
-                schema::local_name(o),
-            );
+            sink.redirect(spaced(s), schema::local_name(o));
         }
         (schema::DBO_DISAMBIGUATES, TermRef::Iri(o)) => {
-            d.disambiguation(
-                schema::local_name(subject).replace('_', " "),
-                schema::local_name(o),
-            );
+            sink.disambiguation(spaced(s), schema::local_name(o));
         }
-        (schema::RDF_TYPE, TermRef::Iri(o)) => {
-            d.typed(schema::local_name(subject), schema::local_name(o));
-        }
-        (schema::RDFS_LABEL, TermRef::Literal { lexical, .. }) => {
-            d.label(schema::local_name(subject), lexical);
-        }
+        (schema::RDF_TYPE, TermRef::Iri(o)) => sink.typed(s, schema::local_name(o)),
+        (schema::RDFS_LABEL, TermRef::Literal { lexical, .. }) => sink.label(s, lexical),
         (schema::DCT_SUBJECT, TermRef::Iri(o)) => {
-            d.categorized(
-                schema::local_name(subject),
-                schema::category_name(o).replace('_', " "),
-            );
+            sink.categorized(s, spaced(schema::category_name(o)));
         }
         (_, TermRef::Iri(o)) => {
-            d.triple(
-                schema::local_name(subject),
-                schema::local_name(predicate),
-                schema::local_name(o),
-            );
+            sink.triple(s, schema::local_name(predicate), schema::local_name(o));
         }
         (_, TermRef::Literal { lexical, kind }) => {
-            d.literal(
-                schema::local_name(subject),
-                schema::local_name(predicate),
-                Literal {
-                    lexical: lexical.into_owned(),
-                    kind,
-                },
-            );
+            let value = Literal {
+                lexical: lexical.into_owned(),
+                kind,
+            };
+            sink.literal(s, schema::local_name(predicate), value);
         }
     }
     Ok(())
 }
 
-/// Retract-polarity twin of [`parse_line_delta`]: identical statement
-/// parsing and schema routing, emitting the retract form of each op.
-fn parse_line_retract(line: &str, lineno: usize, d: &mut DeltaBatch) -> Result<(), ParseError> {
-    let (subject, predicate, object) = parse_statement(line, lineno)?;
-    match (predicate, object) {
-        (schema::DBO_REDIRECT, TermRef::Iri(o)) | (schema::DBO_DISAMBIGUATES, TermRef::Iri(o)) => {
-            d.retract_alias(
-                schema::local_name(subject).replace('_', " "),
-                schema::local_name(o),
-            );
-        }
-        (schema::RDF_TYPE, TermRef::Iri(o)) => {
-            d.retract_typed(schema::local_name(subject), schema::local_name(o));
-        }
-        (schema::RDFS_LABEL, TermRef::Literal { lexical, .. }) => {
-            d.retract_label(schema::local_name(subject), lexical);
-        }
-        (schema::DCT_SUBJECT, TermRef::Iri(o)) => {
-            d.retract_categorized(
-                schema::local_name(subject),
-                schema::category_name(o).replace('_', " "),
-            );
-        }
-        (_, TermRef::Iri(o)) => {
-            d.retract_triple(
-                schema::local_name(subject),
-                schema::local_name(predicate),
-                schema::local_name(o),
-            );
-        }
-        (_, TermRef::Literal { lexical, kind }) => {
-            d.retract_literal(
-                schema::local_name(subject),
-                schema::local_name(predicate),
-                Literal {
-                    lexical: lexical.into_owned(),
-                    kind,
-                },
-            );
-        }
+/// A resource local name as display text: underscores become spaces.
+fn spaced(name: &str) -> Cow<'_, str> {
+    if name.contains('_') {
+        Cow::Owned(name.replace('_', " "))
+    } else {
+        Cow::Borrowed(name)
     }
-    Ok(())
+}
+
+impl Sink for DeltaBatch {
+    fn redirect(&mut self, alias: Cow<'_, str>, target: &str) {
+        DeltaBatch::redirect(self, alias, target);
+    }
+    fn disambiguation(&mut self, alias: Cow<'_, str>, target: &str) {
+        DeltaBatch::disambiguation(self, alias, target);
+    }
+    fn typed(&mut self, entity: &str, type_name: &str) {
+        DeltaBatch::typed(self, entity, type_name);
+    }
+    fn label(&mut self, entity: &str, label: Cow<'_, str>) {
+        DeltaBatch::label(self, entity, label);
+    }
+    fn categorized(&mut self, entity: &str, category: Cow<'_, str>) {
+        DeltaBatch::categorized(self, entity, category);
+    }
+    fn triple(&mut self, s: &str, p: &str, o: &str) {
+        DeltaBatch::triple(self, s, p, o);
+    }
+    fn literal(&mut self, s: &str, p: &str, value: Literal) {
+        DeltaBatch::literal(self, s, p, value);
+    }
+}
+
+/// The retract polarity of a [`DeltaBatch`]: both alias kinds retract
+/// an alias.
+struct Retract<'a>(&'a mut DeltaBatch);
+
+impl Sink for Retract<'_> {
+    fn redirect(&mut self, alias: Cow<'_, str>, target: &str) {
+        self.0.retract_alias(alias, target);
+    }
+    fn disambiguation(&mut self, alias: Cow<'_, str>, target: &str) {
+        self.0.retract_alias(alias, target);
+    }
+    fn typed(&mut self, entity: &str, type_name: &str) {
+        self.0.retract_typed(entity, type_name);
+    }
+    fn label(&mut self, entity: &str, label: Cow<'_, str>) {
+        self.0.retract_label(entity, label);
+    }
+    fn categorized(&mut self, entity: &str, category: Cow<'_, str>) {
+        self.0.retract_categorized(entity, category);
+    }
+    fn triple(&mut self, s: &str, p: &str, o: &str) {
+        self.0.retract_triple(s, p, o);
+    }
+    fn literal(&mut self, s: &str, p: &str, value: Literal) {
+        self.0.retract_literal(s, p, value);
+    }
+}
+
+/// The bulk load: names are interned in the order
+/// [`DeltaBatch::apply_to_builder`] interns the op [`route`] would have
+/// made, so a built graph and a replayed delta get the same dense ids.
+impl Sink for KgBuilder {
+    fn redirect(&mut self, alias: Cow<'_, str>, target: &str) {
+        let t = self.entity(target);
+        KgBuilder::redirect(self, alias, t);
+    }
+    fn disambiguation(&mut self, alias: Cow<'_, str>, target: &str) {
+        let t = self.entity(target);
+        KgBuilder::disambiguation(self, alias, t);
+    }
+    fn typed(&mut self, entity: &str, type_name: &str) {
+        let e = self.entity(entity);
+        KgBuilder::typed(self, e, type_name);
+    }
+    fn label(&mut self, entity: &str, label: Cow<'_, str>) {
+        let e = self.entity(entity);
+        KgBuilder::label(self, e, label);
+    }
+    fn categorized(&mut self, entity: &str, category: Cow<'_, str>) {
+        let e = self.entity(entity);
+        KgBuilder::categorized(self, e, &category);
+    }
+    fn triple(&mut self, s: &str, p: &str, o: &str) {
+        let s = self.entity(s);
+        let p = self.predicate(p);
+        let o = self.entity(o);
+        KgBuilder::triple(self, s, p, o);
+    }
+    fn literal(&mut self, s: &str, p: &str, value: Literal) {
+        let s = self.entity(s);
+        let p = self.predicate(p);
+        self.literal_triple(s, p, value);
+    }
 }
 
 fn err(line: usize, message: impl Into<String>) -> ParseError {
@@ -396,9 +443,16 @@ fn parse_statement(line: &str, lineno: usize) -> Result<(&str, &str, TermRef<'_>
         TermRef::Literal { .. } => return Err(err(lineno, "predicate must be an IRI")),
     };
     let object = take_term(&mut rest, lineno)?;
-    let rest = rest.trim_start();
-    if !rest.starts_with('.') {
+    let Some(tail) = rest.trim_start().strip_prefix('.') else {
         return Err(err(lineno, "statement must end with '.'"));
+    };
+    // one statement per line: after the '.' only a comment may follow
+    let tail = tail.trim_start();
+    if !tail.is_empty() && !tail.starts_with('#') {
+        return Err(err(
+            lineno,
+            format!("unexpected text after '.': {tail:.20}"),
+        ));
     }
     Ok((subject, predicate, object))
 }
@@ -668,7 +722,7 @@ mod tests {
     #[test]
     fn comments_and_blanks_skipped_in_all_entry_points() {
         let src = "\n# leading comment\n  \t \n<http://s> <http://p> <http://o> .\n   # indented comment\n\n<http://s2> <http://p> <http://o> .\n\t\n# trailing comment";
-        let via_builder = parse_into_builder(src).unwrap().finish();
+        let via_builder = parse_reader(src.as_bytes()).unwrap();
         assert_eq!(via_builder.entity_count(), 3); // s, s2, o
 
         let via_delta = parse_into_delta(src).unwrap();
@@ -752,6 +806,24 @@ mod tests {
         match e {
             StreamError::Parse(p) => assert_eq!(p.line, 2),
             StreamError::Io(_) => panic!("expected parse error"),
+        }
+    }
+
+    /// Bytes that are not UTF-8 fail the line they are on, through the
+    /// same line loop as a syntax error — not as an I/O error.
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_parse_error_on_that_line() {
+        let src = b"<http://s> <http://p> <http://o> .\n# ok\n<http://s> <http://p> \"\xff\" .\n";
+        match parse_reader(&src[..]) {
+            Err(StreamError::Parse(e)) => {
+                assert_eq!(e.line, 3);
+                assert!(e.message.contains("UTF-8"), "{e}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        match parse_stream(&src[..], 8, |_| {}) {
+            Err(StreamError::Parse(e)) => assert_eq!(e.line, 3),
+            other => panic!("expected a parse error, got {other:?}"),
         }
     }
 

@@ -6,7 +6,7 @@
 //!              [--log deltas.wal | --replica deltas.wal]
 //! ```
 //!
-//! Loads an N-Triples graph (or the tiny synthetic one), optionally
+//! Streams an N-Triples graph (or builds the tiny synthetic one), optionally
 //! resumes the density cache from a warm-state sidecar, serves until a
 //! client sends `{"op":"shutdown"}`, then persists the warm state back.
 //!
@@ -21,8 +21,10 @@
 #![forbid(unsafe_code)]
 
 use pivote_core::{ReplicaHandle, ReplicaStore};
-use pivote_kg::{generate, DatagenConfig, ShardedGraph};
+use pivote_kg::{generate, DatagenConfig, ShardedGraph, StreamError};
 use pivote_serve::{open_store, ServeConfig, Server};
+use std::fs::File;
+use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -86,22 +88,21 @@ fn main() -> ExitCode {
         }
     };
     let kg = match &args.data {
-        Some(path) => {
-            let nt = match std::fs::read_to_string(path) {
-                Ok(nt) => nt,
-                Err(e) => {
-                    eprintln!("pivote-serve: cannot read {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match pivote_kg::parse(&nt) {
-                Ok(kg) => kg,
-                Err(e) => {
-                    eprintln!("pivote-serve: {}:{}: {}", path.display(), e.line, e.message);
-                    return ExitCode::FAILURE;
-                }
+        // the dump is streamed: the builder holds the graph, never the text
+        Some(path) => match File::open(path)
+            .map_err(StreamError::Io)
+            .and_then(|file| pivote_kg::parse_reader(BufReader::new(file)))
+        {
+            Ok(kg) => kg,
+            Err(StreamError::Parse(e)) => {
+                eprintln!("pivote-serve: {}:{}: {}", path.display(), e.line, e.message);
+                return ExitCode::FAILURE;
             }
-        }
+            Err(StreamError::Io(e)) => {
+                eprintln!("pivote-serve: cannot read {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+        },
         None => generate(&DatagenConfig::tiny()),
     };
     // one shard wraps the parsed graph by move; more partition it

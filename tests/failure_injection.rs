@@ -245,3 +245,92 @@ fn every_byte_mutation_of_every_file_kind_is_caught() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// The N-Triples leg of the byte-mutation model. A seeded sample of
+/// single-byte flips, deletes and inserts, plus truncations, of
+/// `data/sample.nt`: every entry point returns a graph or a typed,
+/// line-numbered error and never panics, and all of them agree — the
+/// bulk `parse`, `parse_reader` at a 1-byte and an 8 KiB buffer, and
+/// `parse_into_delta` name the same error line, or the readers build
+/// the graph `parse` builds.
+#[test]
+fn every_byte_mutation_of_an_ntriples_dump_parses_or_fails_typed() {
+    use pivote_kg::{fingerprint, parse_into_delta, parse_reader, StreamError};
+    use std::io::BufReader;
+
+    let original = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/data/sample.nt"))
+        .expect("bundled sample exists");
+    // xorshift64: a fixed seed, so a failure names a reproducible case
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |below: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % below as u64) as usize
+    };
+    let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+    for _ in 0..120 {
+        let at = next(original.len());
+        let mut bytes = original.clone();
+        bytes[at] ^= 1 + next(255) as u8;
+        cases.push((format!("flip at {at}"), bytes));
+        let at = next(original.len());
+        let mut bytes = original.clone();
+        bytes.remove(at);
+        cases.push((format!("delete at {at}"), bytes));
+        let at = next(original.len() + 1);
+        let mut bytes = original.clone();
+        // printable ASCII half the time: syntax errors past the UTF-8 check
+        let byte = if next(2) == 0 {
+            b' ' + next(95) as u8
+        } else {
+            next(256) as u8
+        };
+        bytes.insert(at, byte);
+        cases.push((format!("insert {byte:#04x} at {at}"), bytes));
+        let cut = next(original.len());
+        cases.push((format!("truncate at {cut}"), original[..cut].to_vec()));
+    }
+
+    // a graph's fingerprint, or the line its error names
+    let outcome = |result: Result<pivote_kg::KnowledgeGraph, StreamError>| match result {
+        Ok(kg) => Ok(fingerprint(&kg)),
+        Err(StreamError::Parse(e)) => {
+            assert!(e.line >= 1, "an error names its line: {e}");
+            Err(e.line)
+        }
+        Err(StreamError::Io(e)) => panic!("an in-memory reader cannot fail to read: {e}"),
+    };
+    let (mut accepted, mut rejected) = (0, 0);
+    for (case, bytes) in &cases {
+        let tiny = outcome(parse_reader(BufReader::with_capacity(1, bytes.as_slice())));
+        let paged = outcome(parse_reader(BufReader::with_capacity(
+            8 << 10,
+            bytes.as_slice(),
+        )));
+        assert_eq!(tiny, paged, "{case}: the buffer size changed the outcome");
+        match std::str::from_utf8(bytes) {
+            Ok(text) => {
+                let bulk = parse(text).map(|kg| fingerprint(&kg)).map_err(|e| e.line);
+                assert_eq!(bulk, paged, "{case}: parse and parse_reader disagree");
+                let delta = parse_into_delta(text).map(|_| ()).map_err(|e| e.line);
+                assert_eq!(
+                    delta,
+                    bulk.map(|_| ()),
+                    "{case}: parse_into_delta disagrees"
+                );
+            }
+            Err(_) => assert!(paged.is_err(), "{case}: bytes that are not UTF-8 parsed"),
+        }
+        if paged.is_ok() {
+            accepted += 1;
+        } else {
+            rejected += 1;
+        }
+    }
+    // the sample exercises both outcomes
+    assert!(
+        accepted > 0 && rejected > 0,
+        "{accepted} accepted, {rejected} rejected"
+    );
+}

@@ -88,3 +88,70 @@ fn search_survives_the_roundtrip() {
         .collect();
     assert_eq!(h1, h2);
 }
+
+/// One statement per line: after a statement's closing `.` only
+/// whitespace or a `# comment` may follow. A second statement or stray
+/// text after the `.` is a line-numbered error on every entry point —
+/// bulk, reader, streamed, delta in both polarities, and the wire's
+/// `append` and `retract` — never a silently dropped statement.
+#[test]
+fn nothing_but_a_comment_may_follow_the_closing_dot() {
+    use pivote_kg::{
+        parse_into_delta, parse_reader, parse_removed_into_delta, parse_stream, StreamError,
+    };
+    use pivote_serve::{num_field, response_ok, Service};
+
+    let good = "<http://x/s> <http://x/p> <http://x/o> .\n";
+    for tail in ["", " ", "\t", "   # a comment", "# tight comment", " #"] {
+        let doc = format!("{good}<http://x/a> <http://x/p> <http://x/b> .{tail}\n");
+        let kg = parse(&doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
+        assert_eq!(kg.relation_count(), 2, "{doc:?}");
+        assert_eq!(parse_into_delta(&doc).unwrap().len(), 2, "{doc:?}");
+    }
+    // no space before the dot is still one statement
+    assert_eq!(
+        parse("<http://x/a> <http://x/p> \"v\"^^<http://x/t>.")
+            .unwrap()
+            .entity_count(),
+        1
+    );
+
+    let service = Service::new(
+        std::sync::Arc::new(pivote_core::LiveStore::new(parse(good).unwrap())),
+        false,
+    );
+    for bad in [
+        "<http://x/a> <http://x/p> <http://x/b> . <http://x/c> <http://x/p> <http://x/d> .",
+        "<http://x/a> <http://x/p> <http://x/b> .garbage",
+        "<http://x/a> <http://x/p> \"lit\"@en . .",
+        "<http://x/a> <http://x/p> <http://x/b> .. # two dots",
+    ] {
+        let doc = format!("{good}{bad}\n{good}");
+        let e = parse(&doc).expect_err(bad);
+        assert_eq!(e.line, 2, "{bad}: {e}");
+        assert!(e.message.contains("after '.'"), "{bad}: {e}");
+        assert_eq!(parse_into_delta(&doc).unwrap_err(), e, "{bad}");
+        assert_eq!(parse_removed_into_delta(&doc).unwrap_err(), e, "{bad}");
+        match parse_reader(doc.as_bytes()) {
+            Err(StreamError::Parse(got)) => assert_eq!(got, e, "{bad}"),
+            other => panic!("{bad}: parse_reader gave {other:?}"),
+        }
+        match parse_stream(doc.as_bytes(), 1, |_| {}) {
+            Err(StreamError::Parse(got)) => assert_eq!(got, e, "{bad}"),
+            other => panic!("{bad}: parse_stream gave {other:?}"),
+        }
+        for op in ["append", "retract"] {
+            let request = serde::Value::Obj(vec![
+                ("op".to_owned(), serde::Value::Str(op.to_owned())),
+                ("ntriples".to_owned(), serde::Value::Str(doc.clone())),
+            ]);
+            let reply: serde::Value =
+                serde_json::from_str(&service.call(&serde_json::to_string(&request).unwrap()))
+                    .expect("replies are JSON");
+            assert!(!response_ok(&reply), "{op} {bad}: {reply:?}");
+            assert_eq!(num_field(&reply, "line"), Some(2), "{op} {bad}: {reply:?}");
+        }
+    }
+    // the rejected writes left the store as it was
+    assert_eq!(service.store().read().handle().graph().entity_count(), 2);
+}

@@ -3,16 +3,19 @@
 //! byte .. whole document) and **any** batch bound — yields exactly the
 //! op sequence of the bulk `parse_into_delta`, and applying those batches
 //! produces bit-identical rankings on the single backend and on sharded
-//! backends across shard counts 1–4.
+//! backends across shard counts 1–4. `parse_reader` over the same chunked
+//! bytes builds the graph `parse` builds.
 //!
 //! Also hosts the `#[ignore]`d scale leg CI runs with `--ignored`: a
 //! ~100k-triple generated dump streamed through `StreamingIngest` over a
 //! live sharded store with the maintenance thread absorbing trailing
-//! shards mid-ingest.
+//! shards mid-ingest, loaded through `parse_reader`, and cut into a
+//! removed-triples changeset.
 
 use pivote_core::{Expander, GraphHandle, RankingConfig, SfQuery};
 use pivote_kg::{
-    parse_into_delta, parse_stream, DeltaBatch, EntityId, KgBuilder, KnowledgeGraph, ShardedGraph,
+    fingerprint, parse, parse_into_delta, parse_reader, parse_stream, serialize, DeltaBatch,
+    EntityId, KgBuilder, KnowledgeGraph, ShardedGraph,
 };
 use proptest::prelude::*;
 use std::io::{BufReader, Read};
@@ -170,7 +173,7 @@ proptest! {
         // chunked stream: tiny BufReader so statements are assembled
         // across chunk boundaries ("whole" degenerates to one huge chunk)
         let chunks = if whole == 1 { vec![doc.len().max(1)] } else { chunks };
-        let reader = BufReader::with_capacity(8, ChunkedRead::new(doc.as_bytes(), chunks));
+        let reader = BufReader::with_capacity(8, ChunkedRead::new(doc.as_bytes(), chunks.clone()));
         let mut batches: Vec<DeltaBatch> = Vec::new();
         let stats = parse_stream(reader, max_ops, |b| {
             let mut copy = DeltaBatch::new();
@@ -179,6 +182,15 @@ proptest! {
             }
             batches.push(copy);
         }).unwrap();
+
+        // the direct route: the same chunked bytes straight into a graph
+        // build the graph the bulk parse builds, and the graph the bulk
+        // delta replays into — every name interned in the same order
+        let direct = parse_reader(BufReader::with_capacity(8, ChunkedRead::new(doc.as_bytes(), chunks.clone()))).unwrap();
+        prop_assert_eq!(serialize(&direct), serialize(&parse(&doc).unwrap()));
+        let mut replayed = KgBuilder::new();
+        bulk.apply_to_builder(&mut replayed);
+        prop_assert_eq!(fingerprint(&direct), fingerprint(&replayed.finish()));
 
         // op-sequence bit-identity
         let streamed_ops: Vec<_> = batches.iter().flat_map(|b| b.ops().iter().cloned()).collect();
@@ -230,6 +242,14 @@ fn scale_stream_of_100k_triples_equals_bulk_parse_under_maintenance() {
     let generated = pivote_kg::generate(&pivote_kg::DatagenConfig::scaled(2_500, 7));
     let dump = pivote_kg::ntriples::serialize(&generated);
     let want = pivote_kg::parse(&dump).expect("generated dump reparses");
+    let direct = parse_reader(std::io::BufReader::new(dump.as_bytes())).expect("reader parses");
+    assert_eq!(
+        fingerprint(&direct),
+        fingerprint(&want),
+        "the reader must build the graph the bulk parse builds"
+    );
+    drop(direct);
+    removed_changeset_mirrors_the_added_one(&dump);
 
     let store = Arc::new(LiveStore::with_threads(
         ShardedGraph::from_graph(&KgBuilder::new().finish(), 2),
@@ -297,4 +317,45 @@ fn scale_stream_of_100k_triples_equals_bulk_parse_under_maintenance() {
         pivote_kg::ntriples::serialize(&want),
         "streamed+maintained store must be bit-identical to the bulk parse"
     );
+}
+
+/// The retract router on a fixed changeset of the scale dump (every
+/// seventh statement): each retract op is the twin of the op the insert
+/// router makes of the same statement, in the same order, whole or
+/// streamed.
+fn removed_changeset_mirrors_the_added_one(dump: &str) {
+    use pivote_kg::{parse_removed_into_delta, parse_removed_stream, DeltaOp};
+    let changeset: String = dump
+        .lines()
+        .step_by(7)
+        .flat_map(|line| [line, "\n"])
+        .collect();
+    let twin = |op: &DeltaOp| match op.clone() {
+        DeltaOp::Triple { s, p, o } => DeltaOp::RetractTriple { s, p, o },
+        DeltaOp::LiteralTriple { s, p, value } => DeltaOp::RetractLiteral { s, p, value },
+        DeltaOp::Typed { entity, type_name } => DeltaOp::RetractTyped { entity, type_name },
+        DeltaOp::Categorized { entity, category } => {
+            DeltaOp::RetractCategorized { entity, category }
+        }
+        DeltaOp::Label { entity, label } => DeltaOp::RetractLabel { entity, label },
+        DeltaOp::Redirect { alias, target } | DeltaOp::Disambiguation { alias, target } => {
+            DeltaOp::RetractAlias { alias, target }
+        }
+        other => panic!("the router never declares: {other:?}"),
+    };
+    let want: Vec<DeltaOp> = parse_into_delta(&changeset)
+        .expect("changeset parses")
+        .ops()
+        .iter()
+        .map(twin)
+        .collect();
+    assert!(want.len() > 10_000, "a changeset of {} ops", want.len());
+    let removed = parse_removed_into_delta(&changeset).expect("changeset parses");
+    assert_eq!(removed.ops(), &want[..]);
+    let mut streamed = Vec::new();
+    parse_removed_stream(changeset.as_bytes(), 4_096, |b| {
+        streamed.extend_from_slice(b.ops())
+    })
+    .expect("changeset streams");
+    assert_eq!(streamed, want);
 }
